@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -64,18 +65,21 @@ Enumerator::Enumerator(const Factorisation& f, std::vector<int> visit_order,
       pos.parent_pos = it->second;
       pos.slot = tree.SlotOf(pos.node);
     }
-    pos.first_col = static_cast<int>(cols.size());
     const FTreeNode& nd = tree.node(pos.node);
     if (nd.is_aggregate()) {
+      pos.slots.push_back(static_cast<int>(cols.size()));
       cols.push_back(nd.agg->id);
     } else {
-      cols.insert(cols.end(), nd.attrs.begin(), nd.attrs.end());
+      for (AttrId a : nd.attrs) {
+        pos.slots.push_back(static_cast<int>(cols.size()));
+        cols.push_back(a);
+      }
     }
-    pos.ncols = static_cast<int>(cols.size()) - pos.first_col;
     pos_of[pos.node] = static_cast<int>(p);
     order_.push_back(pos);
   }
   schema_ = RelSchema(std::move(cols));
+  row_arity_ = schema_.arity();
   done_ = f.empty();
 }
 
@@ -83,6 +87,27 @@ Enumerator::Enumerator(const Factorisation& f)
     : Enumerator(f, f.tree().TopologicalOrder(),
                  std::vector<SortDir>(f.tree().TopologicalOrder().size(),
                                       SortDir::kAsc)) {}
+
+void Enumerator::SelectColumns(const std::vector<AttrId>& cols) {
+  if (started_) {
+    throw std::logic_error("Enumerator: SelectColumns after enumeration began");
+  }
+  // Schema column -> visit position.
+  std::vector<int> pos_of_col(static_cast<size_t>(schema_.arity()));
+  for (size_t p = 0; p < order_.size(); ++p) {
+    for (int c : order_[p].slots) pos_of_col[c] = static_cast<int>(p);
+    order_[p].slots.clear();
+  }
+  for (size_t i = 0; i < cols.size(); ++i) {
+    int c = schema_.IndexOf(cols[i]);
+    if (c < 0) {
+      throw std::invalid_argument(
+          "Enumerator: selected attribute is not enumerated");
+    }
+    order_[pos_of_col[c]].slots.push_back(static_cast<int>(i));
+  }
+  row_arity_ = static_cast<int>(cols.size());
+}
 
 void Enumerator::RestrictRoot(int64_t lo, int64_t hi) {
   if (started_) {
@@ -166,13 +191,12 @@ void Enumerator::Fill(Tuple* out) const { FillFrom(out, 0); }
 void Enumerator::FillFrom(Tuple* out, int from_pos) const {
   for (size_t p = from_pos; p < order_.size(); ++p) {
     const Pos& pos = order_[p];
+    if (pos.slots.empty()) continue;
     Value v = pos.cur->values[pos.idx].ToValue();
-    for (int c = 0; c < pos.ncols - 1; ++c) {
-      (*out)[pos.first_col + c] = v;
+    for (size_t i = 0; i + 1 < pos.slots.size(); ++i) {
+      (*out)[pos.slots[i]] = v;
     }
-    if (pos.ncols > 0) {
-      (*out)[pos.first_col + pos.ncols - 1] = std::move(v);
-    }
+    (*out)[pos.slots.back()] = std::move(v);
   }
 }
 
@@ -256,6 +280,12 @@ void GroupAggEnumerator::Fill(Tuple* out) const {
   }
 }
 
+void RelationSink::AppendChunk(std::unique_ptr<RowSink> chunk) {
+  for (Tuple& t : static_cast<RelationSink&>(*chunk).rel_.mutable_rows()) {
+    rel_.Add(std::move(t));
+  }
+}
+
 namespace {
 
 // Below this many top-union entries, forking costs more than it saves.
@@ -270,77 +300,90 @@ int64_t RootUnionEntries(const Factorisation& f,
   return f.roots()[f.tree().SlotOf(visit_order[0])]->size();
 }
 
-// Splits [0, n) root ranks into a few chunks per pool thread (via
-// ParallelFor's own grain partitioning), runs `fill(chunk_rows, lo, hi)`
-// per chunk, and concatenates the per-chunk rows in rank order. The
-// chunk→thread assignment is dynamic but the output order is rank order
-// regardless.
-void ChunkedEnumerate(
-    exec::TaskPool& pool, int64_t n, Relation* out,
-    const std::function<void(std::vector<Tuple>*, int64_t, int64_t)>& fill) {
-  int64_t chunks = std::min<int64_t>(n, pool.num_threads() * int64_t{4});
-  int64_t grain = (n + chunks - 1) / chunks;
-  std::vector<std::vector<Tuple>> rows((n + grain - 1) / grain);
-  pool.ParallelFor(n, grain, [&](int, int64_t lo, int64_t hi) {
-    fill(&rows[lo / grain], lo, hi);
-  });
-  size_t total = 0;
-  for (const std::vector<Tuple>& chunk : rows) total += chunk.size();
-  out->mutable_rows().reserve(total);
-  for (std::vector<Tuple>& chunk : rows) {
-    for (Tuple& t : chunk) out->Add(std::move(t));
-  }
-}
-
-}  // namespace
-
-Relation EnumerateToRelation(const Factorisation& f,
-                             const std::vector<int>& visit_order,
-                             const std::vector<SortDir>& dirs,
-                             std::optional<int64_t> limit) {
-  Enumerator e(f, visit_order, dirs);
-  Relation out(e.schema());
-  exec::TaskPool& pool = exec::TaskPool::Default();
-  int64_t top = RootUnionEntries(f, visit_order);
-  if (!limit.has_value() && pool.num_threads() > 1 &&
-      top >= kMinParallelRootEntries) {
-    ChunkedEnumerate(
-        pool, top, &out,
-        [&](std::vector<Tuple>* dst, int64_t lo, int64_t hi) {
-          // The schema probe `e` is still unstarted; the (single) chunk
-          // beginning at rank 0 reuses it instead of building a new one.
-          std::optional<Enumerator> local;
-          if (lo != 0) local.emplace(f, visit_order, dirs);
-          Enumerator& ce = lo == 0 ? e : *local;
-          ce.RestrictRoot(lo, hi);
-          Tuple row(ce.schema().arity());
-          EnumLimiter lim(ce.schema().arity());
-          while (ce.Next()) {
-            lim.Row();
-            ce.FillFrom(&row, ce.ChangedFrom());
-            dst->push_back(row);
-          }
-        });
-    return out;
-  }
-  // Reserve the output rows up front (bounded, in case of huge products).
-  constexpr int64_t kMaxReserve = int64_t{1} << 20;
-  int64_t expect = limit.has_value() ? *limit : f.CountTuples();
-  out.mutable_rows().reserve(
-      static_cast<size_t>(std::min(std::max<int64_t>(expect, 0),
-                                   kMaxReserve)));
-  Tuple row(e.schema().arity());
+// The enumeration loop: drains `e` into `sink`, at most `limit` rows.
+template <class E>
+int64_t Drain(E& e, std::optional<int64_t> limit, RowSink* sink) {
+  Tuple row(e.row_arity());
   EnumLimiter lim(e.schema().arity());
   int64_t n = 0;
   while (e.Next()) {
     lim.Row();
     if (limit.has_value() && n >= *limit) break;
-    // Only the columns of the changed visit-order suffix need rewriting.
-    e.FillFrom(&row, e.ChangedFrom());
-    out.Add(row);
+    if constexpr (std::is_same_v<E, Enumerator>) {
+      // Only the columns of the changed visit-order suffix need rewriting.
+      e.FillFrom(&row, e.ChangedFrom());
+    } else {
+      e.Fill(&row);
+    }
+    sink->Add(row);
     ++n;
   }
-  return out;
+  return n;
+}
+
+// Runs the unstarted enumerator `probe` into `sink`. Unlimited
+// enumerations over a large top union split its ranks into a few chunks
+// per pool thread (via ParallelFor's own grain partitioning): the chunk
+// at rank 0 reuses `probe`, every other one gets an enumerator from
+// `make(&local)`; each drains into its own chunk sink, and the chunks are
+// appended in rank order. The chunk->thread assignment is dynamic but the
+// output order is rank order regardless.
+template <class E, class Make>
+int64_t Run(const Factorisation& f, const std::vector<int>& visit_order,
+            E* probe, const Make& make, std::optional<int64_t> limit,
+            const RelSchema& schema, RowSink* sink) {
+  sink->Begin(schema);
+  exec::TaskPool& pool = exec::TaskPool::Default();
+  int64_t top = RootUnionEntries(f, visit_order);
+  if (limit.has_value() || pool.num_threads() <= 1 ||
+      top < kMinParallelRootEntries) {
+    return Drain(*probe, limit, sink);
+  }
+  int64_t chunks = std::min<int64_t>(top, pool.num_threads() * int64_t{4});
+  int64_t grain = (top + chunks - 1) / chunks;
+  std::vector<std::unique_ptr<RowSink>> parts((top + grain - 1) / grain);
+  std::vector<int64_t> counts(parts.size(), 0);
+  for (std::unique_ptr<RowSink>& part : parts) part = sink->NewChunk();
+  pool.ParallelFor(top, grain, [&](int, int64_t lo, int64_t hi) {
+    std::optional<E> local;
+    if (lo != 0) make(&local);
+    E& ce = lo == 0 ? *probe : *local;
+    ce.RestrictRoot(lo, hi);
+    counts[lo / grain] = Drain(ce, std::nullopt, parts[lo / grain].get());
+  });
+  int64_t n = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    sink->AppendChunk(std::move(parts[i]));
+    n += counts[i];
+  }
+  return n;
+}
+
+}  // namespace
+
+int64_t EnumerateInto(const Factorisation& f,
+                      const std::vector<int>& visit_order,
+                      const std::vector<SortDir>& dirs,
+                      std::optional<int64_t> limit,
+                      const std::vector<AttrId>& out_cols, RowSink* sink) {
+  auto make = [&](std::optional<Enumerator>* e) {
+    e->emplace(f, visit_order, dirs);
+    if (!out_cols.empty()) (*e)->SelectColumns(out_cols);
+  };
+  std::optional<Enumerator> probe;
+  make(&probe);
+  const RelSchema schema =
+      out_cols.empty() ? probe->schema() : RelSchema(out_cols);
+  return Run(f, visit_order, &*probe, make, limit, schema, sink);
+}
+
+Relation EnumerateToRelation(const Factorisation& f,
+                             const std::vector<int>& visit_order,
+                             const std::vector<SortDir>& dirs,
+                             std::optional<int64_t> limit) {
+  RelationSink sink;
+  EnumerateInto(f, visit_order, dirs, limit, {}, &sink);
+  return std::move(sink.relation());
 }
 
 Relation GroupAggToRelation(const Factorisation& f,
@@ -349,43 +392,16 @@ Relation GroupAggToRelation(const Factorisation& f,
                             const std::vector<AggTask>& tasks,
                             const std::vector<AttrId>& task_ids,
                             std::optional<int64_t> limit) {
-  GroupAggEnumerator e(f, visit_order, dirs, tasks, task_ids);
-  Relation out(e.schema());
-  exec::TaskPool& pool = exec::TaskPool::Default();
-  int64_t top = RootUnionEntries(f, visit_order);
-  if (!limit.has_value() && pool.num_threads() > 1 &&
-      top >= kMinParallelRootEntries) {
-    ChunkedEnumerate(
-        pool, top, &out,
-        [&](std::vector<Tuple>* dst, int64_t lo, int64_t hi) {
-          // Reuse the unstarted probe (and its per-task composition
-          // analyses) for the chunk at rank 0.
-          std::optional<GroupAggEnumerator> local;
-          if (lo != 0) local.emplace(f, visit_order, dirs, tasks, task_ids);
-          GroupAggEnumerator& ce = lo == 0 ? e : *local;
-          ce.RestrictRoot(lo, hi);
-          Tuple row(ce.schema().arity());
-          EnumLimiter lim(ce.schema().arity());
-          while (ce.Next()) {
-            lim.Row();
-            ce.Fill(&row);
-            dst->push_back(row);
-          }
-        });
-    return out;
-  }
-  Tuple row(e.schema().arity());
-  EnumLimiter lim(e.schema().arity());
-  while (e.Next()) {
-    lim.Row();
-    if (limit.has_value() &&
-        static_cast<int64_t>(out.size()) >= *limit) {
-      break;
-    }
-    e.Fill(&row);
-    out.Add(row);
-  }
-  return out;
+  // Chunks other than rank 0 build their own enumerator (and per-task
+  // composition analyses); rank 0 reuses the probe's.
+  auto make = [&](std::optional<GroupAggEnumerator>* e) {
+    e->emplace(f, visit_order, dirs, tasks, task_ids);
+  };
+  std::optional<GroupAggEnumerator> probe;
+  make(&probe);
+  RelationSink sink;
+  Run(f, visit_order, &*probe, make, limit, probe->schema(), &sink);
+  return std::move(sink.relation());
 }
 
 }  // namespace fdb

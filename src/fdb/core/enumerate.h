@@ -2,6 +2,7 @@
 #define FDB_CORE_ENUMERATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -42,11 +43,22 @@ class Enumerator {
   /// (an atomic class contributes all of its attributes).
   const RelSchema& schema() const { return schema_; }
 
+  /// Makes Fill/FillFrom write the row `cols` instead of schema(): slot i
+  /// receives attribute cols[i] (an attribute of schema(); it may repeat,
+  /// and attributes not listed are never materialised). Throws
+  /// std::invalid_argument for an attribute outside schema(). Must be
+  /// called before the first Next().
+  void SelectColumns(const std::vector<AttrId>& cols);
+
+  /// Slots of the row Fill/FillFrom write: schema().arity(), or the
+  /// SelectColumns list's length.
+  int row_arity() const { return row_arity_; }
+
   /// Advances to the next tuple; the first call positions on the first one.
   /// Returns false when exhausted.
   bool Next();
 
-  /// Writes the current tuple; `out` must have schema().arity() slots.
+  /// Writes the current tuple; `out` must have row_arity() slots.
   void Fill(Tuple* out) const;
 
   /// The first visit position whose binding changed in the last Next()
@@ -76,8 +88,7 @@ class Enumerator {
     int parent_pos = -1;  ///< index into order_, or -1 for roots
     int slot = 0;         ///< child slot in the parent node / root slot
     int k = 0;            ///< number of f-tree children of `node`
-    int first_col = 0;    ///< first output column of this node
-    int ncols = 0;
+    std::vector<int> slots;  ///< row slots this node's value is written to
     SortDir dir = SortDir::kAsc;
     const FactNode* cur = nullptr;
     int idx = 0;
@@ -94,6 +105,7 @@ class Enumerator {
   std::vector<FactPtr> roots_;
   std::vector<Pos> order_;
   RelSchema schema_;
+  int row_arity_ = 0;
   bool started_ = false;
   bool done_ = false;
   int changed_from_ = 0;
@@ -119,6 +131,7 @@ class GroupAggEnumerator {
                      std::vector<AttrId> task_ids);
 
   const RelSchema& schema() const { return schema_; }
+  int row_arity() const { return schema_.arity(); }
   bool Next();
   void Fill(Tuple* out) const;
 
@@ -144,14 +157,60 @@ class GroupAggEnumerator {
   RelSchema schema_;
 };
 
-/// Enumerates `f` into a flat relation using the given visit order and
-/// directions, stopping after `limit` tuples if provided (operator λ_k).
+/// Receives an enumeration's output rows, in order. A parallel
+/// enumeration fills one chunk sink per rank chunk of the top union,
+/// concurrently, and appends the chunks back in rank order, so every sink
+/// sees the same row sequence at any thread count.
+class RowSink {
+ public:
+  virtual ~RowSink() = default;
+  /// Called once, before the first row, with the output columns.
+  virtual void Begin(const RelSchema& schema) = 0;
+  /// One output row; the reference is valid only during the call.
+  virtual void Add(const Tuple& row) = 0;
+  /// A fresh sink for one rank chunk. Begin is never called on it; it is
+  /// filled on a pool worker and handed back to AppendChunk.
+  virtual std::unique_ptr<RowSink> NewChunk() = 0;
+  /// Appends the rows of a sink this sink's NewChunk made.
+  virtual void AppendChunk(std::unique_ptr<RowSink> chunk) = 0;
+};
+
+/// Collects the rows into a Relation.
+class RelationSink : public RowSink {
+ public:
+  void Begin(const RelSchema& schema) override { rel_ = Relation(schema); }
+  void Add(const Tuple& row) override { rel_.Add(row); }
+  std::unique_ptr<RowSink> NewChunk() override {
+    return std::make_unique<RelationSink>();
+  }
+  void AppendChunk(std::unique_ptr<RowSink> chunk) override;
+
+  Relation& relation() { return rel_; }
+
+ private:
+  Relation rel_;
+};
+
+/// Enumerates `f` in the given visit order and directions into `sink`,
+/// stopping after `limit` tuples if provided (operator λ_k), and returns
+/// the number of rows sent. Each row is written once, with the columns
+/// `out_cols` (attributes of the enumerated schema, in output order; empty
+/// = every attribute in visit order).
 ///
 /// Unlimited enumerations of large factorisations run in parallel on
 /// TaskPool::Default(): the first visit position's union is split into
 /// rank chunks, each worker enumerates its chunk with a root-restricted
-/// Enumerator, and the per-chunk rows are concatenated in rank order —
-/// the output is identical (same rows, same order) for any thread count.
+/// Enumerator into a chunk sink, and the chunks are appended in rank
+/// order — the output is identical (same rows, same order) for any thread
+/// count. Every row passes the cancellation poll and memory charge of the
+/// current exec::CancelToken, serial or parallel, whatever the sink.
+int64_t EnumerateInto(const Factorisation& f,
+                      const std::vector<int>& visit_order,
+                      const std::vector<SortDir>& dirs,
+                      std::optional<int64_t> limit,
+                      const std::vector<AttrId>& out_cols, RowSink* sink);
+
+/// EnumerateInto a RelationSink, all columns.
 Relation EnumerateToRelation(const Factorisation& f,
                              const std::vector<int>& visit_order,
                              const std::vector<SortDir>& dirs,
@@ -159,11 +218,10 @@ Relation EnumerateToRelation(const Factorisation& f,
 
 /// Enumerates the grouping fragment with on-the-fly aggregate evaluation
 /// (GroupAggEnumerator) into a flat relation, stopping after `limit`
-/// groups if provided. Like EnumerateToRelation, unlimited enumerations
-/// split the first grouping position's union into rank chunks across
-/// TaskPool::Default(), one GroupAggEnumerator per chunk; aggregates are
-/// evaluated wholly within the chunk that owns the group, so the output
-/// is thread-count independent.
+/// groups if provided. It runs the same loop as EnumerateInto, chunked the
+/// same way: one GroupAggEnumerator per rank chunk, and aggregates are
+/// evaluated wholly within the chunk that owns the group, so the output is
+/// thread-count independent.
 Relation GroupAggToRelation(const Factorisation& f,
                             const std::vector<int>& visit_order,
                             const std::vector<SortDir>& dirs,

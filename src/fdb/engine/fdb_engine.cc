@@ -15,7 +15,6 @@
 #include "fdb/obs/statements.h"
 #include "fdb/obs/trace.h"
 #include "fdb/query/parser.h"
-#include "fdb/relational/rdb_ops.h"
 
 namespace fdb {
 namespace {
@@ -161,7 +160,7 @@ Factorisation FdbEngine::InputFactorisation(const BoundQuery& q) {
 }
 
 FdbResult FdbEngine::ExecuteSql(const std::string& sql,
-                                const FdbOptions& options) {
+                                const FdbOptions& options, RowSink* sink) {
   int64_t parse_t0 = obs::NowNs();
   ParsedQuery pq = ParseSql(sql);
   int64_t parse_dur = obs::NowNs() - parse_t0;
@@ -183,12 +182,13 @@ FdbResult FdbEngine::ExecuteSql(const std::string& sql,
     obs::SpanScope span(opts.trace, "bind");
     bq = Bind(pq, db_);
   }
-  FdbResult result = Execute(bq, opts);
+  FdbResult result = Execute(bq, opts, sink);
   if (owned != nullptr) result.trace = std::move(owned);
   return result;
 }
 
-FdbResult FdbEngine::Execute(const BoundQuery& q, const FdbOptions& options) {
+FdbResult FdbEngine::Execute(const BoundQuery& q, const FdbOptions& options,
+                             RowSink* sink) {
   static obs::Histogram& query_hist = obs::Registry::Instance().GetHistogram(
       "engine.query_ns", "ns", "FDB query end-to-end latency");
   obs::ScopedLatency query_latency(query_hist);
@@ -206,11 +206,11 @@ FdbResult FdbEngine::Execute(const BoundQuery& q, const FdbOptions& options) {
       }
     }
   }
-  if (!track) return ExecuteImpl(q, options);
+  if (!track) return ExecuteImpl(q, options, sink);
 
   int64_t t0 = obs::NowNs();
   try {
-    FdbResult result = ExecuteImpl(q, options);
+    FdbResult result = ExecuteImpl(q, options, sink);
     uint64_t dur = static_cast<uint64_t>(obs::NowNs() - t0);
     obs::StatementFootprint fp;
     if (result.input_footprint.has_value()) {
@@ -221,7 +221,7 @@ FdbResult FdbEngine::Execute(const BoundQuery& q, const FdbOptions& options) {
     }
     uint64_t rows = result.factorised.has_value()
                         ? static_cast<uint64_t>(result.result_singletons)
-                        : result.flat.size();
+                        : static_cast<uint64_t>(result.rows);
     obs::ReportQueryCompletion(q.fingerprint, q.normalized_sql,
                                /*via_fdb=*/true, dur, rows, /*error=*/false,
                                fp);
@@ -236,7 +236,7 @@ FdbResult FdbEngine::Execute(const BoundQuery& q, const FdbOptions& options) {
 }
 
 FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
-                                 const FdbOptions& options) {
+                                 const FdbOptions& options, RowSink* sink) {
   obs::Trace* tr = options.trace;
   std::shared_ptr<obs::Trace> owned;
   if (q.explain_analyze && tr == nullptr) {
@@ -357,6 +357,8 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
   // afterwards (HAVING drops rows, so the limit must apply post-filter).
   std::optional<int64_t> enum_limit =
       q.having.empty() ? q.limit : std::nullopt;
+  RelationSink collect;
+  RowSink* dst = sink != nullptr ? sink : &collect;
 
   if (q.has_aggregates() || q.distinct_projection) {
     Relation raw;
@@ -381,7 +383,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     if (order_via_result) {
       // Factorise the (small) result grouped by the order-by list and
       // enumerate it back in order — the paper's restructuring of the
-      // aggregated result (Q7).
+      // aggregated result (Q7) — in SELECT column order.
       std::vector<AttrId> path;
       for (const SortKey& k : q.order_by) {
         if (std::find(path.begin(), path.end(), k.attr) == path.end()) {
@@ -402,12 +404,14 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
           if (visit[i] == n) dirs[i] = k.dir;
         }
       }
-      Relation ordered = EnumerateToRelation(rf, visit, dirs, q.limit);
-      // Project back to SELECT column order.
-      std::vector<AttrId> want = out.schema().attrs();
-      out = Project(ordered, want, /*dedup=*/false);
+      result.rows = EnumerateInto(rf, visit, dirs, q.limit,
+                                  out.schema().attrs(), dst);
+    } else {
+      // The group relation is small: hand it over whole.
+      dst->Begin(out.schema());
+      for (const Tuple& row : out.rows()) dst->Add(row);
+      result.rows = out.size();
     }
-    result.flat = std::move(out);
   } else {
     // SELECT * over an SPJ query: ordered full enumeration.
     std::vector<int> o_nodes;
@@ -428,14 +432,14 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
         if (visit[i] == n) dirs[i] = k.dir;
       }
     }
-    Relation rows = EnumerateToRelation(fact, visit, dirs, enum_limit);
     std::vector<AttrId> want;
     for (const OutputColumn& c : q.outputs) want.push_back(c.attr);
-    result.flat = Project(rows, want, /*dedup=*/false);
+    result.rows = EnumerateInto(fact, visit, dirs, enum_limit, want, dst);
   }
+  result.flat = std::move(collect.relation());  // empty when streamed
   result.enum_seconds = Since(t0);
   if (tr != nullptr) {
-    enum_span.NoteInt("rows", result.flat.size());
+    enum_span.NoteInt("rows", result.rows);
     if (q.limit.has_value()) enum_span.NoteInt("limit", *q.limit);
   }
   if (options.collect_stats || tr != nullptr) {

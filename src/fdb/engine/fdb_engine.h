@@ -46,7 +46,10 @@ struct FdbOptions {
 /// The result of FDB evaluation: a flat relation (default) or the result
 /// factorisation (f/o mode), plus plan and execution statistics.
 struct FdbResult {
+  /// The flat rows, unless a RowSink received them instead.
   Relation flat;
+  /// Flat output rows produced, whether collected in `flat` or streamed.
+  int64_t rows = 0;
   std::optional<Factorisation> factorised;
   FPlan plan;
   std::vector<FOpStats> op_stats;
@@ -75,13 +78,21 @@ class FdbEngine {
   /// of base relations, or a system table (fdb.statements, ...). Reports
   /// the completion (latency, rows, errors) to the statement store when
   /// metrics are enabled.
-  FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {});
+  ///
+  /// With a `sink`, the flat output streams into it in SELECT column
+  /// order while it is enumerated, and `flat` stays empty; without one it
+  /// is collected into `flat`. Either way `rows` counts it. A sink sees
+  /// Begin before any row, and nothing at all in factorised-output mode.
+  FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {},
+                    RowSink* sink = nullptr);
 
   /// Convenience: parse + bind + execute.
-  FdbResult ExecuteSql(const std::string& sql, const FdbOptions& options = {});
+  FdbResult ExecuteSql(const std::string& sql, const FdbOptions& options = {},
+                       RowSink* sink = nullptr);
 
  private:
-  FdbResult ExecuteImpl(const BoundQuery& q, const FdbOptions& options);
+  FdbResult ExecuteImpl(const BoundQuery& q, const FdbOptions& options,
+                        RowSink* sink);
   Factorisation InputFactorisation(const BoundQuery& q);
 
   Database* db_;

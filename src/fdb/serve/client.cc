@@ -58,7 +58,8 @@ void Client::Connect(const std::string& host, int port) {
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   WriteFrame(FrameType::kHello, EncodeHello());
-  Frame f = ReadFrame();
+  Frame f;
+  ReadFrame(&f);
   if (f.type == FrameType::kRetry) {
     RetryInfo info = DecodeRetry(f.payload);
     Close();
@@ -87,10 +88,9 @@ void Client::WriteFrame(FrameType type, const std::vector<uint8_t>& payload) {
   }
 }
 
-Frame Client::ReadFrame() {
-  Frame f;
+void Client::ReadFrame(Frame* f) {
   uint8_t buf[16 * 1024];
-  while (!dec_.Next(&f)) {
+  while (!dec_.Next(f)) {
     ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n == 0) {
       Close();
@@ -104,7 +104,6 @@ Frame Client::ReadFrame() {
     }
     dec_.Feed(buf, static_cast<size_t>(n));
   }
-  return f;
 }
 
 Client::Result Client::Query(const std::string& statement) {
@@ -112,8 +111,11 @@ Client::Result Client::Query(const std::string& statement) {
   WriteFrame(FrameType::kQuery, std::vector<uint8_t>(statement.begin(),
                                                      statement.end()));
   Result res;
+  // One frame for the whole response: each Row payload reuses the last
+  // one's buffer.
+  Frame f;
   for (;;) {
-    Frame f = ReadFrame();
+    ReadFrame(&f);
     switch (f.type) {
       case FrameType::kSchema:
         res.columns = DecodeSchema(f.payload);
@@ -127,6 +129,8 @@ Client::Result Client::Query(const std::string& statement) {
         res.stats = DecodeDone(f.payload);
         return res;
       case FrameType::kError:
+        // Rows streamed before an Error are not a result.
+        res.rows.clear();
         res.error = DecodeError(f.payload);
         // A protocol error means the server is dropping us.
         if (res.error.code == kErrProtocol) Close();

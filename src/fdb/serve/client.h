@@ -46,12 +46,14 @@ class Client {
   };
 
   /// Sends one statement and reads frames until Done / Error / Retry.
-  /// Throws on transport failure (the connection is then closed).
+  /// Rows received before an Error are discarded. Throws on transport
+  /// failure (the connection is then closed).
   Result Query(const std::string& statement);
 
  private:
   void WriteFrame(FrameType type, const std::vector<uint8_t>& payload);
-  Frame ReadFrame();
+  /// Reads the next frame into *f, reusing its payload buffer.
+  void ReadFrame(Frame* f);
 
   int fd_ = -1;
   FrameDecoder dec_;

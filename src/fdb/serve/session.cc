@@ -69,7 +69,7 @@ obs::Histogram& ServeQueryNs() {
 }
 
 // Flush threshold for result streaming: a statement's response leaves in
-// ~256 KiB bursts instead of buffering the whole result set.
+// ~256 KiB bursts while it is enumerated, instead of after it.
 constexpr size_t kFlushBytes = 256 * 1024;
 
 // Releases an admission slot on every exit path of RunQuery.
@@ -310,6 +310,55 @@ void Session::AppendDone(std::vector<uint8_t>* out, const DoneStats& stats) {
   AppendFrame(out, FrameType::kDone, payload.data(), payload.size());
 }
 
+// Encodes result rows as Row frames straight into the session's outbound
+// buffer, flushing it as it fills. The rank-chunk sinks of a parallel
+// enumeration encode into their own buffers, which are spliced into the
+// outbound one in rank order.
+class Session::WireSink : public RowSink {
+ public:
+  // The statement's sink, over the session's outbound buffer.
+  WireSink(Session* session, std::vector<uint8_t>* out)
+      : session_(session), out_(out) {}
+  // A chunk sink, over its own buffer.
+  WireSink() : out_(&own_) {}
+
+  void Begin(const RelSchema& schema) override {
+    std::vector<std::string> cols;
+    cols.reserve(static_cast<size_t>(schema.arity()));
+    for (AttrId a : schema.attrs()) {
+      cols.push_back(session_->ctx_.db->registry().Name(a));
+    }
+    std::vector<uint8_t> payload = EncodeSchema(cols);
+    AppendFrame(out_, FrameType::kSchema, payload.data(), payload.size());
+  }
+
+  void Add(const Tuple& row) override {
+    AppendRowFrame(out_, row);
+    if (session_ != nullptr) session_->MaybeFlush(out_);
+  }
+
+  std::unique_ptr<RowSink> NewChunk() override {
+    return std::make_unique<WireSink>();
+  }
+
+  void AppendChunk(std::unique_ptr<RowSink> chunk) override {
+    const std::vector<uint8_t>& bytes = static_cast<WireSink&>(*chunk).own_;
+    out_->insert(out_->end(), bytes.begin(), bytes.end());
+    session_->MaybeFlush(out_);
+  }
+
+ private:
+  Session* session_ = nullptr;  // null for a chunk sink: never flushed
+  std::vector<uint8_t> own_;
+  std::vector<uint8_t>* out_;
+};
+
+void Session::MaybeFlush(std::vector<uint8_t>* out) {
+  if (fd_ < 0 || out->size() < kFlushBytes) return;
+  if (!WriteAll(out->data(), out->size())) token_.Cancel();
+  out->clear();
+}
+
 void Session::HandleStatement(const std::string& text,
                               std::vector<uint8_t>* out) {
   stats_->queries.fetch_add(1, std::memory_order_relaxed);
@@ -367,27 +416,12 @@ void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
              cfg.query_mem_bytes);
   try {
     exec::CancelScope scope(&token_);
-    FdbEngine engine(ctx_.db);
-    FdbResult res = engine.ExecuteSql(text);
-    std::vector<std::string> cols;
-    cols.reserve(static_cast<size_t>(res.flat.schema().arity()));
-    for (AttrId a : res.flat.schema().attrs()) {
-      cols.push_back(ctx_.db->registry().Name(a));
-    }
-    std::vector<uint8_t> payload = EncodeSchema(cols);
-    AppendFrame(out, FrameType::kSchema, payload.data(), payload.size());
-    uint64_t rows = 0;
-    for (const Tuple& row : res.flat.rows()) {
-      payload = EncodeRow(row);
-      AppendFrame(out, FrameType::kRow, payload.data(), payload.size());
-      ++rows;
-      // Stream large results: ship the buffer once it crosses the flush
-      // threshold so response memory stays bounded per statement.
-      if (fd_ >= 0 && out->size() >= kFlushBytes) {
-        if (!WriteAll(out->data(), out->size())) break;
-        out->clear();
-      }
-    }
+    WireSink sink(this, out);
+    FdbResult res = FdbEngine(ctx_.db).ExecuteSql(text, {}, &sink);
+    // A write that failed after the last poll (or while spliced chunks
+    // were sent) still ends the statement as cancelled, not Done.
+    if (token_.cancelled()) token_.Check();
+    uint64_t rows = static_cast<uint64_t>(res.rows);
     DoneStats d;
     d.rows = rows;
     d.elapsed_ns = static_cast<uint64_t>(obs::NowNs() - t0);

@@ -32,10 +32,13 @@ struct ServeContext {
 
 /// One client connection: reads statements off the wire, runs them
 /// through admission + the engine with this session's cancellation token
-/// armed, and streams typed result frames back. Owns the per-session WAL
-/// transaction state: BEGIN buffers writes session-locally; COMMIT
-/// replays them as one Database transaction (one WAL commit group, one
-/// fsync) under the server write mutex; ROLLBACK drops them.
+/// armed, and streams typed result frames back: the engine enumerates
+/// each result row straight into a Row frame in the outbound buffer,
+/// which is flushed to the socket while enumeration continues. Owns the
+/// per-session WAL transaction state: BEGIN buffers writes
+/// session-locally; COMMIT replays them as one Database transaction (one
+/// WAL commit group, one fsync) under the server write mutex; ROLLBACK
+/// drops them.
 ///
 /// Reads pin view snapshots for exactly one statement: the engine takes
 /// `ViewSnapshot`s when a query starts and drops them when it finishes,
@@ -64,12 +67,16 @@ class Session {
 
   // --- statement layer, socket-free for tests ---------------------------
 
-  /// Executes one statement and appends response frames to `out`.
-  /// Exposed so limit/transaction tests can drive a session without a
-  /// socket pair.
+  /// Executes one statement and appends response frames to `out`. With a
+  /// socket, `out` is flushed to it whenever it crosses the flush
+  /// threshold, so on return it holds only the unsent tail; a failed
+  /// write cancels the statement. Exposed so limit/transaction tests can
+  /// drive a session without a socket pair (fd -1: nothing is flushed).
   void HandleStatement(const std::string& text, std::vector<uint8_t>* out);
 
  private:
+  class WireSink;
+
   struct TxnOp {
     bool is_insert = false;
     std::string view;
@@ -86,6 +93,10 @@ class Session {
                    const std::string& message);
   void AppendDone(std::vector<uint8_t>* out, const DoneStats& stats);
   bool WriteAll(const uint8_t* data, size_t n);
+  /// Sends and clears `out` once it crosses the flush threshold. A failed
+  /// send means the client is gone: it trips the token, so the statement
+  /// stops at its next cancellation poll.
+  void MaybeFlush(std::vector<uint8_t>* out);
 
   ServeContext ctx_;
   int fd_;

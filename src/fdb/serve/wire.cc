@@ -40,11 +40,11 @@ const char* ErrorCodeName(uint8_t code) {
 }
 
 void WireWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(uint8_t(v >> (8 * i)));
+  for (int i = 0; i < 4; ++i) buf_->push_back(uint8_t(v >> (8 * i)));
 }
 
 void WireWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(uint8_t(v >> (8 * i)));
+  for (int i = 0; i < 8; ++i) buf_->push_back(uint8_t(v >> (8 * i)));
 }
 
 void WireWriter::F64(double v) {
@@ -56,7 +56,7 @@ void WireWriter::F64(double v) {
 
 void WireWriter::Bytes(const void* data, size_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
+  buf_->insert(buf_->end(), p, p + n);
 }
 
 void WireWriter::String(const std::string& s) {
@@ -239,10 +239,27 @@ std::vector<std::string> DecodeSchema(const std::vector<uint8_t>& payload) {
   return cols;
 }
 
-std::vector<uint8_t> EncodeRow(const std::vector<Value>& row) {
-  WireWriter w;
+void AppendRowFrame(std::vector<uint8_t>* out, const std::vector<Value>& row) {
+  size_t start = out->size();
+  WireWriter w(out);
+  w.U32(0);  // length, patched below
+  w.U8(static_cast<uint8_t>(FrameType::kRow));
   for (const Value& v : row) EncodeValue(&w, v);
-  return w.Take();
+  size_t n = out->size() - start - kFrameHeaderBytes;
+  if (n > kMaxFrameBytes) {
+    out->resize(start);
+    throw WireError("row payload of " + std::to_string(n) +
+                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                    "-byte cap");
+  }
+  for (int i = 0; i < 4; ++i) (*out)[start + i] = uint8_t(n >> (8 * i));
+}
+
+std::vector<uint8_t> EncodeRow(const std::vector<Value>& row) {
+  std::vector<uint8_t> frame;
+  AppendRowFrame(&frame, row);
+  frame.erase(frame.begin(), frame.begin() + kFrameHeaderBytes);
+  return frame;
 }
 
 std::vector<Value> DecodeRow(const std::vector<uint8_t>& payload, int arity) {

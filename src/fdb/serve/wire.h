@@ -24,10 +24,16 @@ namespace serve {
 /// Conversation shape (client → server on the left):
 ///
 ///   Hello('H')  magic "FDB1" + u8 version      →  Hello ack (same shape)
-///   Query('Q')  statement text                 →  Schema('S')? Row('D')*
-///                                                 Done('C')
+///   Query('Q')  statement text                 →  Schema('S') Row('D')*
+///                                                 (Done('C') | Error('E'))
 ///                                              or Error('E')
 ///                                              or Retry('R')  [admission]
+///
+/// Rows stream while the statement is still executing, so an Error can
+/// follow Row frames: a wall-time or memory kill, or any failure, that
+/// strikes mid-enumeration ends the response with Error instead of Done.
+/// Only Done confirms a result; on Error a client must discard every row
+/// it received for the statement.
 ///
 /// One statement is in flight per connection at a time (the session reads
 /// the next Query only after finishing the previous one), so frames never
@@ -42,6 +48,7 @@ namespace serve {
 /// metrics frame (row count, server-side latency, admission queue wait,
 /// arena bytes charged).
 constexpr uint32_t kMaxFrameBytes = 8u << 20;  // 8 MiB
+constexpr size_t kFrameHeaderBytes = 5;
 constexpr uint8_t kProtocolVersion = 1;
 inline const char kMagic[4] = {'F', 'D', 'B', '1'};
 
@@ -85,10 +92,16 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// Little-endian payload builder.
+/// Little-endian payload builder. It appends to its own buffer, or to a
+/// caller's (then bytes()/Take() refer to that buffer).
 class WireWriter {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
+  WireWriter() = default;
+  explicit WireWriter(std::vector<uint8_t>* out) : buf_(out) {}
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
+
+  void U8(uint8_t v) { buf_->push_back(v); }
   void U32(uint32_t v);
   void U64(uint64_t v);
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
@@ -97,11 +110,12 @@ class WireWriter {
   /// u32 length + bytes.
   void String(const std::string& s);
 
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  const std::vector<uint8_t>& bytes() const { return *buf_; }
+  std::vector<uint8_t> Take() { return std::move(*buf_); }
 
  private:
-  std::vector<uint8_t> buf_;
+  std::vector<uint8_t> own_;
+  std::vector<uint8_t>* buf_ = &own_;
 };
 
 /// Bounds-checked little-endian payload reader; throws WireError on any
@@ -168,7 +182,13 @@ void DecodeHello(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeSchema(const std::vector<std::string>& cols);
 std::vector<std::string> DecodeSchema(const std::vector<uint8_t>& payload);
 
-/// Row payload: one tagged value per schema column.
+/// Appends one whole Row frame for `row` to `out`, encoding the values in
+/// place. Throws WireError, leaving `out` unchanged, if the payload
+/// exceeds kMaxFrameBytes.
+void AppendRowFrame(std::vector<uint8_t>* out, const std::vector<Value>& row);
+
+/// Row payload: one tagged value per schema column (AppendRowFrame's
+/// payload, so the same cap applies).
 std::vector<uint8_t> EncodeRow(const std::vector<Value>& row);
 std::vector<Value> DecodeRow(const std::vector<uint8_t>& payload, int arity);
 

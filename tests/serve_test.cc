@@ -1,16 +1,24 @@
 #include "fdb/serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fdb/core/build.h"
 #include "fdb/engine/database.h"
+#include "fdb/engine/fdb_engine.h"
+#include "fdb/exec/task_pool.h"
 #include "fdb/obs/metrics.h"
+#include "fdb/obs/statements.h"
+#include "fdb/query/parser.h"
 #include "fdb/serve/admission.h"
 #include "fdb/serve/client.h"
 #include "fdb/serve/session.h"
@@ -29,9 +37,13 @@ namespace {
 
 using testing::Row;
 
-/// The shell's demo workload plus a small updatable view "V" for writes.
+/// The shell's demo workload (R1, plus the Orders view R3 of the
+/// ordering experiments) and a small updatable view "V" for writes.
 void FillDb(Database* db, int scale) {
   InstallWorkload(db, SmallParams(scale), "R1");
+  db->AddView("R3", FactoriseRelation(*db->relation("Orders"),
+                                      {db->Attr("date"), db->Attr("customer"),
+                                       db->Attr("package")}));
   AttrId a = db->Attr("va"), b = db->Attr("vb");
   Relation r{RelSchema({a, b})};
   for (int64_t x = 0; x < 50; ++x) r.Add({Value(x / 10), Value(x)});
@@ -133,6 +145,44 @@ std::vector<Frame> DecodeAll(const std::vector<uint8_t>& bytes) {
   return frames;
 }
 
+/// One statement's response, decoded.
+struct Response {
+  std::vector<std::string> columns;
+  std::vector<Tuple> rows;
+  std::optional<DoneStats> done;
+  std::optional<ErrorInfo> error;
+};
+
+Response DecodeResponse(const std::vector<uint8_t>& bytes) {
+  Response r;
+  for (const Frame& f : DecodeAll(bytes)) {
+    if (f.type == FrameType::kSchema) {
+      r.columns = DecodeSchema(f.payload);
+    } else if (f.type == FrameType::kRow) {
+      r.rows.push_back(
+          DecodeRow(f.payload, static_cast<int>(r.columns.size())));
+    } else if (f.type == FrameType::kDone) {
+      r.done = DecodeDone(f.payload);
+    } else if (f.type == FrameType::kError) {
+      r.error = DecodeError(f.payload);
+    }
+  }
+  return r;
+}
+
+/// Sizes the default task pool for one scope.
+class PoolSize {
+ public:
+  explicit PoolSize(int threads)
+      : before_(exec::TaskPool::Default().num_threads()) {
+    exec::TaskPool::SetDefaultThreads(threads);
+  }
+  ~PoolSize() { exec::TaskPool::SetDefaultThreads(before_); }
+
+ private:
+  int before_;
+};
+
 class SessionLimitTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -140,14 +190,15 @@ class SessionLimitTest : public ::testing::Test {
     write_mu_ = std::make_unique<base::Mutex>();
   }
 
-  std::unique_ptr<Session> MakeSession(const AdmissionConfig& cfg) {
+  std::unique_ptr<Session> MakeSession(const AdmissionConfig& cfg,
+                                       int fd = -1) {
     admission_ = std::make_unique<AdmissionController>(cfg);
     ServeContext ctx;
     ctx.db = &db_;
     ctx.admission = admission_.get();
     ctx.write_mu = write_mu_.get();
     ctx.draining = &draining_;
-    return std::make_unique<Session>(ctx, -1, "test");
+    return std::make_unique<Session>(ctx, fd, "test");
   }
 
   Database db_;
@@ -226,6 +277,116 @@ TEST_F(SessionLimitTest, ParseAndTxnErrorsAreTypedAndNonFatal) {
   EXPECT_EQ(frames.back().type, FrameType::kDone);
 }
 
+// The rows a session streams are exactly the rows the engine
+// materialises at one thread, in the same order, whether the session runs
+// at one thread or splits the top union into rank chunks across four.
+TEST_F(SessionLimitTest, StreamedResultEqualsTheMaterialisedOne) {
+  const std::vector<std::string> queries = {
+      // The ordering experiments' Q10-Q13.
+      "SELECT * FROM R1 ORDER BY package, date, item",
+      "SELECT * FROM R1 ORDER BY package, item, date",
+      "SELECT * FROM R1 ORDER BY date, package, item",
+      "SELECT * FROM R3 ORDER BY customer, date, package",
+      "SELECT * FROM R1 ORDER BY package, date, item LIMIT 10",
+      "SELECT * FROM R3 ORDER BY customer, date, package LIMIT 10",
+      // Projections that drop and reorder columns.
+      "SELECT item, customer FROM R1 ORDER BY item",
+      "SELECT price, date FROM R1",
+      "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer",
+  };
+  std::vector<Relation> want;
+  {
+    PoolSize pool(1);
+    for (const std::string& sql : queries) {
+      want.push_back(FdbEngine(&db_).Execute(Bind(ParseSql(sql), &db_)).flat);
+    }
+  }
+  for (int threads : {1, 4}) {
+    PoolSize pool(threads);
+    std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(queries[q] + " at " + std::to_string(threads) + " threads");
+      std::vector<uint8_t> out;
+      s->HandleStatement(queries[q], &out);
+      Response r = DecodeResponse(out);
+      ASSERT_FALSE(r.error.has_value()) << r.error->message;
+      ASSERT_TRUE(r.done.has_value());
+
+      std::vector<std::string> cols;
+      for (AttrId a : want[q].schema().attrs()) {
+        cols.push_back(db_.registry().Name(a));
+      }
+      EXPECT_EQ(r.columns, cols);
+      ASSERT_EQ(r.rows.size(), want[q].rows().size());
+      for (size_t i = 0; i < r.rows.size(); ++i) {
+        ASSERT_EQ(r.rows[i], want[q].rows()[i]) << "row " << i;
+      }
+      EXPECT_EQ(r.done->rows, r.rows.size());
+    }
+  }
+}
+
+// A client that hangs up mid-stream stops the enumeration: the failed
+// write trips the session's token, and the statement ends as killed
+// instead of running on into a dead socket.
+TEST_F(SessionLimitTest, ClientDisconnectMidStreamCancelsTheStatement) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::unique_ptr<Session> s = MakeSession(AdmissionConfig{}, sv[0]);
+  // The peer reads until the Schema frame has arrived, then closes.
+  std::thread peer([fd = sv[1]] {
+    FrameDecoder dec;
+    Frame f;
+    uint8_t buf[4096];
+    for (;;) {
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      dec.Feed(buf, static_cast<size_t>(n));
+      if (dec.Next(&f)) break;  // the first frame is the Schema
+    }
+    ::close(fd);
+  });
+
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<uint8_t> out;
+  s->HandleStatement("SELECT * FROM R1 ORDER BY price", &out);
+  double secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  peer.join();
+
+  EXPECT_LT(secs, 10.0);
+  EXPECT_EQ(s->stats()->killed.load(), 1);
+  // `out` holds the unsent tail, which ends in the cancellation error.
+  std::vector<Frame> frames = DecodeAll(out);
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.back().type, FrameType::kError);
+  EXPECT_EQ(DecodeError(frames.back().payload).code, kErrShutdown);
+}
+
+// The statement store counts the rows a served statement streamed.
+TEST_F(SessionLimitTest, StatementStoreRecordsTheStreamedRowCount) {
+  obs::SetMetricsEnabled(true);
+  obs::StatementStore::Instance().Clear();
+  std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+
+  std::vector<uint8_t> out;
+  s->HandleStatement("SELECT * FROM R1 ORDER BY package, date, item", &out);
+  Response r = DecodeResponse(out);
+  ASSERT_TRUE(r.done.has_value());
+  ASSERT_GT(r.rows.size(), 0u);
+
+  out.clear();
+  s->HandleStatement("SELECT query, rows_returned FROM fdb.statements", &out);
+  Response stmts = DecodeResponse(out);
+  obs::StatementStore::Instance().Clear();
+  obs::SetMetricsEnabled(false);
+  ASSERT_TRUE(stmts.done.has_value());
+  ASSERT_EQ(stmts.rows.size(), 1u);
+  EXPECT_NE(stmts.rows[0][0].as_string().find("R1"), std::string::npos);
+  EXPECT_EQ(stmts.rows[0][1].as_int(), static_cast<int64_t>(r.rows.size()));
+}
+
 TEST(ParseWriteTest, RecognisesWritesAndRejectsMalformedOnes) {
   bool is_insert = false;
   std::string view;
@@ -296,6 +457,26 @@ TEST_F(ServerTest, QueryOverTheWireMatchesLocalExecution) {
   EXPECT_EQ(res.rows.size(), res.stats.rows);
   EXPECT_GT(res.rows.size(), 0u);
   EXPECT_GT(res.stats.elapsed_ns, 0u);
+}
+
+// A wall-time kill can land after Row frames went out: the response is
+// then Schema Row* Error, the client drops the partial rows, and the
+// connection serves the next statement normally.
+TEST_F(ServerTest, MidStreamTimeoutIsAnErrorAndTheConnectionSurvives) {
+  ServerConfig cfg;
+  cfg.admission.query_timeout_ms = 1;  // no full-join statement fits in 1 ms
+  StartServer(cfg, /*scale=*/4);
+  Client c = Connect();
+
+  Client::Result res = c.Query("SELECT * FROM R1 ORDER BY price");
+  ASSERT_FALSE(res.ok);
+  EXPECT_EQ(res.error.code, kErrTimeout) << res.error.message;
+  EXPECT_TRUE(res.rows.empty());
+
+  Client::Result next = c.Query("SELECT va, vb FROM V");
+  ASSERT_TRUE(next.ok) << next.error.message;
+  EXPECT_EQ(next.rows.size(), 50u);
+  c.Close();
 }
 
 TEST_F(ServerTest, ManyConcurrentClientsMixedReadWrite) {

@@ -92,6 +92,42 @@ TEST(WireTest, SenderEnforcesTheFrameCapToo) {
                WireError);
 }
 
+// AppendRowFrame encodes in place exactly what framing an encoded row
+// produces, for every value tag, appended after whatever `out` held.
+TEST(WireTest, AppendRowFrameMatchesAFramedEncodeRow) {
+  std::vector<std::vector<Value>> rows = {
+      {Value()},
+      {Value(static_cast<int64_t>(-42))},
+      {Value(3.25)},
+      {Value("str")},
+      {Value(std::string())},
+      {Value(), Value(static_cast<int64_t>(1)), Value(0.5), Value("ab"),
+       Value(std::string())},
+      {},
+  };
+  for (const std::vector<Value>& row : rows) {
+    std::vector<uint8_t> want = {9, 9};
+    std::vector<uint8_t> payload = EncodeRow(row);
+    AppendFrame(&want, FrameType::kRow, payload.data(), payload.size());
+
+    WireWriter w;
+    for (const Value& v : row) EncodeValue(&w, v);
+    EXPECT_EQ(payload, w.bytes());
+
+    std::vector<uint8_t> got = {9, 9};
+    AppendRowFrame(&got, row);
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(WireTest, OversizedRowThrowsAndLeavesTheBufferUnchanged) {
+  std::vector<Value> row = {Value(static_cast<int64_t>(1)),
+                            Value(std::string(kMaxFrameBytes, 'x'))};
+  std::vector<uint8_t> out = {1, 2, 3};
+  EXPECT_THROW(AppendRowFrame(&out, row), WireError);
+  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3}));
+}
+
 TEST(WireTest, ValueRoundTripAllTags) {
   std::vector<Value> vals = {Value(), Value(static_cast<int64_t>(-42)),
                              Value(3.25), Value(std::string("héllo\0x", 7)),
