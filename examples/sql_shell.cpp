@@ -1,7 +1,13 @@
 // Interactive SQL shell over a generated factorised database: type queries
 // against the materialised view R1 (factorised) or the base relations
 // Orders / Packages / Items (flat input path), and compare engines with
-// the \rdb toggle.
+// the \rdb toggle. Writes are plain SQL too:
+//
+//   INSERT INTO V VALUES (1, 'x', NULL)   insert a tuple into view V
+//   DELETE FROM V VALUES (...)            delete one (autocommit outside
+//                                         a transaction)
+//   BEGIN / COMMIT / ROLLBACK             group writes into one atomic,
+//                                         durably-logged commit group
 //
 // Usage: sql_shell [scale]               (default scale 2)
 // Commands:  \rdb           toggle evaluation with the relational baseline
@@ -23,12 +29,6 @@
 //            \wal <path>    enable the write-ahead log bound to <path>
 //                           (checkpoints there first; every commit is
 //                           durable with one fsync)
-//            \begin / \commit / \rollback
-//                           group \insert/\delete ops into one atomic,
-//                           durably-logged commit group
-//            \insert V v1,v2,...   insert a tuple into view V
-//                                  (autocommits outside \begin)
-//            \delete V v1,v2,...   delete a tuple from view V
 //            \wal-status    log path, pending ops/bytes, committed groups
 //            \timing on|off per-statement wall time and row count (psql
 //                           style; default off)
@@ -51,9 +51,9 @@
 //                           as a chrome://tracing JSON file
 //            \connect host:port
 //                           client mode: speak the wire protocol to a
-//                           running fdb_server. SQL lines and \insert /
-//                           \delete / \begin / \commit / \rollback are
-//                           sent over the wire; other verbs stay local
+//                           running fdb_server. Every SQL line (queries,
+//                           writes, transactions) is sent unchanged;
+//                           backslash verbs stay local
 //            \disconnect    leave client mode
 //            \q             quit (stops the sampler and flushes the
 //                           FDB_LOG sink; Ctrl-C does the same)
@@ -68,7 +68,6 @@
 #include <fstream>
 #include <memory>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,6 +81,7 @@
 #include "fdb/obs/sampler.h"
 #include "fdb/obs/statements.h"
 #include "fdb/obs/trace.h"
+#include "fdb/query/parser.h"
 #include "fdb/serve/client.h"
 #include "fdb/workload/generator.h"
 
@@ -92,50 +92,29 @@ using namespace fdb;
 static volatile sig_atomic_t g_interrupted = 0;
 static void OnInterrupt(int) { g_interrupted = 1; }
 
-// Parses "V 1,2,foo" into a view name and a tuple (integers where the
-// whole cell parses as one, strings otherwise).
-static bool ParseTupleArg(const std::string& arg, std::string* view,
-                          Tuple* tuple) {
-  std::istringstream in(arg);
-  std::string cells;
-  if (!(in >> *view) || !(in >> cells)) return false;
-  std::istringstream cs(cells);
-  std::string cell;
-  while (std::getline(cs, cell, ',')) {
-    try {
-      size_t used = 0;
-      int64_t v = std::stoll(cell, &used);
-      if (used == cell.size()) {
-        tuple->push_back(Value(v));
-        continue;
-      }
-    } catch (const std::exception&) {
+// Runs a write or transaction statement on the local database and
+// says what it did.
+static std::string ApplyLocally(Database* db, const ParsedQuery& pq) {
+  switch (pq.kind) {
+    case StmtKind::kBegin:
+      db->Begin();
+      return "txn: begun";
+    case StmtKind::kCommit: {
+      uint64_t seq = db->Commit();
+      return seq != 0 ? "txn: committed (group #" + std::to_string(seq) + ")"
+                      : "txn: committed (empty)";
     }
-    tuple->push_back(Value(cell));
-  }
-  return !tuple->empty();
-}
-
-// Renders a tuple as a VALUES(...) literal list for the wire protocol's
-// SQL write syntax (\insert V 1,foo → INSERT INTO V VALUES (1, 'foo')).
-static std::string TupleToValuesList(const Tuple& tuple) {
-  std::string out = "(";
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (i > 0) out += ", ";
-    const Value& v = tuple[i];
-    if (v.is_string()) {
-      out += '\'';
-      for (char c : v.as_string()) {
-        out += c;
-        if (c == '\'') out += '\'';  // '' escape
+    case StmtKind::kRollback:
+      db->Rollback();
+      return "txn: rolled back";
+    default:  // INSERT / DELETE: autocommits outside BEGIN
+      if (pq.kind == StmtKind::kInsert) {
+        db->Insert(pq.target, pq.values);
+      } else {
+        db->Delete(pq.target, pq.values);
       }
-      out += '\'';
-    } else {
-      out += v.ToString();
-    }
+      return db->WalStatus().in_txn ? "buffered" : "applied";
   }
-  out += ")";
-  return out;
 }
 
 // Prints one wire-protocol statement outcome the way the local engines
@@ -252,44 +231,21 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (client.connected()) {
-      // Client mode: SQL and the write/txn verbs go over the wire; the
-      // remaining backslash verbs fall through to the local handlers.
-      std::string stmt;
-      if (line[0] != '\\') {
-        stmt = line;
-      } else if (line == "\\begin" || line == "\\commit" ||
-                 line == "\\rollback") {
-        stmt = line == "\\begin"    ? "BEGIN"
-               : line == "\\commit" ? "COMMIT"
-                                    : "ROLLBACK";
-      } else if (line.rfind("\\insert ", 0) == 0 ||
-                 line.rfind("\\delete ", 0) == 0) {
-        std::string view;
-        Tuple tuple;
-        if (!ParseTupleArg(line.substr(8), &view, &tuple)) {
-          std::cout << "usage: " << line.substr(0, 7)
-                    << " <view> v1,v2,...\n";
-          continue;
+    if (client.connected() && line[0] != '\\') {
+      // Client mode: every SQL line goes over the wire as typed; the
+      // backslash verbs below stay local.
+      try {
+        int64_t t0 = obs::NowNs();
+        serve::Client::Result res = client.Query(line);
+        PrintWireResult(res);
+        if (timing && res.ok) {
+          std::cout << "Time: " << static_cast<double>(obs::NowNs() - t0) / 1e6
+                    << " ms round trip\n";
         }
-        stmt = (line[1] == 'i' ? "INSERT INTO " : "DELETE FROM ") + view +
-               " VALUES " + TupleToValuesList(tuple);
+      } catch (const std::exception& e) {
+        std::cout << "connection lost: " << e.what() << "\n";
       }
-      if (!stmt.empty()) {
-        try {
-          int64_t t0 = obs::NowNs();
-          serve::Client::Result res = client.Query(stmt);
-          PrintWireResult(res);
-          if (timing && res.ok) {
-            std::cout << "Time: "
-                      << static_cast<double>(obs::NowNs() - t0) / 1e6
-                      << " ms round trip\n";
-          }
-        } catch (const std::exception& e) {
-          std::cout << "connection lost: " << e.what() << "\n";
-        }
-        continue;
-      }
+      continue;
     }
     if (line == "\\rdb") {
       use_rdb = !use_rdb;
@@ -537,45 +493,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (line == "\\begin" || line == "\\commit" || line == "\\rollback") {
-      try {
-        if (line == "\\begin") {
-          db.Begin();
-          std::cout << "txn: begun\n";
-        } else if (line == "\\commit") {
-          uint64_t seq = db.Commit();
-          std::cout << "txn: committed"
-                    << (seq != 0 ? " (group #" + std::to_string(seq) + ")"
-                                 : " (empty)")
-                    << "\n";
-        } else {
-          db.Rollback();
-          std::cout << "txn: rolled back\n";
-        }
-      } catch (const std::exception& e) {
-        std::cout << "error: " << e.what() << "\n";
-      }
-      continue;
-    }
-    if (line.rfind("\\insert ", 0) == 0 || line.rfind("\\delete ", 0) == 0) {
-      std::string view;
-      Tuple tuple;
-      if (!ParseTupleArg(line.substr(8), &view, &tuple)) {
-        std::cout << "usage: " << line.substr(0, 7) << " <view> v1,v2,...\n";
-        continue;
-      }
-      try {
-        if (line[1] == 'i') {
-          db.Insert(view, tuple);
-        } else {
-          db.Delete(view, tuple);
-        }
-        std::cout << (db.WalStatus().in_txn ? "buffered\n" : "applied\n");
-      } catch (const std::exception& e) {
-        std::cout << "error: " << e.what() << "\n";
-      }
-      continue;
-    }
     if (line.rfind("\\save ", 0) == 0 || line.rfind("\\open ", 0) == 0) {
       std::string path = line.substr(6);
       try {
@@ -599,6 +516,11 @@ int main(int argc, char** argv) {
     }
     try {
       int64_t t0 = obs::NowNs();
+      ParsedQuery pq = ParseSql(line);
+      if (pq.kind != StmtKind::kSelect) {
+        std::cout << ApplyLocally(&db, pq) << "\n";
+        continue;
+      }
       int64_t rows = 0;
       if (use_rdb) {
         RdbResult r = rdb_engine.ExecuteSql(line);

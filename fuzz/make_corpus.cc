@@ -106,6 +106,10 @@ int main(int argc, char** argv) {
       "SELECT COUNT(*) FROM V GROUP BY a",
       "SELECT SUM(b), a FROM V WHERE b < 10 AND a >= 0 GROUP BY a",
       "SELECT x FROM R1 WHERE name = 'widget' OR price > 2.5",
+      "INSERT INTO V VALUES (1, -2.5e3, 'it''s', NULL);",
+      "delete from V values (+7, .5)",
+      "BEGIN",
+      "COMMIT",
   };
   int n = 0;
   for (const char* s : stmts) {

@@ -344,7 +344,13 @@ void Database::Delete(const std::string& view, const Tuple& tuple) {
   BufferOpLocked(storage::WalOp{storage::WalOp::kDelete, view, tuple});
 }
 
-void Database::BufferOpLocked(storage::WalOp op) {
+uint64_t Database::Commit(std::vector<storage::WalOp> ops) {
+  base::MutexLock t(&txn_mu_);
+  for (const storage::WalOp& op : ops) ValidateOp(op);
+  return CommitGroupLocked(&ops);
+}
+
+void Database::ValidateOp(const storage::WalOp& op) const {
   std::shared_ptr<const Factorisation> f = ViewSnapshot(op.view);
   if (f == nullptr) {
     throw std::invalid_argument("txn: no view named '" + op.view + "'");
@@ -352,6 +358,10 @@ void Database::BufferOpLocked(storage::WalOp op) {
   // Shape/arity validation up front, so Commit's apply cannot fail after
   // the group is already durable in the log.
   ContainsTuple(*f, op.tuple);
+}
+
+void Database::BufferOpLocked(storage::WalOp op) {
+  ValidateOp(op);
   if (in_txn_) {
     pending_.push_back(std::move(op));
     return;

@@ -177,6 +177,14 @@ class Database {
   /// Discards the buffered group.
   void Rollback();
 
+  /// Commits a caller-owned list of ops as one group: validates every op
+  /// as Insert/Delete do (throws std::invalid_argument, nothing applied),
+  /// then logs and applies them like Commit(). Independent of the
+  /// Begin/Commit transaction: it neither joins nor disturbs one that is
+  /// open. Returns the group's log sequence number (0 when `ops` is empty
+  /// or no WAL is bound); on a log I/O failure throws, nothing applied.
+  uint64_t Commit(std::vector<storage::WalOp> ops);
+
   /// Inserts `tuple` into view `view` — buffered if a transaction is
   /// open, otherwise an autocommitted single-op group. Validates
   /// eagerly: throws std::invalid_argument if the view does not exist or
@@ -249,8 +257,11 @@ class Database {
   void PublishView(const std::string& name,
                    std::shared_ptr<const Factorisation> fp);
 
-  // Validates `op` against the live view (throws), then buffers it into
-  // the open transaction or autocommits it as a one-op group.
+  // Throws std::invalid_argument unless `op`'s view exists and its tuple
+  // fits the view's shape.
+  void ValidateOp(const storage::WalOp& op) const;
+  // Validates `op`, then buffers it into the open transaction or
+  // autocommits it as a one-op group.
   void BufferOpLocked(storage::WalOp op) REQUIRES(txn_mu_);
   // Appends `ops` as one WAL frame (when a log is bound) and applies
   // them, one ApplyBatch per affected view; clears `ops`. Throws without

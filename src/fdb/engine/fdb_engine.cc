@@ -163,8 +163,12 @@ FdbResult FdbEngine::ExecuteSql(const std::string& sql,
                                 const FdbOptions& options, RowSink* sink) {
   int64_t parse_t0 = obs::NowNs();
   ParsedQuery pq = ParseSql(sql);
-  int64_t parse_dur = obs::NowNs() - parse_t0;
+  return ExecuteParsed(pq, parse_t0, obs::NowNs() - parse_t0, options, sink);
+}
 
+FdbResult FdbEngine::ExecuteParsed(const ParsedQuery& pq, int64_t parse_t0,
+                                   int64_t parse_ns,
+                                   const FdbOptions& options, RowSink* sink) {
   FdbOptions opts = options;
   std::shared_ptr<obs::Trace> owned;
   if (pq.explain_analyze && opts.trace == nullptr) {
@@ -174,7 +178,7 @@ FdbResult FdbEngine::ExecuteSql(const std::string& sql,
   if (opts.trace != nullptr) {
     // The parse span is recorded retroactively: whether this query wants
     // a trace is only known after parsing it.
-    opts.trace->AddComplete("parse", parse_t0, parse_dur);
+    opts.trace->AddComplete("parse", parse_t0, parse_ns);
   }
 
   BoundQuery bq;

@@ -86,9 +86,18 @@ class FdbEngine {
   FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {},
                     RowSink* sink = nullptr);
 
-  /// Convenience: parse + bind + execute.
+  /// Convenience: parse + bind + execute. Throws std::invalid_argument
+  /// for statements that are not queries (see Bind).
   FdbResult ExecuteSql(const std::string& sql, const FdbOptions& options = {},
                        RowSink* sink = nullptr);
+
+  /// Bind + execute a statement ParseSql already read, for callers that
+  /// parse once to dispatch on the statement kind. The parse started at
+  /// `parse_t0` and took `parse_ns`: a traced run records it as its parse
+  /// span.
+  FdbResult ExecuteParsed(const ParsedQuery& pq, int64_t parse_t0,
+                          int64_t parse_ns, const FdbOptions& options = {},
+                          RowSink* sink = nullptr);
 
  private:
   FdbResult ExecuteImpl(const BoundQuery& q, const FdbOptions& options,

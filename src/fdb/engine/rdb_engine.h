@@ -46,7 +46,8 @@ class RdbEngine {
   /// statement store when metrics are enabled, mirroring FdbEngine.
   RdbResult Execute(const BoundQuery& q, const RdbOptions& options = {});
 
-  /// Convenience: parse + bind + execute.
+  /// Convenience: parse + bind + execute. Throws std::invalid_argument
+  /// for statements that are not queries (see Bind).
   RdbResult ExecuteSql(const std::string& sql, const RdbOptions& options = {});
 
  private:

@@ -23,8 +23,13 @@ std::string ParseAggFnName(ParseAggFn fn) {
 namespace {
 
 std::string ConstToSql(const Value& v) {
-  if (v.is_string()) return "'" + v.as_string() + "'";
-  return v.ToString();
+  if (!v.is_string()) return v.ToString();
+  std::string out = "'";
+  for (char c : v.as_string()) {
+    out += c;
+    if (c == '\'') out += '\'';  // '' escapes a quote
+  }
+  return out + "'";
 }
 
 }  // namespace

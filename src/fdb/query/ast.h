@@ -49,11 +49,18 @@ struct OrderItem {
   SortDir dir = SortDir::kAsc;
 };
 
-/// A parsed query: SELECT [DISTINCT] items FROM names [WHERE ...]
-/// [GROUP BY ...] [HAVING ...] [ORDER BY ...] [LIMIT k].
+/// What a statement does. Only kSelect is a query; the others are the
+/// write and transaction statements a session (or the shell) applies
+/// through Database.
+enum class StmtKind { kSelect, kInsert, kDelete, kBegin, kCommit, kRollback };
+
+/// A parsed statement. For kSelect: SELECT [DISTINCT] items FROM names
+/// [WHERE ...] [GROUP BY ...] [HAVING ...] [ORDER BY ...] [LIMIT k].
 /// FROM names are natural-joined (shared attribute names are equated),
-/// matching the paper's query class (§2).
+/// matching the paper's query class (§2). For kInsert/kDelete: the
+/// target view and the literal tuple of `VALUES (...)`.
 struct ParsedQuery {
+  StmtKind kind = StmtKind::kSelect;
   /// Query was prefixed with EXPLAIN ANALYZE: execute it and attach a
   /// per-phase trace to the result.
   bool explain_analyze = false;
@@ -66,9 +73,11 @@ struct ParsedQuery {
   std::vector<HavingPred> having;
   std::vector<OrderItem> order_by;
   std::optional<int64_t> limit;
+  std::string target;  ///< kInsert/kDelete: the view written
+  Tuple values;        ///< kInsert/kDelete: the tuple written
 };
 
-/// Renders the query back to SQL (used in diagnostics and tests).
+/// Renders a SELECT back to SQL (used in diagnostics and tests).
 std::string ToSql(const ParsedQuery& q);
 
 }  // namespace fdb

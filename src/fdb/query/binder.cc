@@ -186,6 +186,11 @@ void ComputeFingerprint(BoundQuery* q, const AttributeRegistry& reg) {
 }  // namespace
 
 BoundQuery Bind(const ParsedQuery& q, Database* db) {
+  if (q.kind != StmtKind::kSelect) {
+    throw std::invalid_argument(
+        "not a query: the engines run SELECT only; writes and transactions "
+        "go through a server session or Database");
+  }
   BoundQuery out;
   out.from = q.from;
   out.select_star = q.select_star;

@@ -73,8 +73,8 @@ struct BoundQuery {
 /// Resolves and validates a parsed query against the database (relation or
 /// view names in FROM, column names, SQL grouping rules, ORDER BY columns
 /// restricted to output columns). Throws std::invalid_argument with a
-/// descriptive message on semantic errors. Interns output aliases in the
-/// database registry.
+/// descriptive message on semantic errors, and for any statement that is
+/// not a SELECT. Interns output aliases in the database registry.
 BoundQuery Bind(const ParsedQuery& q, Database* db);
 
 /// Builds the final output relation from a raw relation whose schema

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 namespace fdb {
 namespace {
@@ -21,8 +23,8 @@ enum class Tok {
 
 struct Token {
   Tok kind;
-  std::string text;  // identifier (lower-cased keywords kept as written)
-  Value value;       // for numbers / strings
+  std::string_view text;  // the token's source text (keywords as written)
+  Value value;            // for numbers / strings
   CmpOp op = CmpOp::kEq;
   size_t pos = 0;
 };
@@ -34,7 +36,7 @@ class Lexer {
   const Token& peek() const { return tok_; }
 
   Token Take() {
-    Token t = tok_;
+    Token t = std::move(tok_);
     Advance();
     return t;
   }
@@ -62,84 +64,130 @@ class Lexer {
               s_[j] == '_' || s_[j] == '.' || s_[j] == '#')) {
         ++j;
       }
-      tok_ = {Tok::kIdent, s_.substr(i_, j - i_), {}, CmpOp::kEq, i_};
+      tok_ = {Tok::kIdent, Slice(i_, j), {}, CmpOp::kEq, i_};
       i_ = j;
       return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && i_ + 1 < s_.size() &&
-         std::isdigit(static_cast<unsigned char>(s_[i_ + 1])))) {
-      size_t j = i_ + 1;
-      bool is_double = false;
-      while (j < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[j])) ||
-              s_[j] == '.')) {
-        if (s_[j] == '.') is_double = true;
-        ++j;
-      }
-      std::string num = s_.substr(i_, j - i_);
-      Value v = is_double ? Value(std::stod(num))
-                          : Value(static_cast<int64_t>(std::stoll(num)));
-      tok_ = {Tok::kNumber, num, std::move(v), CmpOp::kEq, i_};
-      i_ = j;
+    if (StartsNumber(i_)) {
+      LexNumber();
       return;
     }
     if (c == '\'') {
+      std::string str;
       size_t j = i_ + 1;
-      while (j < s_.size() && s_[j] != '\'') ++j;
-      if (j >= s_.size()) Fail("unterminated string literal");
-      tok_ = {Tok::kString, s_.substr(i_ + 1, j - i_ - 1),
-              Value(s_.substr(i_ + 1, j - i_ - 1)), CmpOp::kEq, i_};
+      for (;; ++j) {
+        if (j >= s_.size()) Fail("unterminated string literal");
+        if (s_[j] != '\'') {
+          str.push_back(s_[j]);
+        } else if (j + 1 < s_.size() && s_[j + 1] == '\'') {
+          str.push_back(s_[++j]);  // '' escapes a quote
+        } else {
+          break;
+        }
+      }
+      tok_ = {Tok::kString, Slice(i_, j + 1), Value(std::move(str)),
+              CmpOp::kEq, i_};
       i_ = j + 1;
       return;
     }
-    auto two = s_.substr(i_, 2);
-    if (two == "<>" || two == "!=") {
-      tok_ = {Tok::kOp, two, {}, CmpOp::kNe, i_};
-      i_ += 2;
-      return;
-    }
-    if (two == "<=") {
-      tok_ = {Tok::kOp, two, {}, CmpOp::kLe, i_};
-      i_ += 2;
-      return;
-    }
-    if (two == ">=") {
-      tok_ = {Tok::kOp, two, {}, CmpOp::kGe, i_};
-      i_ += 2;
-      return;
-    }
-    switch (c) {
-      case '=':
-        tok_ = {Tok::kOp, "=", {}, CmpOp::kEq, i_};
-        break;
-      case '<':
-        tok_ = {Tok::kOp, "<", {}, CmpOp::kLt, i_};
-        break;
-      case '>':
-        tok_ = {Tok::kOp, ">", {}, CmpOp::kGt, i_};
-        break;
-      case '*':
-        tok_ = {Tok::kStar, "*", {}, CmpOp::kEq, i_};
-        break;
-      case ',':
-        tok_ = {Tok::kComma, ",", {}, CmpOp::kEq, i_};
-        break;
-      case '(':
-        tok_ = {Tok::kLParen, "(", {}, CmpOp::kEq, i_};
-        break;
-      case ')':
-        tok_ = {Tok::kRParen, ")", {}, CmpOp::kEq, i_};
-        break;
-      case ';':
-        // Trailing statement separator: skip and continue.
-        ++i_;
-        Advance();
+    // Two-character operators first, so "<=" is not read as "<".
+    static constexpr struct {
+      std::string_view text;
+      Tok kind;
+      CmpOp op;
+    } kPunct[] = {
+        {"<>", Tok::kOp, CmpOp::kNe},    {"!=", Tok::kOp, CmpOp::kNe},
+        {"<=", Tok::kOp, CmpOp::kLe},    {">=", Tok::kOp, CmpOp::kGe},
+        {"=", Tok::kOp, CmpOp::kEq},     {"<", Tok::kOp, CmpOp::kLt},
+        {">", Tok::kOp, CmpOp::kGt},     {"*", Tok::kStar, CmpOp::kEq},
+        {",", Tok::kComma, CmpOp::kEq},  {"(", Tok::kLParen, CmpOp::kEq},
+        {")", Tok::kRParen, CmpOp::kEq},
+    };
+    for (const auto& p : kPunct) {
+      if (c == p.text[0] && Slice(i_, i_ + p.text.size()) == p.text) {
+        tok_ = {p.kind, p.text, {}, p.op, i_};
+        i_ += p.text.size();
         return;
-      default:
-        Fail(std::string("unexpected character '") + c + "'");
+      }
     }
-    ++i_;
+    if (c == ';') {
+      // Trailing statement separator: skip and continue.
+      ++i_;
+      Advance();
+      return;
+    }
+    Fail(std::string("unexpected character '") + c + "'");
+  }
+
+  std::string_view Slice(size_t from, size_t to) const {
+    return std::string_view(s_).substr(from, to - from);
+  }
+
+  bool DigitAt(size_t j) const {
+    return j < s_.size() && std::isdigit(static_cast<unsigned char>(s_[j]));
+  }
+
+  size_t SkipDigits(size_t j) const {
+    while (DigitAt(j)) ++j;
+    return j;
+  }
+
+  // A number starts with a digit, or '.' and a digit, either optionally
+  // signed.
+  bool StartsNumber(size_t j) const {
+    if (s_[j] == '+' || s_[j] == '-') ++j;
+    return DigitAt(j) || (j < s_.size() && s_[j] == '.' && DigitAt(j + 1));
+  }
+
+  // [+-] digits [. digits] [(e|E) [+-] digits]. The literal is checked
+  // whole: one that runs on into a letter or another '.' is malformed
+  // (not cut short), and one that does not fit its type is out of range.
+  void LexNumber() {
+    size_t j = i_;
+    if (s_[j] == '+' || s_[j] == '-') ++j;
+    j = SkipDigits(j);
+    bool is_double = false;
+    if (j < s_.size() && s_[j] == '.') {
+      is_double = true;
+      j = SkipDigits(j + 1);
+    }
+    if (j < s_.size() && (s_[j] == 'e' || s_[j] == 'E')) {
+      size_t k = j + 1;
+      if (k < s_.size() && (s_[k] == '+' || s_[k] == '-')) ++k;
+      if (DigitAt(k)) {
+        is_double = true;
+        j = SkipDigits(k);
+      }
+    }
+    auto word = [this](size_t k) {
+      return k < s_.size() &&
+             (std::isalnum(static_cast<unsigned char>(s_[k])) ||
+              s_[k] == '_' || s_[k] == '.');
+    };
+    if (word(j)) {
+      while (word(j)) ++j;
+      Fail("malformed number '" + s_.substr(i_, j - i_) + "'");
+    }
+    // from_chars takes no leading '+'; the scan above already fixed the
+    // literal's extent, so it only converts and range-checks.
+    const char* first = s_.data() + i_ + (s_[i_] == '+' ? 1 : 0);
+    const char* last = s_.data() + j;
+    Value v;
+    std::errc ec;
+    if (is_double) {
+      double d = 0;
+      ec = std::from_chars(first, last, d).ec;
+      v = Value(d);
+    } else {
+      int64_t n = 0;
+      ec = std::from_chars(first, last, n).ec;
+      v = Value(n);
+    }
+    if (ec != std::errc()) {
+      Fail("number out of range '" + s_.substr(i_, j - i_) + "'");
+    }
+    tok_ = {Tok::kNumber, Slice(i_, j), std::move(v), CmpOp::kEq, i_};
+    i_ = j;
   }
 
   const std::string& s_;
@@ -147,10 +195,13 @@ class Lexer {
   Token tok_;
 };
 
-std::string Lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
+// Case-insensitive comparison of `text` with the lower-case `word`
+// (keywords are ASCII).
+bool IsWord(std::string_view text, std::string_view word) {
+  return std::equal(text.begin(), text.end(), word.begin(), word.end(),
+                    [](char a, char b) {
+                      return (a >= 'A' && a <= 'Z' ? a - 'A' + 'a' : a) == b;
+                    });
 }
 
 class Parser {
@@ -159,6 +210,37 @@ class Parser {
 
   ParsedQuery Parse() {
     ParsedQuery q;
+    if (PeekKeyword("insert") || PeekKeyword("delete")) {
+      q.kind = PeekKeyword("insert") ? StmtKind::kInsert : StmtKind::kDelete;
+      Take();
+      ExpectKeyword(q.kind == StmtKind::kInsert ? "into" : "from");
+      q.target = ExpectIdent();
+      ExpectKeyword("values");
+      Expect(Tok::kLParen, "'('");
+      q.values.push_back(ParseLiteral());
+      while (lex_.peek().kind == Tok::kComma) {
+        Take();
+        q.values.push_back(ParseLiteral());
+      }
+      Expect(Tok::kRParen, "')'");
+    } else if (PeekKeyword("begin") || PeekKeyword("commit") ||
+               PeekKeyword("rollback")) {
+      q.kind = PeekKeyword("begin")    ? StmtKind::kBegin
+               : PeekKeyword("commit") ? StmtKind::kCommit
+                                       : StmtKind::kRollback;
+      Take();
+    } else {
+      ParseSelect(&q);
+    }
+    if (lex_.peek().kind != Tok::kEnd) {
+      Fail(lex_.peek(), "unexpected trailing input");
+    }
+    return q;
+  }
+
+ private:
+  void ParseSelect(ParsedQuery* out) {
+    ParsedQuery& q = *out;
     if (PeekKeyword("explain")) {
       Take();
       ExpectKeyword("analyze");
@@ -227,13 +309,8 @@ class Parser {
       }
       q.limit = t.value.as_int();
     }
-    if (lex_.peek().kind != Tok::kEnd) {
-      Fail(lex_.peek(), "unexpected trailing input");
-    }
-    return q;
   }
 
- private:
   [[noreturn]] void Fail(const Token& t, const std::string& what) const {
     throw std::invalid_argument("SQL parse error at position " +
                                 std::to_string(t.pos) + ": " + what);
@@ -241,30 +318,44 @@ class Parser {
 
   Token Take() { return lex_.Take(); }
 
-  bool PeekKeyword(const std::string& kw) const {
-    return lex_.peek().kind == Tok::kIdent && Lower(lex_.peek().text) == kw;
+  bool PeekKeyword(std::string_view kw) const {
+    return lex_.peek().kind == Tok::kIdent && IsWord(lex_.peek().text, kw);
   }
 
-  void ExpectKeyword(const std::string& kw) {
+  void ExpectKeyword(std::string_view kw) {
     Token t = Take();
-    if (t.kind != Tok::kIdent || Lower(t.text) != kw) {
-      Fail(t, "expected keyword '" + kw + "'");
+    if (t.kind != Tok::kIdent || !IsWord(t.text, kw)) {
+      Fail(t, "expected keyword '" + std::string(kw) + "'");
     }
+  }
+
+  void Expect(Tok kind, const char* what) {
+    Token t = Take();
+    if (t.kind != kind) Fail(t, std::string("expected ") + what);
+  }
+
+  // A VALUES item: a number, a string or NULL.
+  Value ParseLiteral() {
+    Token t = Take();
+    if (t.kind == Tok::kNumber || t.kind == Tok::kString) return t.value;
+    if (t.kind != Tok::kIdent || !IsWord(t.text, "null")) {
+      Fail(t, "expected a number, a string or NULL");
+    }
+    return Value();
   }
 
   std::string ExpectIdent() {
     Token t = Take();
     if (t.kind != Tok::kIdent) Fail(t, "expected identifier");
-    return t.text;
+    return std::string(t.text);
   }
 
-  static std::optional<ParseAggFn> AggFromName(const std::string& name) {
-    std::string n = Lower(name);
-    if (n == "count") return ParseAggFn::kCount;
-    if (n == "sum") return ParseAggFn::kSum;
-    if (n == "min") return ParseAggFn::kMin;
-    if (n == "max") return ParseAggFn::kMax;
-    if (n == "avg") return ParseAggFn::kAvg;
+  static std::optional<ParseAggFn> AggFromName(std::string_view name) {
+    if (IsWord(name, "count")) return ParseAggFn::kCount;
+    if (IsWord(name, "sum")) return ParseAggFn::kSum;
+    if (IsWord(name, "min")) return ParseAggFn::kMin;
+    if (IsWord(name, "max")) return ParseAggFn::kMax;
+    if (IsWord(name, "avg")) return ParseAggFn::kAvg;
     return std::nullopt;
   }
 
@@ -284,8 +375,7 @@ class Parser {
       } else {
         item.column = ExpectIdent();
       }
-      Token close = Take();
-      if (close.kind != Tok::kRParen) Fail(close, "expected ')'");
+      Expect(Tok::kRParen, "')'");
     } else {
       item.column = t.text;
     }
@@ -330,8 +420,7 @@ class Parser {
       } else {
         h.column = ExpectIdent();
       }
-      Token close = Take();
-      if (close.kind != Tok::kRParen) Fail(close, "expected ')'");
+      Expect(Tok::kRParen, "')'");
     } else {
       h.column = t.text;
     }

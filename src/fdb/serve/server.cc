@@ -125,7 +125,7 @@ void Server::AcceptLoop() {
         ::close(fd);
         continue;
       }
-      ServeContext ctx{db_, &admission_, &write_mu_, &draining_};
+      ServeContext ctx{db_, &admission_, &draining_};
       auto conn = std::make_unique<Conn>();
       conn->session = std::make_unique<Session>(ctx, fd, peer_str);
       conn->done_flag = std::make_shared<std::atomic<bool>>(false);

@@ -27,10 +27,10 @@ struct ServerConfig {
 };
 
 /// The TCP front door: accepts connections, runs one Session per
-/// connection on its own thread, and owns the admission controller and
-/// the server-wide write mutex. Execution itself uses the process
-/// TaskPool (sessions call the engine, which forks into the pool), so
-/// session threads are I/O threads, not compute threads.
+/// connection on its own thread, and owns the admission controller.
+/// Execution itself uses the process TaskPool (sessions call the engine,
+/// which forks into the pool), so session threads are I/O threads, not
+/// compute threads.
 ///
 /// Shutdown() drains gracefully: stop accepting, shut the read side of
 /// every session (in-flight statements finish and ship their responses),
@@ -73,8 +73,6 @@ class Server {
   Database* db_;
   ServerConfig cfg_;
   AdmissionController admission_;
-  /// Serialises all session-issued Database writes (see ServeContext).
-  base::Mutex write_mu_;
   std::atomic<bool> draining_{false};
   int listen_fd_ = -1;
   int port_ = 0;

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 #include "fdb/engine/fdb_engine.h"
 #include "fdb/obs/log.h"
 #include "fdb/obs/metrics.h"
+#include "fdb/query/parser.h"
 
 namespace fdb {
 namespace serve {
@@ -72,194 +72,13 @@ obs::Histogram& ServeQueryNs() {
 // ~256 KiB bursts while it is enumerated, instead of after it.
 constexpr size_t kFlushBytes = 256 * 1024;
 
-// Releases an admission slot on every exit path of RunQuery.
+// Releases an admission slot on every exit path of Dispatch.
 struct SlotGuard {
   AdmissionController* a;
   ~SlotGuard() { a->Release(); }
 };
 
 }  // namespace
-
-std::string FirstKeyword(const std::string& text) {
-  size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  std::string kw;
-  while (i < text.size() &&
-         (std::isalpha(static_cast<unsigned char>(text[i])) ||
-          text[i] == '_')) {
-    kw.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(text[i++]))));
-  }
-  return kw;
-}
-
-namespace {
-
-// Tiny statement lexer for the write grammar. The engine's SQL parser
-// only covers queries; writes arrive as INSERT INTO / DELETE FROM with
-// literal VALUES and are applied through Database's tuple API.
-class WriteLexer {
- public:
-  explicit WriteLexer(const std::string& s) : s_(s) {}
-
-  void SkipWs() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_]))) {
-      ++i_;
-    }
-  }
-
-  bool Keyword(const char* kw) {
-    SkipWs();
-    size_t j = i_;
-    for (const char* p = kw; *p != '\0'; ++p, ++j) {
-      if (j >= s_.size() ||
-          std::toupper(static_cast<unsigned char>(s_[j])) != *p) {
-        return false;
-      }
-    }
-    if (j < s_.size() && (std::isalnum(static_cast<unsigned char>(s_[j])) ||
-                          s_[j] == '_')) {
-      return false;  // prefix of a longer identifier
-    }
-    i_ = j;
-    return true;
-  }
-
-  std::string Identifier() {
-    SkipWs();
-    std::string id;
-    while (i_ < s_.size() &&
-           (std::isalnum(static_cast<unsigned char>(s_[i_])) ||
-            s_[i_] == '_' || s_[i_] == '.')) {
-      id.push_back(s_[i_++]);
-    }
-    if (id.empty()) {
-      throw std::invalid_argument("write statement: expected identifier at " +
-                                  std::to_string(i_));
-    }
-    return id;
-  }
-
-  bool Char(char c) {
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  Value Literal() {
-    SkipWs();
-    if (i_ >= s_.size()) {
-      throw std::invalid_argument("write statement: expected literal");
-    }
-    char c = s_[i_];
-    if (c == '\'') {
-      ++i_;
-      std::string str;
-      for (;;) {
-        if (i_ >= s_.size()) {
-          throw std::invalid_argument("write statement: unterminated string");
-        }
-        if (s_[i_] == '\'') {
-          if (i_ + 1 < s_.size() && s_[i_ + 1] == '\'') {
-            str.push_back('\'');  // '' escapes a quote
-            i_ += 2;
-            continue;
-          }
-          ++i_;
-          return Value(std::move(str));
-        }
-        str.push_back(s_[i_++]);
-      }
-    }
-    if (Keyword("NULL")) return Value();
-    size_t start = i_;
-    if (c == '+' || c == '-') ++i_;
-    bool has_dot = false, has_exp = false;
-    while (i_ < s_.size()) {
-      char d = s_[i_];
-      if (std::isdigit(static_cast<unsigned char>(d))) {
-        ++i_;
-      } else if (d == '.' && !has_dot && !has_exp) {
-        has_dot = true;
-        ++i_;
-      } else if ((d == 'e' || d == 'E') && !has_exp && i_ > start) {
-        has_exp = true;
-        ++i_;
-        if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
-      } else {
-        break;
-      }
-    }
-    std::string num = s_.substr(start, i_ - start);
-    if (num.empty() || num == "+" || num == "-") {
-      throw std::invalid_argument("write statement: bad literal at " +
-                                  std::to_string(start));
-    }
-    try {
-      if (has_dot || has_exp) return Value(std::stod(num));
-      return Value(static_cast<int64_t>(std::stoll(num)));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("write statement: bad number '" + num + "'");
-    }
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    // A trailing semicolon is tolerated (shell habit).
-    if (i_ < s_.size() && s_[i_] == ';') {
-      ++i_;
-      SkipWs();
-    }
-    return i_ >= s_.size();
-  }
-
- private:
-  const std::string& s_;
-  size_t i_ = 0;
-};
-
-}  // namespace
-
-bool ParseWriteStatement(const std::string& text, bool* is_insert,
-                         std::string* view, Tuple* tuple) {
-  WriteLexer lex(text);
-  if (lex.Keyword("INSERT")) {
-    *is_insert = true;
-    if (!lex.Keyword("INTO")) {
-      throw std::invalid_argument("write statement: expected INTO");
-    }
-  } else if (lex.Keyword("DELETE")) {
-    *is_insert = false;
-    if (!lex.Keyword("FROM")) {
-      throw std::invalid_argument("write statement: expected FROM");
-    }
-  } else {
-    return false;
-  }
-  *view = lex.Identifier();
-  if (!lex.Keyword("VALUES")) {
-    throw std::invalid_argument("write statement: expected VALUES");
-  }
-  if (!lex.Char('(')) {
-    throw std::invalid_argument("write statement: expected (");
-  }
-  do {
-    tuple->push_back(lex.Literal());
-  } while (lex.Char(','));
-  if (!lex.Char(')')) {
-    throw std::invalid_argument("write statement: expected )");
-  }
-  if (!lex.AtEnd()) {
-    throw std::invalid_argument("write statement: trailing input");
-  }
-  return true;
-}
 
 Session::Session(const ServeContext& ctx, int fd, const std::string& peer)
     : ctx_(ctx), fd_(fd) {
@@ -364,26 +183,11 @@ void Session::HandleStatement(const std::string& text,
   stats_->queries.fetch_add(1, std::memory_order_relaxed);
   stats_->active.store(true, std::memory_order_relaxed);
   QueriesCounter().Inc();
-  std::string kw = FirstKeyword(text);
   try {
-    if (kw == "BEGIN") {
-      HandleBegin(out);
-    } else if (kw == "COMMIT") {
-      HandleCommit(out);
-    } else if (kw == "ROLLBACK") {
-      HandleRollback(out);
-    } else if (kw == "INSERT" || kw == "DELETE") {
-      bool is_insert = false;
-      std::string view;
-      Tuple tuple;
-      if (ParseWriteStatement(text, &is_insert, &view, &tuple)) {
-        HandleWrite(is_insert, view, std::move(tuple), out);
-      } else {
-        AppendError(out, kErrParse, "unrecognised write statement");
-      }
-    } else {
-      RunQuery(text, out);
-    }
+    int64_t parse_t0 = obs::NowNs();
+    ParsedQuery pq = ParseSql(text);
+    int64_t parse_ns = obs::NowNs() - parse_t0;
+    Dispatch(std::move(pq), parse_t0, parse_ns, out);
   } catch (const std::invalid_argument& e) {
     AppendError(out, kErrParse, e.what());
   } catch (const std::exception& e) {
@@ -392,7 +196,8 @@ void Session::HandleStatement(const std::string& text,
   stats_->active.store(false, std::memory_order_relaxed);
 }
 
-void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
+void Session::Dispatch(ParsedQuery pq, int64_t parse_t0, int64_t parse_ns,
+                       std::vector<uint8_t>* out) {
   if (ctx_.draining->load(std::memory_order_relaxed) ||
       draining_.load(std::memory_order_relaxed)) {
     AppendError(out, kErrShutdown, "server is shutting down");
@@ -409,6 +214,82 @@ void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
     return;
   }
   SlotGuard slot{ctx_.admission};
+  switch (pq.kind) {
+    case StmtKind::kSelect:
+      RunQuery(pq, parse_t0, parse_ns, ticket.queue_wait_ns, out);
+      return;
+    case StmtKind::kInsert:
+    case StmtKind::kDelete: {
+      storage::WalOp op{pq.kind == StmtKind::kInsert
+                            ? storage::WalOp::kInsert
+                            : storage::WalOp::kDelete,
+                        std::move(pq.target), std::move(pq.values)};
+      if (txn_.has_value()) {
+        // Buffered session-locally; validation happens at COMMIT, where a
+        // bad op rolls the whole transaction back.
+        txn_->push_back(std::move(op));
+        stats_->txn_ops.store(static_cast<int64_t>(txn_->size()),
+                              std::memory_order_relaxed);
+        AppendDone(out, DoneStats{});
+      } else {
+        CommitOps({op}, out);  // autocommit: a one-op group
+      }
+      return;
+    }
+    case StmtKind::kBegin:
+      if (txn_.has_value()) {
+        AppendError(out, kErrTxn, "transaction already open");
+        return;
+      }
+      txn_.emplace();
+      stats_->in_txn.store(true, std::memory_order_relaxed);
+      AppendDone(out, DoneStats{});
+      return;
+    case StmtKind::kCommit:
+    case StmtKind::kRollback: {
+      bool commit = pq.kind == StmtKind::kCommit;
+      if (!txn_.has_value()) {
+        AppendError(out, kErrTxn, commit ? "COMMIT outside a transaction"
+                                         : "ROLLBACK outside a transaction");
+        return;
+      }
+      std::vector<storage::WalOp> ops = std::move(*txn_);
+      txn_.reset();
+      stats_->in_txn.store(false, std::memory_order_relaxed);
+      stats_->txn_ops.store(0, std::memory_order_relaxed);
+      bool committed = commit && CommitOps(std::move(ops), out);
+      (committed ? stats_->commits : stats_->rollbacks)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (!commit) AppendDone(out, DoneStats{});
+      return;
+    }
+  }
+}
+
+bool Session::CommitOps(std::vector<storage::WalOp> ops,
+                        std::vector<uint8_t>* out) {
+  size_t n = ops.size();
+  try {
+    // One durable group (one WAL frame, one fsync) owned by this session:
+    // another session's commit, or an in-process Database::Begin, is a
+    // separate group.
+    ctx_.db->Commit(std::move(ops));
+  } catch (const std::exception& e) {
+    AppendError(out, kErrTxn,
+                std::string("transaction rolled back: ") + e.what());
+    return false;
+  }
+  stats_->writes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  WritesCounter().Inc(n);
+  DoneStats d;
+  d.rows = n;
+  AppendDone(out, d);
+  return true;
+}
+
+void Session::RunQuery(const ParsedQuery& pq, int64_t parse_t0,
+                       int64_t parse_ns, uint64_t queue_wait_ns,
+                       std::vector<uint8_t>* out) {
   int64_t t0 = obs::NowNs();
   const AdmissionConfig& cfg = ctx_.admission->config();
   token_.Arm(cfg.query_timeout_ms > 0 ? t0 + cfg.query_timeout_ms * 1'000'000
@@ -417,7 +298,8 @@ void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
   try {
     exec::CancelScope scope(&token_);
     WireSink sink(this, out);
-    FdbResult res = FdbEngine(ctx_.db).ExecuteSql(text, {}, &sink);
+    FdbResult res =
+        FdbEngine(ctx_.db).ExecuteParsed(pq, parse_t0, parse_ns, {}, &sink);
     // A write that failed after the last poll (or while spliced chunks
     // were sent) still ends the statement as cancelled, not Done.
     if (token_.cancelled()) token_.Check();
@@ -425,7 +307,7 @@ void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
     DoneStats d;
     d.rows = rows;
     d.elapsed_ns = static_cast<uint64_t>(obs::NowNs() - t0);
-    d.queue_wait_ns = ticket.queue_wait_ns;
+    d.queue_wait_ns = queue_wait_ns;
     d.mem_charged = static_cast<uint64_t>(token_.memory_used());
     AppendDone(out, d);
     ServeQueryNs().Record(d.elapsed_ns + d.queue_wait_ns);
@@ -446,108 +328,7 @@ void Session::RunQuery(const std::string& text, std::vector<uint8_t>* out) {
            obs::F("mem_charged", token_.memory_used())});
     }
     AppendError(out, code, e.what());
-  } catch (const std::invalid_argument& e) {
-    AppendError(out, kErrParse, e.what());
-  } catch (const std::exception& e) {
-    AppendError(out, kErrExec, e.what());
   }
-}
-
-void Session::HandleWrite(bool is_insert, const std::string& view, Tuple tuple,
-                          std::vector<uint8_t>* out) {
-  if (in_txn_) {
-    // Buffered session-locally; validation happens at COMMIT, where a bad
-    // op rolls the whole transaction back.
-    txn_ops_.push_back({is_insert, view, std::move(tuple)});
-    stats_->txn_ops.store(static_cast<int64_t>(txn_ops_.size()),
-                          std::memory_order_relaxed);
-    AppendDone(out, DoneStats{});
-    return;
-  }
-  {
-    base::MutexLock g(ctx_.write_mu);
-    if (is_insert) {
-      ctx_.db->Insert(view, tuple);
-    } else {
-      ctx_.db->Delete(view, tuple);
-    }
-  }
-  stats_->writes.fetch_add(1, std::memory_order_relaxed);
-  WritesCounter().Inc();
-  DoneStats d;
-  d.rows = 1;
-  AppendDone(out, d);
-}
-
-void Session::HandleBegin(std::vector<uint8_t>* out) {
-  if (in_txn_) {
-    AppendError(out, kErrTxn, "transaction already open");
-    return;
-  }
-  in_txn_ = true;
-  stats_->in_txn.store(true, std::memory_order_relaxed);
-  AppendDone(out, DoneStats{});
-}
-
-void Session::HandleCommit(std::vector<uint8_t>* out) {
-  if (!in_txn_) {
-    AppendError(out, kErrTxn, "COMMIT outside a transaction");
-    return;
-  }
-  size_t nops = txn_ops_.size();
-  try {
-    // One Database transaction per wire COMMIT: the write mutex keeps
-    // other sessions' writes out of this open transaction, and the WAL
-    // makes the whole group one durable commit (one fsync).
-    base::MutexLock g(ctx_.write_mu);
-    ctx_.db->Begin();
-    try {
-      for (const TxnOp& op : txn_ops_) {
-        if (op.is_insert) {
-          ctx_.db->Insert(op.view, op.tuple);
-        } else {
-          ctx_.db->Delete(op.view, op.tuple);
-        }
-      }
-      ctx_.db->Commit();
-    } catch (...) {
-      ctx_.db->Rollback();
-      throw;
-    }
-  } catch (const std::exception& e) {
-    in_txn_ = false;
-    txn_ops_.clear();
-    stats_->in_txn.store(false, std::memory_order_relaxed);
-    stats_->txn_ops.store(0, std::memory_order_relaxed);
-    stats_->rollbacks.fetch_add(1, std::memory_order_relaxed);
-    AppendError(out, kErrTxn,
-                std::string("transaction rolled back: ") + e.what());
-    return;
-  }
-  in_txn_ = false;
-  txn_ops_.clear();
-  stats_->in_txn.store(false, std::memory_order_relaxed);
-  stats_->txn_ops.store(0, std::memory_order_relaxed);
-  stats_->commits.fetch_add(1, std::memory_order_relaxed);
-  stats_->writes.fetch_add(static_cast<int64_t>(nops),
-                           std::memory_order_relaxed);
-  WritesCounter().Inc(nops);
-  DoneStats d;
-  d.rows = nops;
-  AppendDone(out, d);
-}
-
-void Session::HandleRollback(std::vector<uint8_t>* out) {
-  if (!in_txn_) {
-    AppendError(out, kErrTxn, "ROLLBACK outside a transaction");
-    return;
-  }
-  in_txn_ = false;
-  txn_ops_.clear();
-  stats_->in_txn.store(false, std::memory_order_relaxed);
-  stats_->txn_ops.store(0, std::memory_order_relaxed);
-  stats_->rollbacks.fetch_add(1, std::memory_order_relaxed);
-  AppendDone(out, DoneStats{});
 }
 
 bool Session::WriteAll(const uint8_t* data, size_t n) {

@@ -3,13 +3,14 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "fdb/base/thread_annotations.h"
 #include "fdb/engine/database.h"
 #include "fdb/exec/cancel.h"
+#include "fdb/query/ast.h"
 #include "fdb/serve/admission.h"
 #include "fdb/serve/session_registry.h"
 #include "fdb/serve/wire.h"
@@ -21,24 +22,19 @@ namespace serve {
 struct ServeContext {
   Database* db = nullptr;
   AdmissionController* admission = nullptr;
-  /// Serialises *all* Database writes issued by sessions. Database's own
-  /// txn_mu_ makes individual calls safe, but a transaction replay
-  /// (Begin → ops → Commit) must be atomic against other sessions'
-  /// autocommit writes — an interleaved Insert would be swallowed into
-  /// the open transaction.
-  base::Mutex* write_mu = nullptr;
   std::atomic<bool>* draining = nullptr;
 };
 
-/// One client connection: reads statements off the wire, runs them
-/// through admission + the engine with this session's cancellation token
-/// armed, and streams typed result frames back: the engine enumerates
-/// each result row straight into a Row frame in the outbound buffer,
-/// which is flushed to the socket while enumeration continues. Owns the
-/// per-session WAL transaction state: BEGIN buffers writes
-/// session-locally; COMMIT replays them as one Database transaction (one
-/// WAL commit group, one fsync) under the server write mutex; ROLLBACK
-/// drops them.
+/// One client connection: reads statements off the wire, parses each
+/// once, and passes every statement through the drain check and an
+/// admission slot. A SELECT runs in the engine with this session's
+/// cancellation token armed and streams typed result frames back: the
+/// engine enumerates each result row straight into a Row frame in the
+/// outbound buffer, which is flushed to the socket while enumeration
+/// continues. The session owns its transaction: BEGIN opens a list of
+/// ops, INSERT/DELETE append to it (or, outside a transaction, commit a
+/// one-op list at once), COMMIT hands the list to Database::Commit as one
+/// WAL commit group (one fsync), ROLLBACK drops it.
 ///
 /// Reads pin view snapshots for exactly one statement: the engine takes
 /// `ViewSnapshot`s when a query starts and drops them when it finishes,
@@ -77,18 +73,14 @@ class Session {
  private:
   class WireSink;
 
-  struct TxnOp {
-    bool is_insert = false;
-    std::string view;
-    Tuple tuple;
-  };
-
-  void RunQuery(const std::string& text, std::vector<uint8_t>* out);
-  void HandleWrite(bool is_insert, const std::string& view, Tuple tuple,
-                   std::vector<uint8_t>* out);
-  void HandleBegin(std::vector<uint8_t>* out);
-  void HandleCommit(std::vector<uint8_t>* out);
-  void HandleRollback(std::vector<uint8_t>* out);
+  /// Drain check, admission, then the statement's kind decides.
+  void Dispatch(ParsedQuery pq, int64_t parse_t0, int64_t parse_ns,
+                std::vector<uint8_t>* out);
+  void RunQuery(const ParsedQuery& pq, int64_t parse_t0, int64_t parse_ns,
+                uint64_t queue_wait_ns, std::vector<uint8_t>* out);
+  /// Commits `ops` as one group. On failure nothing is applied, a kErrTxn
+  /// frame is appended and it returns false.
+  bool CommitOps(std::vector<storage::WalOp> ops, std::vector<uint8_t>* out);
   void AppendError(std::vector<uint8_t>* out, uint8_t code,
                    const std::string& message);
   void AppendDone(std::vector<uint8_t>* out, const DoneStats& stats);
@@ -103,20 +95,9 @@ class Session {
   std::shared_ptr<SessionStats> stats_;
   exec::CancelToken token_;
   std::atomic<bool> draining_{false};
-  bool in_txn_ = false;
-  std::vector<TxnOp> txn_ops_;
+  /// The open transaction's ops; empty optional outside a transaction.
+  std::optional<std::vector<storage::WalOp>> txn_;
 };
-
-/// Parses "INSERT INTO v VALUES (1, 2.5, 'x')" / "DELETE FROM v VALUES
-/// (...)" into view + tuple. Returns false if `text` is not a write
-/// statement at all; throws std::invalid_argument on a malformed one.
-/// Literals: integers, doubles, single-quoted strings ('' escapes a
-/// quote), NULL.
-bool ParseWriteStatement(const std::string& text, bool* is_insert,
-                         std::string* view, Tuple* tuple);
-
-/// Uppercased first keyword of a statement ("BEGIN", "SELECT", ...).
-std::string FirstKeyword(const std::string& text);
 
 }  // namespace serve
 }  // namespace fdb

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fdb/engine/fdb_engine.h"
+#include "fdb/engine/rdb_engine.h"
 #include "fdb/query/parser.h"
 #include "test_util.h"
 
@@ -31,6 +33,20 @@ TEST(BinderTest, ViewsResolveToo) {
 TEST(BinderTest, UnknownRelationThrows) {
   Pizzeria p = MakePizzeria();
   EXPECT_THROW(Bind(ParseSql("SELECT * FROM Nope"), p.db.get()),
+               std::invalid_argument);
+}
+
+TEST(BinderTest, WritesAndTransactionsAreNotQueries) {
+  Pizzeria p = MakePizzeria();
+  for (const char* sql : {"INSERT INTO R VALUES (1, 2)",
+                          "DELETE FROM R VALUES (1, 2)", "BEGIN", "COMMIT",
+                          "ROLLBACK"}) {
+    EXPECT_THROW(Bind(ParseSql(sql), p.db.get()), std::invalid_argument)
+        << sql;
+  }
+  EXPECT_THROW(FdbEngine(p.db.get()).ExecuteSql("INSERT INTO V VALUES (1, 2)"),
+               std::invalid_argument);
+  EXPECT_THROW(RdbEngine(p.db.get()).ExecuteSql("INSERT INTO V VALUES (1, 2)"),
                std::invalid_argument);
 }
 

@@ -93,12 +93,10 @@ void ExerciseSubsystems() {
     serve::AdmissionConfig limited;
     limited.query_mem_bytes = 1;  // every query dies (serve.queries_killed)
     serve::AdmissionController adm2(limited);
-    fdb::base::Mutex write_mu;
     std::atomic<bool> draining{false};
     serve::ServeContext ctx;
     ctx.db = &db;
     ctx.admission = &adm2;
-    ctx.write_mu = &write_mu;
     ctx.draining = &draining;
     serve::Session session(ctx, -1, "catalogue");
     std::vector<uint8_t> out;

@@ -168,5 +168,93 @@ TEST(ParserTest, ErrorMessageIncludesPosition) {
   }
 }
 
+// --- literals ---------------------------------------------------------------
+
+TEST(ParserTest, LiteralForms) {
+  ParsedQuery q = ParseSql(
+      "SELECT * FROM R WHERE a = +3 AND b = 1e3 AND c = -2.5E-1 AND d = .5 "
+      "AND e = 'it''s'");
+  ASSERT_EQ(q.where.size(), 5u);
+  EXPECT_EQ(q.where[0].rhs_const.as_int(), 3);
+  EXPECT_DOUBLE_EQ(q.where[1].rhs_const.as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(q.where[2].rhs_const.as_double(), -0.25);
+  EXPECT_DOUBLE_EQ(q.where[3].rhs_const.as_double(), 0.5);
+  EXPECT_EQ(q.where[4].rhs_const.as_string(), "it's");
+}
+
+// A malformed or oversized number is rejected whole, with its position,
+// never cut short or left to a later stoll.
+TEST(ParserTest, BadNumbersAreParseErrors) {
+  for (const char* sql :
+       {"SELECT * FROM R1 WHERE price = 1.2.3",
+        "SELECT * FROM R1 WHERE price = 99999999999999999999",
+        "SELECT * FROM R1 WHERE price = 12abc",
+        "SELECT * FROM R1 WHERE price = 1e",
+        "SELECT * FROM R1 WHERE price = 1e999",
+        "INSERT INTO V VALUES (1.2.3, 1)",
+        "INSERT INTO V VALUES (1, 99999999999999999999)"}) {
+    try {
+      ParseSql(sql);
+      ADD_FAILURE() << "parsed: " << sql;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("position"), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    ParseSql("SELECT * FROM R1 WHERE price = 1.2.3");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("position 31: malformed number "
+                                         "'1.2.3'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParserTest, ToSqlRoundTripsEscapedStrings) {
+  ParsedQuery q = ParseSql("SELECT * FROM R WHERE a = 'x''y'");
+  EXPECT_EQ(ParseSql(ToSql(q)).where[0].rhs_const.as_string(), "x'y");
+}
+
+// --- writes and transactions ------------------------------------------------
+
+TEST(ParserTest, InsertWithEveryLiteralKind) {
+  ParsedQuery q = ParseSql("INSERT INTO V VALUES (1, 2.5, 'a''b', NULL);");
+  EXPECT_EQ(q.kind, StmtKind::kInsert);
+  EXPECT_EQ(q.target, "V");
+  ASSERT_EQ(q.values.size(), 4u);
+  EXPECT_EQ(q.values[0].as_int(), 1);
+  EXPECT_EQ(q.values[1].as_double(), 2.5);
+  EXPECT_EQ(q.values[2].as_string(), "a'b");
+  EXPECT_TRUE(q.values[3].is_null());
+}
+
+TEST(ParserTest, DeleteWithLowerCaseKeywords) {
+  ParsedQuery q = ParseSql("delete from V values (7, 8)");
+  EXPECT_EQ(q.kind, StmtKind::kDelete);
+  EXPECT_EQ(q.target, "V");
+  ASSERT_EQ(q.values.size(), 2u);
+  EXPECT_EQ(q.values[1].as_int(), 8);
+}
+
+TEST(ParserTest, TransactionStatementsAndNonWrites) {
+  EXPECT_EQ(ParseSql("BEGIN").kind, StmtKind::kBegin);
+  EXPECT_EQ(ParseSql("begin;").kind, StmtKind::kBegin);
+  EXPECT_EQ(ParseSql("commit").kind, StmtKind::kCommit);
+  EXPECT_EQ(ParseSql("ROLLBACK").kind, StmtKind::kRollback);
+  EXPECT_EQ(ParseSql("SELECT va FROM V").kind, StmtKind::kSelect);
+  EXPECT_THROW(ParseSql("BEGIN now"), std::invalid_argument);
+}
+
+TEST(ParserTest, MalformedWritesAreParseErrors) {
+  EXPECT_THROW(ParseSql("INSERT INTO V"), std::invalid_argument);
+  EXPECT_THROW(ParseSql("INSERT INTO V VALUES (1"), std::invalid_argument);
+  EXPECT_THROW(ParseSql("INSERT INTO V VALUES (1) trailing"),
+               std::invalid_argument);
+  EXPECT_THROW(ParseSql("INSERT INTO V VALUES ()"), std::invalid_argument);
+  EXPECT_THROW(ParseSql("INSERT INTO V VALUES (x)"), std::invalid_argument);
+  EXPECT_THROW(ParseSql("DELETE V VALUES (1)"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace fdb

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fdb/core/build.h"
+#include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/engine/fdb_engine.h"
 #include "fdb/exec/task_pool.h"
@@ -187,7 +188,6 @@ class SessionLimitTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FillDb(&db_, 4);
-    write_mu_ = std::make_unique<base::Mutex>();
   }
 
   std::unique_ptr<Session> MakeSession(const AdmissionConfig& cfg,
@@ -196,14 +196,12 @@ class SessionLimitTest : public ::testing::Test {
     ServeContext ctx;
     ctx.db = &db_;
     ctx.admission = admission_.get();
-    ctx.write_mu = write_mu_.get();
     ctx.draining = &draining_;
     return std::make_unique<Session>(ctx, fd, "test");
   }
 
   Database db_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<base::Mutex> write_mu_;
   std::atomic<bool> draining_{false};
 };
 
@@ -271,10 +269,73 @@ TEST_F(SessionLimitTest, ParseAndTxnErrorsAreTypedAndNonFatal) {
   ASSERT_EQ(frames[0].type, FrameType::kError);
   EXPECT_EQ(DecodeError(frames[0].payload).code, kErrTxn);
 
+  // A write the parser rejects is a parse error; one that parses but
+  // fails validation is a rolled-back one-op group, like a failed COMMIT.
+  const std::vector<std::pair<std::string, uint8_t>> writes = {
+      {"INSERT INTO V VALUES (1, 2", kErrParse},
+      {"INSERT INTO V VALUES (1.2.3, 4)", kErrParse},
+      {"INSERT INTO NoSuchView VALUES (1, 2)", kErrTxn},
+      {"INSERT INTO V VALUES (1, 2, 3)", kErrTxn},
+  };
+  for (const auto& [text, code] : writes) {
+    out.clear();
+    s->HandleStatement(text, &out);
+    frames = DecodeAll(out);
+    ASSERT_EQ(frames.size(), 1u) << text;
+    ASSERT_EQ(frames[0].type, FrameType::kError) << text;
+    EXPECT_EQ(DecodeError(frames[0].payload).code, code) << text;
+  }
+  // A literal that overflows is a parse error, not an execution error.
+  out.clear();
+  s->HandleStatement("SELECT va FROM V WHERE vb = 99999999999999999999", &out);
+  frames = DecodeAll(out);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(DecodeError(frames[0].payload).code, kErrParse);
+
   out.clear();
   s->HandleStatement("SELECT va, vb FROM V", &out);
   frames = DecodeAll(out);
   EXPECT_EQ(frames.back().type, FrameType::kDone);
+  EXPECT_EQ(DecodeResponse(out).rows.size(), 50u);
+}
+
+// A session's autocommit write is its own commit group: an in-process
+// transaction that is open at the same time neither swallows it nor
+// drops it on rollback.
+TEST_F(SessionLimitTest, SessionWriteIsNotPartOfAnInProcessTransaction) {
+  std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+  db_.Begin();
+  std::vector<uint8_t> out;
+  s->HandleStatement("INSERT INTO V VALUES (7, 700)", &out);
+  Response r = DecodeResponse(out);
+  ASSERT_TRUE(r.done.has_value())
+      << (r.error.has_value() ? r.error->message : "");
+  EXPECT_EQ(r.done->rows, 1u);
+  EXPECT_EQ(db_.WalStatus().pending_ops, 0u);
+  db_.Rollback();
+  EXPECT_TRUE(ContainsTuple(*db_.ViewSnapshot("V"), {Value(7), Value(700)}));
+}
+
+TEST_F(SessionLimitTest, DrainingSessionRefusesWrites) {
+  std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+  std::vector<uint8_t> out;
+  s->HandleStatement("BEGIN", &out);
+  s->HandleStatement("INSERT INTO V VALUES (8, 800)", &out);
+  ASSERT_FALSE(DecodeResponse(out).error.has_value());
+
+  draining_.store(true);
+  for (const char* text : {"INSERT INTO V VALUES (8, 801)", "COMMIT"}) {
+    out.clear();
+    s->HandleStatement(text, &out);
+    std::vector<Frame> frames = DecodeAll(out);
+    ASSERT_EQ(frames.size(), 1u) << text;
+    ASSERT_EQ(frames[0].type, FrameType::kError) << text;
+    EXPECT_EQ(DecodeError(frames[0].payload).code, kErrShutdown) << text;
+  }
+  std::shared_ptr<const Factorisation> v = db_.ViewSnapshot("V");
+  EXPECT_FALSE(ContainsTuple(*v, {Value(8), Value(800)}));
+  EXPECT_FALSE(ContainsTuple(*v, {Value(8), Value(801)}));
+  EXPECT_EQ(v->CountTuples(), 50);
 }
 
 // The rows a session streams are exactly the rows the engine
@@ -385,40 +446,6 @@ TEST_F(SessionLimitTest, StatementStoreRecordsTheStreamedRowCount) {
   ASSERT_EQ(stmts.rows.size(), 1u);
   EXPECT_NE(stmts.rows[0][0].as_string().find("R1"), std::string::npos);
   EXPECT_EQ(stmts.rows[0][1].as_int(), static_cast<int64_t>(r.rows.size()));
-}
-
-TEST(ParseWriteTest, RecognisesWritesAndRejectsMalformedOnes) {
-  bool is_insert = false;
-  std::string view;
-  Tuple tuple;
-  ASSERT_TRUE(ParseWriteStatement("INSERT INTO V VALUES (1, 2.5, 'a''b', NULL);",
-                                  &is_insert, &view, &tuple));
-  EXPECT_TRUE(is_insert);
-  EXPECT_EQ(view, "V");
-  ASSERT_EQ(tuple.size(), 4u);
-  EXPECT_EQ(tuple[0].as_int(), 1);
-  EXPECT_EQ(tuple[1].as_double(), 2.5);
-  EXPECT_EQ(tuple[2].as_string(), "a'b");
-  EXPECT_TRUE(tuple[3].is_null());
-
-  tuple.clear();
-  ASSERT_TRUE(ParseWriteStatement("delete from V values (7, 8)", &is_insert,
-                                  &view, &tuple));
-  EXPECT_FALSE(is_insert);
-
-  // Not writes at all.
-  EXPECT_FALSE(ParseWriteStatement("SELECT 1", &is_insert, &view, &tuple));
-  EXPECT_FALSE(ParseWriteStatement("BEGIN", &is_insert, &view, &tuple));
-
-  // Writes, but malformed: typed parse failure, not a crash.
-  EXPECT_THROW(ParseWriteStatement("INSERT INTO V", &is_insert, &view, &tuple),
-               std::invalid_argument);
-  EXPECT_THROW(ParseWriteStatement("INSERT INTO V VALUES (1", &is_insert,
-                                   &view, &tuple),
-               std::invalid_argument);
-  EXPECT_THROW(ParseWriteStatement("INSERT INTO V VALUES (1) trailing",
-                                   &is_insert, &view, &tuple),
-               std::invalid_argument);
 }
 
 // --- full server over real sockets --------------------------------------

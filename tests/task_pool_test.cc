@@ -92,13 +92,14 @@ TEST(TaskPoolTest, NestedParallelForCompletes) {
   std::atomic<int64_t> total{0};
   pool.ParallelFor(8, 1, [&](int, int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      int64_t inner = 0;
+      // Atomic: the inner chunks run on several threads at once.
+      std::atomic<int64_t> inner{0};
       pool.ParallelFor(50, 5, [&](int, int64_t l, int64_t h) {
         // The inner caller participates in its own range, so this cannot
         // deadlock even with every worker busy in the outer loop.
-        for (int64_t j = l; j < h; ++j) inner += 1;
+        for (int64_t j = l; j < h; ++j) inner.fetch_add(1);
       });
-      total.fetch_add(inner);
+      total.fetch_add(inner.load());
     }
   });
   EXPECT_EQ(total.load(), 8 * 50);
