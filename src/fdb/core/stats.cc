@@ -71,7 +71,7 @@ FactFootprint ComputeFootprint(const Factorisation& f) {
   fp.flat_values =
       fp.tuples * static_cast<int64_t>(f.OutputSchema().attrs().size());
   if (f.arena() != nullptr) {
-    fp.arena_bytes = static_cast<int64_t>(f.arena()->bytes_used());
+    fp.arena_bytes = f.arena()->chain_bytes();
   }
   return fp;
 }

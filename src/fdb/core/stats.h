@@ -26,7 +26,8 @@ std::vector<FactNodeStats> ComputeFactStats(const Factorisation& f);
 
 /// Whole-factorisation size summary for observability: distinct union
 /// nodes and singletons (DAG-aware — shared subexpressions counted once),
-/// the represented flat relation's tuple/value counts, arena bytes, and
+/// the represented flat relation's tuple/value counts, the bytes its arena
+/// chain pins (worker arenas a parallel build adopted included), and
 /// the paper's headline compression ratio (flat values per stored
 /// singleton).
 struct FactFootprint {
@@ -34,7 +35,7 @@ struct FactFootprint {
   int64_t singletons = 0;  ///< distinct stored singletons (size measure)
   int64_t tuples = 0;      ///< tuples in the represented relation
   int64_t flat_values = 0; ///< tuples x output arity
-  int64_t arena_bytes = 0; ///< bytes used by the attached arena
+  int64_t arena_bytes = 0; ///< bytes its arena chain pins (chain_bytes)
 
   double CompressionRatio() const {
     return singletons == 0

@@ -26,7 +26,8 @@ Database::Database(const Database& other)
       dict_(other.dict_),
       relations_(other.relations_),
       relation_versions_(other.relation_versions_),
-      snapshot_(other.snapshot_) {
+      snapshot_(other.snapshot_),
+      prefix_cache_(other.prefix_cache_.budget()) {
   base::MutexLock g(&other.mu_);
   views_ = other.views_;
 }
@@ -51,6 +52,7 @@ Database& Database::operator=(const Database& other) {
     pending_.clear();
   }
   snapshot_ = other.snapshot_;
+  prefix_cache_.Clear();
   std::shared_ptr<const ViewMap> v;
   {
     base::MutexLock g(&other.mu_);
@@ -76,7 +78,8 @@ Database::Database(Database&& other) noexcept
       dict_(std::exchange(other.dict_, DefaultDictAlias())),
       relations_(std::move(other.relations_)),
       relation_versions_(std::move(other.relation_versions_)),
-      snapshot_(std::move(other.snapshot_)) {
+      snapshot_(std::move(other.snapshot_)),
+      prefix_cache_(other.prefix_cache_.budget()) {
   {
     base::MutexLock g(&other.persist_mu_);
     persist_ = std::move(other.persist_);
@@ -93,6 +96,7 @@ Database::Database(Database&& other) noexcept
     base::MutexLock g(&other.sampler_mu_);
     sampler_ = std::move(other.sampler_);
   }
+  other.prefix_cache_.Clear();
   base::MutexLock g(&other.mu_);
   views_ = std::exchange(other.views_,
                          std::make_shared<const ViewMap>());
@@ -133,6 +137,8 @@ Database& Database::operator=(Database&& other) noexcept {
     pending_ = std::move(pending);
   }
   snapshot_ = std::move(other.snapshot_);
+  prefix_cache_.Clear();
+  other.prefix_cache_.Clear();
   {
     std::shared_ptr<obs::MetricsSampler> s;
     {
@@ -180,10 +186,14 @@ uint64_t Database::relation_version(const std::string& name) const {
 
 void Database::PublishView(const std::string& name,
                            std::shared_ptr<const Factorisation> fp) {
-  base::MutexLock g(&mu_);
-  auto next = std::make_shared<ViewMap>(*views_);
-  (*next)[name] = std::move(fp);
-  views_ = std::move(next);
+  const Factorisation* version = fp.get();
+  {
+    base::MutexLock g(&mu_);
+    auto next = std::make_shared<ViewMap>(*views_);
+    (*next)[name] = std::move(fp);
+    views_ = std::move(next);
+  }
+  prefix_cache_.Publish(name, version);
 }
 
 void Database::AddView(const std::string& name, Factorisation f) {

@@ -11,6 +11,7 @@
 
 #include "fdb/base/thread_annotations.h"
 #include "fdb/core/factorisation.h"
+#include "fdb/engine/prefix_cache.h"
 #include "fdb/relational/relation.h"
 #include "fdb/relational/value_dict.h"
 #include "fdb/storage/snapshot.h"
@@ -57,6 +58,11 @@ struct SnapshotState;
 class Database {
  public:
   Database() = default;
+  /// A database whose f-plan prefix cache holds at most `prefix_cache_bytes`
+  /// instead of PrefixCache::kBudgetBytes: for tests that force eviction.
+  explicit Database(int64_t prefix_cache_bytes)
+      : prefix_cache_(prefix_cache_bytes) {}
+  /// Copies and moves start with an empty prefix cache of the same budget.
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&& other) noexcept;
@@ -108,6 +114,11 @@ class Database {
   /// (without calling `mutate`) if the view does not exist.
   bool UpdateView(const std::string& name,
                   const std::function<void(Factorisation*)>& mutate);
+
+  /// The factorisations FdbEngine reached after f-plan prefixes over the
+  /// current view versions (see PrefixCache). Publishing a view version
+  /// drops the entries of its older versions.
+  PrefixCache& prefix_cache() { return prefix_cache_; }
 
   std::vector<std::string> RelationNames() const;
   std::vector<std::string> ViewNames() const;
@@ -252,8 +263,9 @@ class Database {
   std::shared_ptr<const Factorisation> FindOrAdmit(
       const std::string& name) const;
 
-  // Swaps `fp` in as the new epoch's version of `name`. Callers must
-  // hold writer_mu_ (AddView takes it; UpdateView already holds it).
+  // Swaps `fp` in as the new epoch's version of `name` and retires the
+  // prefix-cache entries of the older ones. Callers must hold writer_mu_
+  // (AddView takes it; UpdateView already holds it).
   void PublishView(const std::string& name,
                    std::shared_ptr<const Factorisation> fp);
 
@@ -297,6 +309,10 @@ class Database {
       std::make_shared<const ViewMap>();
   // Set when this database was opened from a snapshot; shared with copies.
   std::shared_ptr<storage::SnapshotState> snapshot_;
+  // Restructured intermediates of FdbEngine statements over views_'s
+  // versions. Not shared with copies: entries are a cache, and each
+  // Database publishes its own versions.
+  PrefixCache prefix_cache_;
   // Incremental-checkpoint state (Save/Checkpoint): the retained node
   // index and pinned versions of the last base/delta written. Mutable
   // cache — the logical database is untouched. Not shared with copies

@@ -126,14 +126,6 @@ Relation FullAggregation(const Factorisation& f, const BoundQuery& q) {
 }  // namespace
 
 Factorisation FdbEngine::InputFactorisation(const BoundQuery& q) {
-  if (q.from.size() == 1) {
-    // Hold the snapshot while copying: a concurrent UpdateView swap must
-    // not retire this version under us (the copy then co-owns the arenas).
-    if (std::shared_ptr<const Factorisation> v =
-            db_->ViewSnapshot(q.from[0])) {
-      return *v;  // cheap: shares all union nodes
-    }
-  }
   std::vector<const Relation*> rels;
   // System tables materialise fresh per query; FactoriseJoin copies their
   // data into its own arena, so the owned relations may die on return.
@@ -249,10 +241,16 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
   }
 
   FdbResult result;
+  // One snapshot is both the input and the prefix-cache key: taking them
+  // apart could pair one version's data with another version's key.
+  std::shared_ptr<const Factorisation> version;
   Factorisation fact;
   {
     obs::SpanScope span(tr, "input");
-    fact = InputFactorisation(q);
+    if (q.from.size() == 1) version = db_->ViewSnapshot(q.from[0]);
+    // A view's copy is cheap: it shares all union nodes, and holding
+    // `version` keeps a concurrent UpdateView from retiring them.
+    fact = version != nullptr ? *version : InputFactorisation(q);
     if (tr != nullptr) {
       std::string from;
       for (const std::string& name : q.from) {
@@ -260,11 +258,15 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
         from += name;
       }
       span.NoteStr("from", from);
-      // ComputeFootprint walks the whole DAG, so it runs only on traced
-      // queries; the sample doubles as the statement store's footprint.
-      result.input_footprint = ComputeFootprint(fact);
-      NoteFootprint(span, *result.input_footprint);
     }
+  }
+  if (tr != nullptr) {
+    // ComputeFootprint walks the whole DAG, so it runs only on traced
+    // queries, in a span of its own; the sample doubles as the statement
+    // store's footprint.
+    obs::SpanScope span(tr, "footprint");
+    result.input_footprint = ComputeFootprint(fact);
+    NoteFootprint(span, *result.input_footprint);
   }
   AttributeRegistry* reg = &db_->registry();
 
@@ -302,6 +304,11 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
   }
 
   // --- execute the f-plan --------------------------------------------------
+  // The arena this statement last shared with the prefix cache, held until
+  // it returns: ArenaForWrite then never finds the statement the arena's
+  // sole owner again, so it never appends to an arena another thread has
+  // read through the cache (even once every cached copy is gone).
+  std::shared_ptr<const FactArena> shared;
   {
     obs::SpanScope ops_span(tr, "ops");
     int64_t ops_t0 = tr != nullptr ? obs::NowNs() : 0;
@@ -309,18 +316,40 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     // EXPLAIN ANALYZE always collects per-operator stats — that is the
     // point of running it, even though the per-op singleton counts cost
     // extra walks.
-    ExecutePlan(&fact, reg, result.plan,
-                options.collect_stats || tr != nullptr ? &result.op_stats
-                                                       : nullptr);
+    bool stats = options.collect_stats || tr != nullptr;
+    const FPlan& plan = result.plan;
+    // Resume after the longest cached prefix of the plan over this view
+    // version, and cache every intermediate built after it except the
+    // final op's output: that op and the enumeration always run.
+    PrefixCache& cache = db_->prefix_cache();
+    size_t cached =
+        version != nullptr ? cache.Restore(q.from[0], version, plan, &fact) : 0;
+    if (cached > 0) shared = fact.arena();
+    if (stats) {
+      for (size_t i = 0; i < cached; ++i) {
+        result.op_stats.push_back({plan[i].kind, -1, 0.0, /*cached=*/true});
+      }
+    }
+    ExecutePlan(&fact, reg, plan, stats ? &result.op_stats : nullptr, cached,
+                [&](size_t done) {
+                  if (version == nullptr || done == plan.size()) return;
+                  cache.Insert(q.from[0], version, plan, done, fact);
+                  shared = fact.arena();
+                });
     result.exec_seconds = Since(t0);
     if (tr != nullptr) {
+      ops_span.NoteInt("cached_ops", static_cast<int64_t>(cached));
       // Per-op child spans reconstructed from the operator stats: the ops
       // ran sequentially, so chain their durations from the phase start.
       int64_t cursor = ops_t0;
       for (const FOpStats& s : result.op_stats) {
         int64_t dur = static_cast<int64_t>(s.seconds * 1e9);
         int id = tr->AddComplete(FOpKindName(s.kind), cursor, dur);
-        tr->NoteInt(id, "singletons_after", s.singletons_after);
+        if (s.cached) {
+          tr->NoteInt(id, "cached", 1);
+        } else {
+          tr->NoteInt(id, "singletons_after", s.singletons_after);
+        }
         cursor += dur;
       }
     }

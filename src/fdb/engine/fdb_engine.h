@@ -102,6 +102,8 @@ class FdbEngine {
  private:
   FdbResult ExecuteImpl(const BoundQuery& q, const FdbOptions& options,
                         RowSink* sink);
+  // The factorised natural join of q's base relations and system tables;
+  // ExecuteImpl reads a single view itself.
   Factorisation InputFactorisation(const BoundQuery& q);
 
   Database* db_;

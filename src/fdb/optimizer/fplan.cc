@@ -34,18 +34,20 @@ std::vector<int> ExecuteOp(Factorisation* f, AttributeRegistry* reg,
 }
 
 void ExecutePlan(Factorisation* f, AttributeRegistry* reg, const FPlan& plan,
-                 std::vector<FOpStats>* stats) {
-  for (const FOp& op : plan) {
+                 std::vector<FOpStats>* stats, size_t first,
+                 const std::function<void(size_t)>& after_op) {
+  for (size_t i = first; i < plan.size(); ++i) {
     auto t0 = std::chrono::steady_clock::now();
-    ExecuteOp(f, reg, op);
+    ExecuteOp(f, reg, plan[i]);
     if (stats != nullptr) {
       auto t1 = std::chrono::steady_clock::now();
       FOpStats s;
-      s.kind = op.kind;
+      s.kind = plan[i].kind;
       s.seconds = std::chrono::duration<double>(t1 - t0).count();
       s.singletons_after = f->CountSingletons();
       stats->push_back(s);
     }
+    if (after_op) after_op(i + 1);
   }
 }
 

@@ -2,6 +2,7 @@
 #define FDB_OPTIMIZER_FPLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,16 +49,29 @@ struct FOp {
   static FOp Rename(int a, std::string to) {
     return {FOpKind::kRename, a, -1, {}, {}, {}, std::move(to)};
   }
+
+  /// Structural equality: two equal ops map equal inputs to equal
+  /// outputs. The constant must match in type too (1 and 1.0 compare
+  /// equal as values but are different ops).
+  bool operator==(const FOp& o) const {
+    return kind == o.kind && a == o.a && b == o.b && cmp == o.cmp &&
+           constant == o.constant &&
+           constant.is_double() == o.constant.is_double() &&
+           tasks == o.tasks && rename_to == o.rename_to;
+  }
 };
 
 /// An f-plan: a sequence of operators (§5).
 using FPlan = std::vector<FOp>;
 
-/// Execution statistics for one operator.
+/// Execution statistics for one operator. An op the engine restored
+/// from its f-plan prefix cache did not run: `cached` is set, `seconds`
+/// is 0 and `singletons_after` is -1 (not measured).
 struct FOpStats {
   FOpKind kind;
   int64_t singletons_after = 0;
   double seconds = 0.0;
+  bool cached = false;
 };
 
 /// Applies one operator to the factorisation (tree and data).
@@ -65,9 +79,13 @@ struct FOpStats {
 std::vector<int> ExecuteOp(Factorisation* f, AttributeRegistry* reg,
                            const FOp& op);
 
-/// Applies a whole plan, optionally recording per-operator statistics.
+/// Applies plan[first..] to `f`, which must already hold the result of
+/// the ops before `first`, optionally appending per-operator statistics.
+/// `after_op`, when set, runs after each op with the number of the plan's
+/// ops applied so far.
 void ExecutePlan(Factorisation* f, AttributeRegistry* reg, const FPlan& plan,
-                 std::vector<FOpStats>* stats = nullptr);
+                 std::vector<FOpStats>* stats = nullptr, size_t first = 0,
+                 const std::function<void(size_t)>& after_op = nullptr);
 
 /// Human-readable plan rendering for logs and tests.
 std::string PlanToString(const FPlan& plan, const AttributeRegistry& reg);

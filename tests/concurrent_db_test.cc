@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/engine/fdb_engine.h"
+#include "fdb/engine/rdb_engine.h"
 #include "fdb/query/parser.h"
 #include "test_util.h"
 
@@ -235,6 +237,85 @@ TEST(ConcurrentDbTest, ConcurrentQueriesOnSharedView) {
   stop.store(true);
   writer.join();
   EXPECT_TRUE(ok.load());
+}
+
+
+TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
+  // Readers resume a restructuring plan from the prefix cache while a
+  // writer publishes new versions: entries of retired versions are
+  // dropped under them, and stale inserts race the publish. Every answer
+  // must be the answer on some published version.
+  constexpr int kVersions = 60;
+  const std::string sql =
+      "SELECT cq_b, sum(cq_a), count(*) FROM V GROUP BY cq_b";
+  auto insert = [](int64_t i) {
+    return [i](Factorisation* f) { InsertTuple(f, Row({100000 + i, i % 7})); };
+  };
+  Database db;
+  {
+    AttrId a = db.Attr("cq_a"), b = db.Attr("cq_b");
+    Relation r{RelSchema({a, b})};
+    for (int64_t x = 0; x < 1500; ++x) r.Add({Value(x), Value(x % 7)});
+    db.AddView("V", FactoriseRelation(r, {a, b}));
+  }
+  // The answer on every version, from the relational engine on a copy
+  // that publishes the same versions ahead of time.
+  std::vector<Relation> expected;
+  {
+    Database ahead(db);
+    RdbEngine rdb(&ahead);
+    for (int64_t i = 0; i <= kVersions; ++i) {
+      expected.push_back(rdb.ExecuteSql(sql).flat);
+      if (i < kVersions) {
+        ASSERT_TRUE(ahead.UpdateView("V", insert(i)));
+      }
+    }
+  }
+  ASSERT_GE(FdbEngine(&db).ExecuteSql(sql).plan.size(), 2u)
+      << "the query must have a proper prefix to cache";
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> ok{true};
+  std::atomic<int64_t> resumed{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      FdbOptions opt;
+      opt.collect_stats = true;
+      FdbEngine engine(&db);
+      while (!stop.load(std::memory_order_relaxed)) {
+        FdbResult r = engine.ExecuteSql(sql, opt);
+        bool published = false;
+        for (const Relation& e : expected) {
+          if (r.flat.BagEquals(e)) {
+            published = true;
+            break;
+          }
+        }
+        if (!published) ok.store(false);
+        if (!r.op_stats.empty() && r.op_stats.front().cached) {
+          resumed.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  // Let the readers cache (and hit) each version before retiring it. The
+  // deadline bounds the whole test, so a cache that never hits fails the
+  // check below instead of hanging.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int64_t i = 0; i < kVersions; ++i) {
+    int64_t seen = resumed.load();
+    while (resumed.load() == seen &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(db.UpdateView("V", insert(i)));
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_TRUE(ok.load());
+  EXPECT_GT(resumed.load(), 0);
+  EXPECT_TRUE(FdbEngine(&db).ExecuteSql(sql).flat.BagEquals(expected.back()));
 }
 
 }  // namespace

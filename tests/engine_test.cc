@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "fdb/core/build.h"
 #include "fdb/engine/rdb_engine.h"
+#include "fdb/obs/metrics.h"
 #include "fdb/obs/trace.h"
+#include "fdb/workload/generator.h"
 #include "test_util.h"
 
 namespace fdb {
@@ -260,8 +263,9 @@ TEST(EngineTest, ExplainAnalyzeShape) {
 
   std::string report = obs::ExplainReport(*r.trace);
   // Phases appear in execution order.
-  std::vector<std::string> phases = {"parse", "bind",      "input",
-                                     "optimise", "ops",    "aggregate"};
+  std::vector<std::string> phases = {"parse",    "bind", "input",
+                                     "footprint", "optimise", "ops",
+                                     "aggregate"};
   size_t pos = 0;
   for (const std::string& phase : phases) {
     size_t at = report.find(phase + ":", pos);
@@ -269,12 +273,13 @@ TEST(EngineTest, ExplainAnalyzeShape) {
                                      << "' in:\n" << report;
     pos = at;
   }
-  // Factorisation stats on the input span (the paper's size gap).
+  // Factorisation stats on the footprint span (the paper's size gap).
   EXPECT_NE(report.find("unions="), std::string::npos) << report;
   EXPECT_NE(report.find("singletons="), std::string::npos) << report;
   EXPECT_NE(report.find("flat_values="), std::string::npos) << report;
   EXPECT_NE(report.find("compression="), std::string::npos) << report;
   EXPECT_NE(report.find("rows=3"), std::string::npos) << report;
+  EXPECT_NE(report.find("cached_ops="), std::string::npos) << report;
   // Per-op child spans were reconstructed from the operator stats.
   EXPECT_EQ(r.op_stats.size(), r.plan.size());
 
@@ -301,6 +306,202 @@ TEST(EngineTest, ExplainAnalyzeRdb) {
   EXPECT_NE(report.find("materialise-inputs:"), std::string::npos) << report;
   EXPECT_NE(report.find("join:"), std::string::npos) << report;
   EXPECT_NE(report.find("aggregate:"), std::string::npos) << report;
+}
+
+
+// --- f-plan prefix cache --------------------------------------------------
+
+// The §6 aggregate queries Q1-Q9 over view R1: Figure 3's group-bys and
+// their ordered variants.
+const std::vector<std::string>& AggQueries() {
+  static const std::vector<std::string> q = {
+      "SELECT package, date, customer, sum(price) FROM R1 "
+      "GROUP BY package, date, customer",
+      "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer",
+      "SELECT date, package, sum(price) FROM R1 GROUP BY date, package",
+      "SELECT package, sum(price) FROM R1 GROUP BY package",
+      "SELECT sum(price) FROM R1",
+      "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer "
+      "ORDER BY customer",
+      "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer "
+      "ORDER BY revenue",
+      "SELECT date, package, sum(price) AS s FROM R1 GROUP BY date, "
+      "package ORDER BY date, package",
+      "SELECT date, package, sum(price) AS s FROM R1 GROUP BY date, "
+      "package ORDER BY package, date",
+  };
+  return q;
+}
+
+// Turns metrics on for one test: the cache's counters only count then.
+class MetricsOn {
+ public:
+  MetricsOn() : was_(obs::MetricsEnabled()) { obs::SetMetricsEnabled(true); }
+  ~MetricsOn() { obs::SetMetricsEnabled(was_); }
+
+ private:
+  bool was_;
+};
+
+uint64_t Count(const char* name) {
+  return obs::Registry::Instance().GetCounter(name).Value();
+}
+
+size_t CachedOps(const FdbResult& r) {
+  size_t n = 0;
+  for (const FOpStats& s : r.op_stats) n += s.cached ? 1 : 0;
+  return n;
+}
+
+// Runs `sql` on FDB (with per-op stats) and expects RDB's answer.
+FdbResult RunAgainstRdb(Database* db, const std::string& sql) {
+  FdbOptions opt;
+  opt.collect_stats = true;
+  FdbResult fr = FdbEngine(db).ExecuteSql(sql, opt);
+  RdbResult rr = RdbEngine(db).ExecuteSql(sql);
+  EXPECT_TRUE(SameBag(fr.flat, rr.flat, db->registry())) << sql;
+  EXPECT_EQ(fr.op_stats.size(), fr.plan.size()) << sql;
+  return fr;
+}
+
+TEST(PrefixCacheTest, EveryAggregateQueryMatchesRdbColdAndCached) {
+  MetricsOn metrics;
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  size_t multi_op = 0;
+  for (const std::string& sql : AggQueries()) {
+    uint64_t hits = Count("engine.prefix_cache.hits");
+    FdbResult cold = RunAgainstRdb(&db, sql);
+    FdbResult warm = RunAgainstRdb(&db, sql);
+    // The same rows in the same order, from the same plan.
+    EXPECT_EQ(warm.flat.rows(), cold.flat.rows()) << sql;
+    ASSERT_EQ(warm.plan.size(), cold.plan.size()) << sql;
+    // A first run may already resume from another query's prefix (Q8 and
+    // Q9 restructure R1 as Q3 does); the second resumes from its own.
+    if (cold.plan.size() < 2) {
+      EXPECT_EQ(CachedOps(warm), 0u) << sql;  // no proper prefix to cache
+      continue;
+    }
+    ++multi_op;
+    // Everything but the final op came from the cache.
+    EXPECT_EQ(CachedOps(warm), warm.plan.size() - 1) << sql;
+    EXPECT_FALSE(warm.op_stats.back().cached) << sql;
+    EXPECT_GT(Count("engine.prefix_cache.hits"), hits) << sql;
+  }
+  EXPECT_GE(multi_op, 3u);  // Q2, Q6 and Q7 restructure R1 at least
+  EXPECT_GT(db.prefix_cache().size(), 0u);
+  EXPECT_LE(db.prefix_cache().bytes(), PrefixCache::kBudgetBytes);
+}
+
+TEST(PrefixCacheTest, PublishingAVersionMissesAndReadsTheNewContents) {
+  MetricsOn metrics;
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  const std::string& q2 = AggQueries()[1];
+  RunAgainstRdb(&db, q2);
+  FdbResult warm = RunAgainstRdb(&db, q2);
+  ASSERT_GT(CachedOps(warm), 0u);
+
+  // Republish R1 without half of Orders.
+  const Relation& orders = *db.relation("Orders");
+  Relation half(orders.schema());
+  for (int64_t i = 0; i < orders.size(); i += 2) half.Add(orders.rows()[i]);
+  Factorisation next = FactoriseJoin(
+      db.view("R1")->tree(),
+      {&half, db.relation("Packages"), db.relation("Items")});
+  ASSERT_TRUE(db.UpdateView("R1", [&](Factorisation* f) { *f = next; }));
+  EXPECT_EQ(db.prefix_cache().size(), 0u);  // the old version's entries
+
+  uint64_t misses = Count("engine.prefix_cache.misses");
+  FdbResult fresh = RunAgainstRdb(&db, q2);
+  EXPECT_EQ(CachedOps(fresh), 0u);
+  EXPECT_GT(Count("engine.prefix_cache.misses"), misses);
+  EXPECT_FALSE(SameBag(fresh.flat, warm.flat, db.registry()));
+  // The new version is cached in turn.
+  EXPECT_GT(CachedOps(RunAgainstRdb(&db, q2)), 0u);
+}
+
+TEST(PrefixCacheTest, ForcedEvictionKeepsAnswersRight) {
+  MetricsOn metrics;
+  // How much the queries cache with room to spare.
+  int64_t full = 0;
+  {
+    Database db;
+    InstallWorkload(&db, SmallParams(1));
+    for (const std::string& sql : AggQueries()) RunAgainstRdb(&db, sql);
+    full = db.prefix_cache().bytes();
+    ASSERT_GT(db.prefix_cache().size(), 1u);
+  }
+  Database db(/*prefix_cache_bytes=*/full / 2);
+  InstallWorkload(&db, SmallParams(1));
+  uint64_t evictions = Count("engine.prefix_cache.evictions");
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& sql : AggQueries()) {
+      RunAgainstRdb(&db, sql);
+      EXPECT_LE(db.prefix_cache().bytes(), full / 2);
+    }
+  }
+  EXPECT_GT(Count("engine.prefix_cache.evictions"), evictions);
+}
+
+TEST(PrefixCacheTest, CopiedDatabaseStartsEmpty) {
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  RunAgainstRdb(&db, AggQueries()[1]);
+  ASSERT_GT(db.prefix_cache().size(), 0u);
+  Database copy(db);
+  EXPECT_EQ(copy.prefix_cache().size(), 0u);
+  EXPECT_GT(CachedOps(RunAgainstRdb(&db, AggQueries()[1])), 0u);
+  EXPECT_EQ(CachedOps(RunAgainstRdb(&copy, AggQueries()[1])), 0u);
+}
+
+TEST(PrefixCacheTest, KeyIsViewVersionAndProperPrefix) {
+  Pizzeria p = MakePizzeria();
+  auto v1 = std::make_shared<const Factorisation>(p.view());
+  auto v2 = std::make_shared<const Factorisation>(p.view());
+  FPlan plan = {FOp::Swap(1), FOp::Swap(2)};
+  PrefixCache cache;
+  cache.Insert("R", v1, plan, 1, *v1);
+  cache.Insert("R", v1, plan, 2, *v1);  // the whole plan: never cached
+  EXPECT_EQ(cache.size(), 1u);
+
+  Factorisation f;
+  EXPECT_EQ(cache.Restore("R", v1, plan, &f), 1u);
+  EXPECT_EQ(f.roots(), v1->roots());
+  EXPECT_EQ(cache.Restore("R", v2, plan, &f), 0u);  // an equal, other version
+  EXPECT_EQ(cache.Restore("S", v1, plan, &f), 0u);
+  EXPECT_EQ(cache.Restore("R", v1, {FOp::Swap(2), FOp::Swap(2)}, &f), 0u);
+  EXPECT_EQ(cache.Restore("R", v1, {FOp::Swap(1)}, &f), 0u);
+  EXPECT_EQ(cache.Restore("R", v1, {FOp::Swap(1), FOp::Swap(3), FOp::Swap(4)},
+                          &f),
+            1u);
+
+  // Publishing v2 drops v1's entries and refuses new ones for it.
+  cache.Publish("R", v2.get());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.bytes(), 0);
+  cache.Insert("R", v1, plan, 1, *v1);
+  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert("R", v2, plan, 1, *v2);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PrefixCacheTest, OpEqualityIsStructural) {
+  AttrId price = 7;
+  EXPECT_EQ(FOp::Swap(2), FOp::Swap(2));
+  EXPECT_FALSE(FOp::Swap(2) == FOp::Swap(3));
+  EXPECT_FALSE(FOp::Merge(1, 2) == FOp::Absorb(1, 2));
+  EXPECT_EQ(FOp::Select(1, CmpOp::kLt, Value(int64_t{3})),
+            FOp::Select(1, CmpOp::kLt, Value(int64_t{3})));
+  EXPECT_FALSE(FOp::Select(1, CmpOp::kLt, Value(int64_t{3})) ==
+               FOp::Select(1, CmpOp::kLe, Value(int64_t{3})));
+  EXPECT_FALSE(FOp::Select(1, CmpOp::kLt, Value(int64_t{3})) ==
+               FOp::Select(1, CmpOp::kLt, Value(3.0)));
+  EXPECT_EQ(FOp::Aggregate(0, {{AggFn::kSum, price}}),
+            FOp::Aggregate(0, {{AggFn::kSum, price}}));
+  EXPECT_FALSE(FOp::Aggregate(0, {{AggFn::kSum, price}}) ==
+               FOp::Aggregate(0, {{AggFn::kMax, price}}));
+  EXPECT_FALSE(FOp::Rename(0, "a") == FOp::Rename(0, "b"));
 }
 
 }  // namespace

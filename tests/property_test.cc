@@ -1,12 +1,16 @@
 // The central correctness invariant of the reproduction: on random
 // databases and a spread of query shapes, FDB (factorised evaluation, both
 // planners) and RDB (flat evaluation, both grouping algorithms, naive and
-// eager plans) must return identical results.
+// eager plans) must return identical results. Each template runs over the
+// base relations and over a view of their join, and FDB runs it twice:
+// the second run over the view resumes from the f-plan prefix cache.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
+#include "fdb/core/build.h"
 #include "fdb/engine/fdb_engine.h"
 #include "fdb/engine/rdb_engine.h"
 #include "fdb/query/parser.h"
@@ -21,7 +25,18 @@ using testing::SameBag;
 struct Instance {
   std::unique_ptr<Database> db;
   RandomDb rdb;
+  std::string view;  ///< the natural join of rdb's relations
 };
+
+// Publishes the join of the instance's relations as a view.
+void AddJoinView(Instance* inst, const std::string& name) {
+  std::vector<const Relation*> rels;
+  for (const std::string& r : inst->rdb.relation_names) {
+    rels.push_back(inst->db->relation(r));
+  }
+  inst->db->AddView(name, FactoriseJoin(ChooseFTree(rels), rels));
+  inst->view = name;
+}
 
 Instance MakeInstance(int seed, const std::string& prefix) {
   Instance inst;
@@ -34,6 +49,7 @@ Instance MakeInstance(int seed, const std::string& prefix) {
   spec.domain = 3 + seed % 4;
   inst.rdb = GenerateChainDb(inst.db.get(), prefix + std::to_string(seed),
                              spec);
+  AddJoinView(&inst, prefix + std::to_string(seed) + "_view");
   return inst;
 }
 
@@ -46,39 +62,53 @@ std::string FromList(const Instance& inst) {
   return s;
 }
 
-void ExpectAllEnginesAgree(Database* db, const std::string& sql,
-                           bool fdb_order_check = false) {
-  BoundQuery q = Bind(ParseSql(sql), db);
+// Checks FDB against the sort, hash and eager relational engines on the
+// template `sql(from)`, over the base relations and over their join view.
+// FDB's greedy planner runs each statement twice; over the view the
+// second run resumes from the f-plan prefix cache. The exhaustive planner
+// runs once, over the view: the view is the relations' join over the same
+// f-tree, so it plans the same ops for both.
+void ExpectAllEnginesAgree(
+    const Instance& inst,
+    const std::function<std::string(const std::string&)>& sql,
+    bool fdb_order_check = false) {
+  Database* db = inst.db.get();
   FdbEngine fdb(db);
   RdbEngine rdb(db);
+  for (const std::string& from : {FromList(inst), inst.view}) {
+    std::string text = sql(from);
+    BoundQuery q = Bind(ParseSql(text), db);
 
-  RdbResult reference = rdb.Execute(q);
-  RdbOptions hash;
-  hash.grouping = RdbOptions::Grouping::kHash;
-  EXPECT_TRUE(SameBag(rdb.Execute(q, hash).flat, reference.flat,
-                      db->registry()))
-      << "sort vs hash grouping: " << sql;
-  if (q.has_aggregates() && q.eq_selections.empty()) {
-    RdbOptions eager;
-    eager.eager = true;
-    EXPECT_TRUE(SameBag(rdb.Execute(q, eager).flat, reference.flat,
-                        db->registry()))
-        << "eager vs lazy: " << sql;
+    std::vector<std::pair<const char*, Relation>> relational;
+    relational.emplace_back("sort", rdb.Execute(q).flat);
+    RdbOptions hash;
+    hash.grouping = RdbOptions::Grouping::kHash;
+    relational.emplace_back("hash", rdb.Execute(q, hash).flat);
+    if (q.has_aggregates() && q.eq_selections.empty()) {
+      RdbOptions eager;
+      eager.eager = true;
+      relational.emplace_back("eager", rdb.Execute(q, eager).flat);
+    }
+
+    std::vector<std::pair<const char*, FdbResult>> runs;
+    runs.emplace_back("FDB run 1", fdb.Execute(q));
+    runs.emplace_back("FDB run 2", fdb.Execute(q));
+    if (from == inst.view) {
+      FdbOptions ex;
+      ex.planner = FdbOptions::Planner::kExhaustive;
+      ex.exhaustive_max_states = 3000;
+      runs.emplace_back("FDB exhaustive", fdb.Execute(q, ex));
+    }
+    for (const auto& [run, fr] : runs) {
+      for (const auto& [engine, flat] : relational) {
+        EXPECT_TRUE(SameBag(fr.flat, flat, db->registry()))
+            << run << " vs " << engine << ": " << text;
+      }
+      if (fdb_order_check && !q.order_by.empty()) {
+        EXPECT_TRUE(fr.flat.IsSortedBy(q.order_by)) << run << ": " << text;
+      }
+    }
   }
-
-  FdbResult fr = fdb.Execute(q);
-  EXPECT_TRUE(SameBag(fr.flat, reference.flat, db->registry()))
-      << "FDB vs RDB: " << sql;
-  if (fdb_order_check && !q.order_by.empty()) {
-    EXPECT_TRUE(fr.flat.IsSortedBy(q.order_by)) << sql;
-  }
-
-  FdbOptions ex;
-  ex.planner = FdbOptions::Planner::kExhaustive;
-  ex.exhaustive_max_states = 3000;
-  FdbResult fx = fdb.Execute(q, ex);
-  EXPECT_TRUE(SameBag(fx.flat, reference.flat, db->registry()))
-      << "FDB exhaustive vs RDB: " << sql;
 }
 
 class DifferentialProperty : public ::testing::TestWithParam<int> {};
@@ -87,9 +117,9 @@ TEST_P(DifferentialProperty, GroupBySumPerFirstAttr) {
   Instance inst = MakeInstance(GetParam(), "pa");
   const std::string& g = inst.rdb.attr_names.front();
   const std::string& s = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(
-      inst.db.get(), "SELECT " + g + ", sum(" + s + ") FROM " +
-                         FromList(inst) + " GROUP BY " + g);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g + ", sum(" + s + ") FROM " + from + " GROUP BY " + g;
+  });
 }
 
 TEST_P(DifferentialProperty, GroupByMiddleAttrAllAggregates) {
@@ -97,10 +127,11 @@ TEST_P(DifferentialProperty, GroupByMiddleAttrAllAggregates) {
   const std::string& g =
       inst.rdb.attr_names[inst.rdb.attr_names.size() / 2];
   const std::string& s = inst.rdb.attr_names.front();
-  ExpectAllEnginesAgree(
-      inst.db.get(),
-      "SELECT " + g + ", count(*), sum(" + s + "), min(" + s + "), max(" +
-          s + "), avg(" + s + ") FROM " + FromList(inst) + " GROUP BY " + g);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g + ", count(*), sum(" + s + "), min(" + s +
+           "), max(" + s + "), avg(" + s + ") FROM " + from + " GROUP BY " +
+           g;
+  });
 }
 
 TEST_P(DifferentialProperty, TwoGroupAttributesWithOrder) {
@@ -108,20 +139,19 @@ TEST_P(DifferentialProperty, TwoGroupAttributesWithOrder) {
   const std::string& g1 = inst.rdb.attr_names.front();
   const std::string& g2 = inst.rdb.attr_names.back();
   const std::string& s = inst.rdb.attr_names[1];
-  ExpectAllEnginesAgree(
-      inst.db.get(),
-      "SELECT " + g2 + ", " + g1 + ", sum(" + s + ") FROM " +
-          FromList(inst) + " GROUP BY " + g2 + ", " + g1 + " ORDER BY " +
-          g2 + " DESC, " + g1,
-      /*fdb_order_check=*/true);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g2 + ", " + g1 + ", sum(" + s + ") FROM " + from +
+           " GROUP BY " + g2 + ", " + g1 + " ORDER BY " + g2 + " DESC, " +
+           g1;
+  }, /*fdb_order_check=*/true);
 }
 
 TEST_P(DifferentialProperty, GlobalAggregates) {
   Instance inst = MakeInstance(GetParam(), "pd");
   const std::string& s = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT count(*), sum(" + s + "), min(" + s +
-                            ") FROM " + FromList(inst));
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT count(*), sum(" + s + "), min(" + s + ") FROM " + from;
+  });
 }
 
 TEST_P(DifferentialProperty, ConstantSelections) {
@@ -129,49 +159,47 @@ TEST_P(DifferentialProperty, ConstantSelections) {
   const std::string& g = inst.rdb.attr_names.front();
   const std::string& s = inst.rdb.attr_names.back();
   const std::string& w = inst.rdb.attr_names[1];
-  ExpectAllEnginesAgree(
-      inst.db.get(), "SELECT " + g + ", count(*) FROM " + FromList(inst) +
-                         " WHERE " + w + " >= 1 AND " + s + " < 3 GROUP BY " +
-                         g);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g + ", count(*) FROM " + from + " WHERE " + w +
+           " >= 1 AND " + s + " < 3 GROUP BY " + g;
+  });
 }
 
 TEST_P(DifferentialProperty, EqualitySelection) {
   Instance inst = MakeInstance(GetParam(), "pf");
   const std::string& a = inst.rdb.attr_names.front();
   const std::string& b = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT count(*) FROM " + FromList(inst) +
-                            " WHERE " + a + " = " + b);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT count(*) FROM " + from + " WHERE " + a + " = " + b;
+  });
 }
 
 TEST_P(DifferentialProperty, DistinctProjection) {
   Instance inst = MakeInstance(GetParam(), "pg");
   const std::string& a = inst.rdb.attr_names.front();
   const std::string& b = inst.rdb.attr_names[inst.rdb.attr_names.size() / 2];
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT DISTINCT " + b + ", " + a + " FROM " +
-                            FromList(inst));
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT DISTINCT " + b + ", " + a + " FROM " + from;
+  });
 }
 
 TEST_P(DifferentialProperty, OrderByAggregateWithHavingAndLimit) {
   Instance inst = MakeInstance(GetParam(), "ph");
   const std::string& g = inst.rdb.attr_names.front();
   const std::string& s = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(
-      inst.db.get(),
-      "SELECT " + g + ", sum(" + s + ") AS s_out FROM " + FromList(inst) +
-          " GROUP BY " + g +
-          " HAVING count(*) > 1 ORDER BY s_out DESC, " + g + " LIMIT 5",
-      /*fdb_order_check=*/true);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g + ", sum(" + s + ") AS s_out FROM " + from +
+           " GROUP BY " + g + " HAVING count(*) > 1 ORDER BY s_out DESC, " +
+           g + " LIMIT 5";
+  }, /*fdb_order_check=*/true);
 }
 
 TEST_P(DifferentialProperty, SelectStarOrdered) {
   Instance inst = MakeInstance(GetParam(), "pi");
   const std::string& a = inst.rdb.attr_names[1];
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT * FROM " + FromList(inst) + " ORDER BY " +
-                            a + " DESC",
-                        /*fdb_order_check=*/false);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT * FROM " + from + " ORDER BY " + a + " DESC";
+  }, /*fdb_order_check=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialProperty,
@@ -199,13 +227,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OrderedStarProperty, ::testing::Range(0, 8));
 // Star-schema joins produce *branching* f-trees (satellites independent
 // given the hub) — the shape where factorisation pays off most. The same
 // differential invariants must hold there.
-struct StarInstance {
-  std::unique_ptr<Database> db;
-  RandomDb rdb;
-};
-
-StarInstance MakeStarInstance(int seed, const std::string& prefix) {
-  StarInstance inst;
+Instance MakeStarInstance(int seed, const std::string& prefix) {
+  Instance inst;
   inst.db = std::make_unique<Database>();
   RandomDbSpec spec;
   spec.seed = static_cast<uint64_t>(seed);
@@ -215,29 +238,27 @@ StarInstance MakeStarInstance(int seed, const std::string& prefix) {
   spec.domain = 3 + seed % 3;
   inst.rdb = GenerateStarDb(inst.db.get(), prefix + std::to_string(seed),
                             spec);
+  AddJoinView(&inst, prefix + std::to_string(seed) + "_view");
   return inst;
 }
 
 class StarDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(StarDifferential, AggregatesAgree) {
-  StarInstance inst = MakeStarInstance(GetParam(), "st");
-  std::string from;
-  for (size_t i = 0; i < inst.rdb.relation_names.size(); ++i) {
-    if (i) from += ", ";
-    from += inst.rdb.relation_names[i];
-  }
+  Instance inst = MakeStarInstance(GetParam(), "st");
   const std::string& g = inst.rdb.attr_names[0];  // a spoke attribute
   const std::string& s = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT " + g + ", count(*), sum(" + s + "), min(" +
-                            s + ") FROM " + from + " GROUP BY " + g);
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT count(*), sum(" + s + ") FROM " + from);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT " + g + ", count(*), sum(" + s + "), min(" + s +
+           ") FROM " + from + " GROUP BY " + g;
+  });
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT count(*), sum(" + s + ") FROM " + from;
+  });
 }
 
 TEST_P(StarDifferential, BranchingTreeIsChosen) {
-  StarInstance inst = MakeStarInstance(GetParam(), "sb");
+  Instance inst = MakeStarInstance(GetParam(), "sb");
   std::vector<const Relation*> rels;
   for (const std::string& name : inst.rdb.relation_names) {
     rels.push_back(inst.db->relation(name));
@@ -253,18 +274,13 @@ TEST_P(StarDifferential, BranchingTreeIsChosen) {
 }
 
 TEST_P(StarDifferential, DistinctProjectionAndOrderAgree) {
-  StarInstance inst = MakeStarInstance(GetParam(), "sc");
-  std::string from;
-  for (size_t i = 0; i < inst.rdb.relation_names.size(); ++i) {
-    if (i) from += ", ";
-    from += inst.rdb.relation_names[i];
-  }
+  Instance inst = MakeStarInstance(GetParam(), "sc");
   const std::string& a = inst.rdb.attr_names[0];
   const std::string& b = inst.rdb.attr_names.back();
-  ExpectAllEnginesAgree(inst.db.get(),
-                        "SELECT DISTINCT " + a + ", " + b + " FROM " + from +
-                            " ORDER BY " + a + " DESC, " + b,
-                        /*fdb_order_check=*/true);
+  ExpectAllEnginesAgree(inst, [&](const std::string& from) {
+    return "SELECT DISTINCT " + a + ", " + b + " FROM " + from +
+           " ORDER BY " + a + " DESC, " + b;
+  }, /*fdb_order_check=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StarDifferential, ::testing::Range(0, 10));

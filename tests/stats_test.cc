@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fdb/optimizer/cost.h"
+#include "fdb/workload/generator.h"
 #include "test_util.h"
 
 namespace fdb {
@@ -78,6 +79,22 @@ TEST(StatsTest, EmptyFactorisation) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].singletons, 0);
   EXPECT_EQ(stats[0].unions, 1);
+}
+
+// FactoriseJoin's parallel build freezes nodes into worker arenas that
+// the result's arena adopts: the footprint counts the whole chain, at
+// any pool size (run it with FDB_THREADS=1 and FDB_THREADS=4).
+TEST(StatsTest, ArenaBytesCountTheWholeChain) {
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  const Factorisation* view = db.view("R1");
+  ASSERT_NE(view, nullptr);
+  FactFootprint fp = ComputeFootprint(*view);
+  EXPECT_EQ(fp.arena_bytes, view->arena()->chain_bytes());
+  // Every stored singleton is an 8-byte ValueRef in some arena of the
+  // chain.
+  EXPECT_GE(fp.arena_bytes,
+            fp.singletons * static_cast<int64_t>(sizeof(ValueRef)));
 }
 
 TEST(StatsTest, RenderedTableContainsLabels) {
