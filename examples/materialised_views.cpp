@@ -7,28 +7,29 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
 #include "fdb/fdb.h"
+#include "fdb/storage/snapshot.h"
 
 using namespace fdb;
 
 int main(int argc, char** argv) {
   int scale = argc > 1 ? std::atoi(argv[1]) : 2;
-  std::string path = "/tmp/fdb_r1_view.fdb";
+  std::string path =
+      (std::filesystem::temp_directory_path() / "fdb_r1_view.fdbs").string();
 
   // --- build and persist ---------------------------------------------------
   Database db;
   int64_t singletons = InstallWorkload(&db, SmallParams(scale), "R1");
   std::cout << "built view R1: " << singletons << " singletons ("
             << db.view("R1")->CountTuples() << " tuples represented)\n";
-  SaveFactorisation(*db.view("R1"), db.registry(), path);
+  db.Save(path);
   std::cout << "saved to " << path << "\n";
 
   // --- reload into a fresh database and query ------------------------------
-  Database fresh;
-  fresh.AddView("R1", LoadFactorisation(path, &fresh.registry()));
-  std::remove(path.c_str());
+  Database fresh = Database::Open(path);
   FdbEngine engine(&fresh);
   FdbResult top = engine.ExecuteSql(
       "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer "
@@ -63,5 +64,11 @@ int main(int argc, char** argv) {
             << (ContainsTuple(r3, order) ? "yes" : "no") << "\n";
   DeleteTuple(&r3, order);
   std::cout << "after delete: " << r3.CountTuples() << " tuples\n";
+
+  // --- clean up the snapshot: the base file and any delta files ------------
+  std::remove(path.c_str());
+  for (uint64_t seq = 1;
+       std::remove(storage::DeltaPath(path, seq).c_str()) == 0; ++seq) {
+  }
   return 0;
 }

@@ -1,5 +1,5 @@
 // Fuzz target: the snapshot reader. The input bytes are treated as a
-// whole snapshot file image (base format, v1..v3) and opened through the
+// whole snapshot file image (base format, v3) and opened through the
 // same path Database::Open uses; every view is then materialised so the
 // deferred fix-up pass runs too. Invariant: arbitrary bytes either open
 // or throw std::invalid_argument naming the corruption — never a crash

@@ -241,13 +241,12 @@ void CheckPersistState(const Database& db, const storage::PersistState& ps,
 namespace {
 
 struct FileEnvelope {
-  storage::FileHeader header;
   std::vector<storage::SectionEntry> entries;
   std::string bytes;
 };
 
-/// Reads and validates one chain file's envelope; section CRCs are
-/// verified for version >= 3. Returns nullopt (with issues) on damage.
+/// Reads and validates one chain file's envelope and verifies every
+/// section's CRC. Returns nullopt (with issues) on damage.
 std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
                                              Report* out) {
   using namespace storage;
@@ -264,11 +263,10 @@ std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
     out->Add("chain-envelope", path + ": shorter than its header");
     return std::nullopt;
   }
-  std::memcpy(&env.header, env.bytes.data(), sizeof(FileHeader));
-  const FileHeader& h = env.header;
+  FileHeader h;
+  std::memcpy(&h, env.bytes.data(), sizeof(FileHeader));
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.endian != kEndianProbe || h.version < kMinVersion ||
-      h.version > kVersion) {
+      h.endian != kEndianProbe || h.version != kVersion) {
     out->Add("chain-envelope", path + ": bad magic/version/endianness");
     return std::nullopt;
   }
@@ -293,8 +291,7 @@ std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
                path + ": section " + std::to_string(e.kind) + " out of range");
       return std::nullopt;
     }
-    if (h.version >= 3 &&
-        Crc32(env.bytes.data() + e.offset, e.size) != e.crc32) {
+    if (Crc32(env.bytes.data() + e.offset, e.size) != e.crc32) {
       out->Add("section-crc", path + ": section " + std::to_string(e.kind) +
                                   " payload crc mismatch");
     }
@@ -324,11 +321,12 @@ void CheckChainFiles(const std::string& path, Report* out) {
   std::optional<FileEnvelope> base = ReadFileEnvelope(path, out);
   if (!base.has_value()) return;
 
-  uint64_t base_epoch = 0;
-  if (const SectionEntry* meta = FindSection(*base, kSectionMeta);
-      meta != nullptr && meta->size >= sizeof(uint64_t)) {
-    base_epoch = ReadU64(*base, meta->offset);
+  const SectionEntry* meta = FindSection(*base, kSectionMeta);
+  if (meta == nullptr || meta->size < sizeof(uint64_t)) {
+    out->Add("chain-envelope", path + ": missing meta section");
+    return;
   }
+  uint64_t base_epoch = ReadU64(*base, meta->offset);
 
   uint64_t deltas = 0;
   for (uint64_t seq = 1;; ++seq) {

@@ -364,22 +364,6 @@ void FTree::RemoveLeaf(int u) {
   }
 }
 
-void FTree::RestoreWiring(const std::vector<bool>& alive,
-                          const std::vector<int>& parents,
-                          const std::vector<std::vector<int>>& children,
-                          std::vector<int> roots) {
-  if (alive.size() != nodes_.size() || parents.size() != nodes_.size() ||
-      children.size() != nodes_.size()) {
-    throw std::invalid_argument("FTree::RestoreWiring: size mismatch");
-  }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].alive = alive[i];
-    nodes_[i].parent = parents[i];
-    nodes_[i].children = children[i];
-  }
-  roots_ = std::move(roots);
-}
-
 FTree FTree::Restore(std::vector<RestoredNode> nodes, std::vector<int> roots,
                      AttributeRegistry* reg) {
   FTree tree;
@@ -399,15 +383,13 @@ FTree FTree::Restore(std::vector<RestoredNode> nodes, std::vector<int> roots,
       tree.AddNode(std::move(n.attrs), -1);
     }
   }
-  std::vector<bool> alive;
-  std::vector<int> parents;
-  std::vector<std::vector<int>> children;
-  for (RestoredNode& n : nodes) {
-    alive.push_back(n.alive);
-    parents.push_back(n.parent);
-    children.push_back(std::move(n.children));
+  // Wiring is restored wholesale, then validated as untrusted input.
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    tree.nodes_[i].alive = nodes[i].alive;
+    tree.nodes_[i].parent = nodes[i].parent;
+    tree.nodes_[i].children = std::move(nodes[i].children);
   }
-  tree.RestoreWiring(alive, parents, children, std::move(roots));
+  tree.roots_ = std::move(roots);
   std::string why;
   if (!tree.ValidateWiring(&why)) {
     throw std::invalid_argument("FTree::Restore: inconsistent wiring: " + why);

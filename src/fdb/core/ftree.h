@@ -155,18 +155,9 @@ class FTree {
   /// Renames the aggregate attribute of node `u` to fresh id `new_id`.
   void RenameAggregate(int u, AttrId new_id);
 
-  /// Deserialisation support (core/io.cc, storage/): overwrites liveness,
-  /// parentage, child order and the root list wholesale. All vectors must
-  /// be sized to num_nodes(); callers restoring untrusted input must run
-  /// ValidateWiring() afterwards.
-  void RestoreWiring(const std::vector<bool>& alive,
-                     const std::vector<int>& parents,
-                     const std::vector<std::vector<int>>& children,
-                     std::vector<int> roots);
-
-  /// One deserialised node as parsed by a reader (core/io.cc text format,
-  /// storage/ snapshots): either an aggregate (agg set) or an atomic class
-  /// (attrs; empty means a tombstoned node that lost its class).
+  /// One deserialised node as parsed by the snapshot reader (storage/):
+  /// either an aggregate (agg set) or an atomic class (attrs; empty means
+  /// a tombstoned node that lost its class).
   struct RestoredNode {
     bool alive = true;
     int parent = -1;
@@ -179,7 +170,7 @@ class FTree {
   /// (preserving ids), restores wiring wholesale and validates it with
   /// ValidateWiring. `agg.over` sets are re-sorted defensively; tombstoned
   /// atomic nodes that lost their class get a placeholder interned in
-  /// `reg` (never observed through the public API). Readers keep their
+  /// `reg` (never observed through the public API). The reader keeps its
   /// format-specific parsing and range checks; the rebuild-and-validate
   /// dance lives only here. Throws std::invalid_argument on inconsistent
   /// wiring.

@@ -12,7 +12,6 @@
 #include "fdb/core/enumerate.h"      // IWYU pragma: export
 #include "fdb/core/factorisation.h"  // IWYU pragma: export
 #include "fdb/core/ftree.h"          // IWYU pragma: export
-#include "fdb/core/io.h"             // IWYU pragma: export
 #include "fdb/core/order.h"          // IWYU pragma: export
 #include "fdb/core/ops/aggregate.h"  // IWYU pragma: export
 #include "fdb/core/ops/project.h"    // IWYU pragma: export

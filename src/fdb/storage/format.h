@@ -30,10 +30,10 @@ namespace storage {
 ///   relations     flat base relations, row-major, self-contained values
 ///   views         per view: name, f-tree, then a relocatable data
 ///                 segment (see SegmentHeader)
-///   meta          (version >= 2 only) the base epoch stamp that every
-///                 delta of this base must echo
+///   meta          the base epoch stamp that every delta of this base
+///                 must echo
 ///
-/// Delta files (version >= 2) carry what changed since the previous
+/// Delta files carry what changed since the previous
 /// checkpoint, in this order:
 ///   manifest        base epoch + 1-based delta sequence number
 ///   registry delta  names appended to the registry since the last file
@@ -75,28 +75,23 @@ namespace storage {
 /// mappings) — when the live dictionary already agrees with the
 /// snapshot, the pools' pages stay clean and page in on demand.
 ///
-/// Version compatibility: version-1 files (the original five-section
-/// layout, no meta, no deltas) are still read; version 2 added the meta
-/// section and delta files. The current writer emits version 3, which is
-/// byte-identical to version 2 except that each SectionEntry's `crc32`
-/// field (formerly `reserved`, always written 0) carries the CRC32 of
-/// the section's payload bytes; readers verify every section up front on
-/// version >= 3 and accept older files unverified.
+/// Each SectionEntry's `crc32` carries the CRC32 of the section's payload
+/// bytes; readers verify every section up front. Only kVersion is read or
+/// written: a file with any other header version is rejected.
 
 inline constexpr char kMagic[8] = {'F', 'D', 'B', 'S', 'N', 'A', 'P', '1'};
 inline constexpr uint32_t kVersion = 3;
-inline constexpr uint32_t kMinVersion = 1;  ///< oldest readable version
 inline constexpr uint32_t kEndianProbe = 0x01020304;
 
 enum SectionKind : uint32_t {
-  // Base sections (version 1 has exactly 1..5; version 2 adds 6).
+  // Base sections.
   kSectionRegistry = 1,
   kSectionDictStrings = 2,
   kSectionDictBigInts = 3,
   kSectionRelations = 4,
   kSectionViews = 5,
   kSectionMeta = 6,
-  // Delta-file sections (version 2).
+  // Delta-file sections.
   kSectionDeltaManifest = 7,
   kSectionRegistryDelta = 8,
   kSectionDictStringsDelta = 9,
@@ -116,7 +111,7 @@ struct FileHeader {
 
 struct SectionEntry {
   uint32_t kind;   ///< SectionKind
-  uint32_t crc32;  ///< payload CRC (version >= 3; 0 in older files)
+  uint32_t crc32;  ///< CRC32 of the section's payload bytes
   uint64_t offset;  ///< absolute file offset, 8-aligned
   uint64_t size;    ///< bytes
 };

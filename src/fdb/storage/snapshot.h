@@ -123,9 +123,8 @@ struct CheckpointInfo {
 /// in-memory round trips; Save streams to disk instead). View segments
 /// contain exactly the nodes reachable from the roots, so a snapshot is
 /// always compacted regardless of how much garbage the in-memory arenas
-/// carry. `version` selects the on-disk format: kVersion (default) or 1
-/// for the legacy five-section layout (compat tests).
-std::string SerialiseDatabase(const Database& db, uint32_t version = 0);
+/// carry.
+std::string SerialiseDatabase(const Database& db);
 
 /// Streams the database to `path` with bounded buffers: sections are
 /// written directly to a temp file (header and section table patched once
@@ -165,7 +164,7 @@ struct SnapshotState {
   bool strings_identity = true;
   bool bigints_identity = true;
 
-  uint64_t epoch = 0;       ///< base epoch (0 for version-1 files)
+  uint64_t epoch = 0;       ///< base epoch
   uint64_t deltas_replayed = 0;
 
   /// One relocatable data segment (base or delta) of a view. Offsets are

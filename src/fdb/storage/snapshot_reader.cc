@@ -215,10 +215,10 @@ struct Section {
 };
 
 /// Validates the file envelope and fills the per-kind section ranges.
-/// `lo..hi` are the section kinds this file type requires (base: 1..5
-/// plus meta for v2; delta: 7..12). Returns the header.
-FileHeader ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo,
-                        uint32_t hi, Section* sections) {
+/// `lo..hi` are the section kinds this file type requires (base: 1..6;
+/// delta: 7..12). Every section's payload CRC is verified.
+void ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo, uint32_t hi,
+                  Section* sections) {
   const std::byte* base = mapping.data();
   size_t size = mapping.size();
   if (size < sizeof(FileHeader)) Corrupt("file shorter than its header");
@@ -230,7 +230,7 @@ FileHeader ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo,
   if (header.endian != kEndianProbe) {
     Corrupt("endianness mismatch (snapshot written on a foreign machine)");
   }
-  if (header.version < kMinVersion || header.version > kVersion) {
+  if (header.version != kVersion) {
     Corrupt("unsupported version");
   }
   if (header.file_size != size) Corrupt("header size disagrees with file");
@@ -245,19 +245,17 @@ FileHeader ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo,
     if (e.offset % 8 != 0 || e.offset > size || e.size > size - e.offset) {
       Corrupt("section out of range");
     }
-    // Version-3 files carry per-section payload CRCs; verify every
-    // section up front, before any value-pool remap dirties the
-    // copy-on-write pages. Untouched pages stay clean and evictable —
-    // this is one extra sequential read of the file, not a copy.
-    if (header.version >= 3 &&
-        Crc32(base + e.offset, e.size) != e.crc32) {
+    // Verify every section's payload CRC up front, before any
+    // value-pool remap dirties the copy-on-write pages. Untouched pages
+    // stay clean and evictable — this is one extra sequential read of
+    // the file, not a copy.
+    if (Crc32(base + e.offset, e.size) != e.crc32) {
       Corrupt("section crc mismatch (kind " + std::to_string(e.kind) + ")");
     }
     sec.begin = e.offset;
     sec.end = e.offset + e.size;
     sec.present = true;
   }
-  return header;
 }
 
 /// Range-checks one view data segment starting at the reader's position
@@ -309,24 +307,16 @@ std::shared_ptr<SnapshotState> ParseSnapshot(
   ParseSourceScope src(mapping->source());
   const std::byte* base = mapping->data();
   Section sections[kSectionKindMax + 1];
-  FileHeader header =
-      ReadEnvelope(*mapping, kSectionRegistry, kSectionMeta, sections);
-  for (uint32_t k = kSectionRegistry; k <= kSectionViews; ++k) {
+  ReadEnvelope(*mapping, kSectionRegistry, kSectionMeta, sections);
+  for (uint32_t k = kSectionRegistry; k <= kSectionMeta; ++k) {
     if (!sections[k].present) Corrupt("missing section");
-  }
-  if (header.version >= 2 && !sections[kSectionMeta].present) {
-    Corrupt("missing section");
-  }
-  if (header.version < 2 && sections[kSectionMeta].present) {
-    Corrupt("unknown section kind");
   }
 
   auto state = std::make_shared<SnapshotState>();
   state->mapping = mapping;
-  if (sections[kSectionMeta].present) {
-    Reader in(base, sections[kSectionMeta].begin, sections[kSectionMeta].end);
-    state->epoch = in.U64();
-  }
+  state->epoch =
+      Reader(base, sections[kSectionMeta].begin, sections[kSectionMeta].end)
+          .U64();
 
   // --- registry: interning names in id order reproduces the saved ids in
   // the opened database's fresh registry.
@@ -449,7 +439,7 @@ bool ParseDeltaSnapshot(std::shared_ptr<SnapshotMapping> mapping,
               sections[kSectionDeltaManifest].end);
     uint64_t epoch = in.U64();
     uint64_t dseq = in.U64();
-    if (state->epoch == 0 || epoch != state->epoch || dseq != seq) {
+    if (epoch != state->epoch || dseq != seq) {
       return false;
     }
   }

@@ -388,10 +388,10 @@ class SegmentStreamer {
 
 /// Starts a file: header + zeroed section table. Returns the table
 /// offset for PatchSections.
-uint64_t BeginFile(Out* out, uint32_t version, size_t section_count) {
+uint64_t BeginFile(Out* out, size_t section_count) {
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = version;
+  header.version = kVersion;
   header.endian = kEndianProbe;
   header.section_count = section_count;
   out->Pod(header);
@@ -407,10 +407,8 @@ uint64_t BeginFile(Out* out, uint32_t version, size_t section_count) {
 /// Runs after the last section is written: every payload byte is final
 /// by then (segment headers are back-patched within their section), and
 /// only the header and section table — covered by no section — remain
-/// to patch. Version-2-and-older files keep the field zero.
-void FillSectionCrcs(Out* out, uint32_t version,
-                     std::vector<SectionEntry>* entries) {
-  if (version < 3) return;
+/// to patch.
+void FillSectionCrcs(Out* out, std::vector<SectionEntry>* entries) {
   std::vector<char> buf(size_t{64} << 10);
   for (SectionEntry& e : *entries) {
     uint32_t crc = 0;
@@ -430,14 +428,14 @@ void FillSectionCrcs(Out* out, uint32_t version,
 
 /// Patches the section table and the header's file size once all
 /// sections are written.
-void FinishFile(Out* out, uint32_t version, uint64_t table_at,
+void FinishFile(Out* out, uint64_t table_at,
                 const std::vector<SectionEntry>& entries) {
   for (size_t s = 0; s < entries.size(); ++s) {
     out->PatchAt(table_at + s * sizeof(SectionEntry), entries[s]);
   }
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = version;
+  header.version = kVersion;
   header.endian = kEndianProbe;
   header.file_size = out->pos();
   header.section_count = entries.size();
@@ -468,8 +466,8 @@ void UpdatePeak(SaveStats* stats, uint64_t transient) {
 
 /// The base writer, shared by SerialiseDatabase (BufferSink) and
 /// SaveSnapshot (FileSink).
-void WriteBase(Out* out, const Database& db, uint32_t version,
-               SaveStats* stats, PersistState* retain) {
+void WriteBase(Out* out, const Database& db, SaveStats* stats,
+               PersistState* retain) {
   const ValueDict& dict = db.dict();
   // Interning — and with it rank shifts and new codes — is frozen for
   // the whole serialisation: the rank-ordered string table, the
@@ -482,9 +480,8 @@ void WriteBase(Out* out, const Database& db, uint32_t version,
 
   std::vector<uint32_t> kinds = {kSectionRegistry, kSectionDictStrings,
                                  kSectionDictBigInts, kSectionRelations,
-                                 kSectionViews};
-  if (version >= 2) kinds.push_back(kSectionMeta);
-  uint64_t table_at = BeginFile(out, version, kinds.size());
+                                 kSectionViews, kSectionMeta};
+  uint64_t table_at = BeginFile(out, kinds.size());
   std::vector<SectionEntry> entries;
 
   for (uint32_t kind : kinds) {
@@ -562,8 +559,8 @@ void WriteBase(Out* out, const Database& db, uint32_t version,
     }
     entries.push_back(SectionEntry{kind, 0, begin, out->pos() - begin});
   }
-  FillSectionCrcs(out, version, &entries);
-  FinishFile(out, version, table_at, entries);
+  FillSectionCrcs(out, &entries);
+  FinishFile(out, table_at, entries);
 
   if (stats != nullptr) stats->bytes_written = out->pos();
   if (retain != nullptr) {
@@ -669,17 +666,18 @@ void WriteFileAtomically(const std::string& path,
 }
 
 /// The epoch stamp of the base file at `path`, or nullopt if the file is
-/// missing, unreadable, or has no meta section (version 1). Checkpoint
-/// reads it before appending a delta: if another writer re-based the
-/// path since this chain started, appending would stamp the delta with a
-/// dead epoch — reported as success but skipped forever at Open. A
-/// mismatch forces a rebase instead.
+/// missing, unreadable, of another format version, or has no meta
+/// section. Checkpoint reads it before appending a delta: if another
+/// writer re-based the path since this chain started, appending would
+/// stamp the delta with a dead epoch — reported as success but skipped
+/// forever at Open. A mismatch forces a rebase instead.
 std::optional<uint64_t> ReadBaseEpoch(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   FileHeader h;
   if (!in.read(reinterpret_cast<char*>(&h), sizeof(h))) return std::nullopt;
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.endian != kEndianProbe || h.version < 2 || h.section_count > 64) {
+      h.endian != kEndianProbe || h.version != kVersion ||
+      h.section_count > 64) {
     return std::nullopt;
   }
   for (uint64_t s = 0; s < h.section_count; ++s) {
@@ -746,22 +744,17 @@ void PtrIdMap::Grow() {
   }
 }
 
-std::string SerialiseDatabase(const Database& db, uint32_t version) {
-  if (version == 0) version = kVersion;
-  if (version < kMinVersion || version > kVersion) {
-    throw std::invalid_argument("snapshot: cannot write version " +
-                                std::to_string(version));
-  }
+std::string SerialiseDatabase(const Database& db) {
   BufferSink sink;
   Out out(&sink);
-  WriteBase(&out, db, version, nullptr, nullptr);
+  WriteBase(&out, db, nullptr, nullptr);
   return sink.Take();
 }
 
 void SaveSnapshot(const Database& db, const std::string& path,
                   SaveStats* stats, PersistState* retain) {
   WriteFileAtomically(path, [&](Out* out) {
-    WriteBase(out, db, kVersion, stats, retain);
+    WriteBase(out, db, stats, retain);
   });
   if (retain != nullptr) retain->path = path;
   RemoveStaleDeltas(path);
@@ -827,7 +820,7 @@ CheckpointInfo AppendCheckpoint(const Database& db, PersistState* st,
                                kSectionDictStringsDelta,
                                kSectionDictBigIntsDelta,
                                kSectionRelationsDelta, kSectionViewDeltas};
-    uint64_t table_at = BeginFile(out, kVersion, 6);
+    uint64_t table_at = BeginFile(out, 6);
     std::vector<SectionEntry> entries;
     for (uint32_t kind : kinds) {
       out->Align8();
@@ -900,8 +893,8 @@ CheckpointInfo AppendCheckpoint(const Database& db, PersistState* st,
       }
       entries.push_back(SectionEntry{kind, 0, begin, out->pos() - begin});
     }
-    FillSectionCrcs(out, kVersion, &entries);
-    FinishFile(out, kVersion, table_at, entries);
+    FillSectionCrcs(out, &entries);
+    FinishFile(out, table_at, entries);
     bytes = out->pos();
   });
 

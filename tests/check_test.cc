@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -253,6 +254,17 @@ TEST(CheckTest, DetectsSectionCrcMismatch) {
   check::Report r;
   check::CheckChainFiles(path, &r);
   EXPECT_TRUE(HasIssue(r, "section-crc")) << r.ToString();
+
+  // Rewriting the header version does not switch the CRC check off: any
+  // version but the current one is an envelope error.
+  f.open(path, std::ios::binary | std::ios::in | std::ios::out);
+  uint32_t version = 2;
+  f.seekp(offsetof(storage::FileHeader, version));
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  f.close();
+  check::Report downgraded;
+  check::CheckChainFiles(path, &downgraded);
+  EXPECT_TRUE(HasIssue(downgraded, "chain-envelope")) << downgraded.ToString();
 }
 
 // --- seeded corruption class 6: admission counter drift -------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -420,6 +422,16 @@ TEST(StorageCheckpointTest, CorruptDeltaIsRejected) {
   std::string bytes = ReadFile(dp);
   WriteFile(dp, bytes.substr(0, bytes.size() / 2));  // truncate
   EXPECT_THROW(Database::Open(path), std::invalid_argument);
+  // An intact delta whose header claims version 2 is rejected too: no
+  // header version skips the section CRCs.
+  std::string downgraded = bytes;
+  uint32_t version = 2;
+  std::memcpy(downgraded.data() + offsetof(storage::FileHeader, version),
+              &version, sizeof(version));
+  WriteFile(dp, downgraded);
+  EXPECT_THROW(Database::Open(path), std::invalid_argument);
+  WriteFile(dp, bytes);
+  EXPECT_EQ(Database::Open(path).view("U")->CountTuples(), 101);
   std::remove(path.c_str());
   std::remove(dp.c_str());
 }
@@ -493,24 +505,31 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   std::remove(mono.c_str());
 }
 
-TEST(StorageCheckpointTest, LegacyVersion1SnapshotStillOpens) {
+TEST(StorageCheckpointTest, Version1SnapshotIsRejected) {
+  // Only the current format version opens: a base whose header claims
+  // version 1 is refused by the buffer and the file reader alike.
   Database db = MakePathDb(80, "ckv");
-  std::string bytes = storage::SerialiseDatabase(db, /*version=*/1);
-  // The header says version 1 and the reader accepts it.
-  uint32_t version;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  EXPECT_EQ(version, 1u);
-  Database fresh = Database::OpenSnapshot(
-      storage::SnapshotMapping::FromBuffer(bytes.data(), bytes.size()));
-  EXPECT_EQ(fresh.view("U")->CountTuples(), 80);
-  EXPECT_EQ(FlattenCsv(*fresh.view("U"), fresh.registry()),
-            FlattenCsv(*db.view("U"), db.registry()));
-  // Via a file, too (Database::Open tolerates version-1 bases and simply
-  // finds no meta/epoch, so any delta would be treated as stale).
+  std::string bytes = storage::SerialiseDatabase(db);
+  uint32_t version = 1;
+  std::memcpy(bytes.data() + offsetof(storage::FileHeader, version), &version,
+              sizeof(version));
+  auto expect_unsupported = [](const std::function<void()>& open) {
+    try {
+      open();
+      ADD_FAILURE() << "version-1 snapshot opened";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unsupported([&] {
+    Database::OpenSnapshot(
+        storage::SnapshotMapping::FromBuffer(bytes.data(), bytes.size()));
+  });
   std::string path = TempPath("ckpt_v1.fdbs");
   WriteFile(path, bytes);
-  Database from_file = Database::Open(path);
-  EXPECT_EQ(from_file.view("U")->CountTuples(), 80);
+  expect_unsupported([&] { Database::Open(path); });
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <random>
 #include <string>
@@ -96,6 +97,50 @@ TEST(StorageCorruptTest, HeaderFieldCorruptionsAreRejected) {
   uint64_t offset = uint64_t{1} << 60;
   std::memcpy(bad.data() + 32 + 8, &offset, sizeof(offset));
   EXPECT_EQ(TryOpen(bad), OpenResult::kRejected);
+}
+
+// Rewriting the header version must not switch off the section CRCs:
+// every version but kVersion is rejected outright, so a downgraded image
+// never opens, flipped payload byte or not.
+TEST(StorageCorruptTest, DowngradedVersionIsRejected) {
+  std::string good = MakeSnapshotBytes();
+  storage::FileHeader header;
+  std::memcpy(&header, good.data(), sizeof(header));
+  ASSERT_EQ(header.version, storage::kVersion);
+
+  // One byte of the relation payload: the first character of a stored
+  // string, which would still parse (as a different string) if unchecked.
+  std::string flipped = good;
+  bool found = false;
+  for (uint64_t s = 0; s < header.section_count; ++s) {
+    storage::SectionEntry e;
+    std::memcpy(&e, good.data() + sizeof(header) + s * sizeof(e), sizeof(e));
+    if (e.kind != storage::kSectionRelations) continue;
+    size_t at = good.find("corrupt test string", e.offset);
+    ASSERT_LT(at, e.offset + e.size);
+    flipped[at] = 'X';
+    found = true;
+  }
+  ASSERT_TRUE(found);
+  EXPECT_EQ(TryOpen(flipped), OpenResult::kRejected);
+
+  for (uint32_t version : {1u, 2u}) {
+    for (const std::string* image : {&good, &flipped}) {
+      std::string bad = *image;
+      std::memcpy(bad.data() + offsetof(storage::FileHeader, version),
+                  &version, sizeof(version));
+      try {
+        Database db = Database::OpenSnapshot(
+            storage::SnapshotMapping::FromBuffer(bad.data(), bad.size()));
+        ADD_FAILURE() << "version " << version << " opened"
+                      << (image == &flipped ? " with a flipped byte" : "");
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(StorageCorruptTest, ByteFlipFuzzNeverCrashes) {

@@ -7,6 +7,8 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/compress.h"
+#include "fdb/core/ops/aggregate.h"
+#include "fdb/core/ops/swap.h"
 #include "fdb/core/update.h"
 #include "fdb/engine/csv.h"
 #include "fdb/engine/database.h"
@@ -150,6 +152,29 @@ TEST(StorageSnapshotTest, EmptyViewRoundTrips) {
   ASSERT_NE(fresh.view("V"), nullptr);
   EXPECT_TRUE(fresh.view("V")->empty());
   EXPECT_EQ(fresh.view("V")->CountTuples(), 0);
+}
+
+TEST(StorageSnapshotTest, AggregateNodesRoundTrip) {
+  // A view whose f-tree carries aggregate nodes keeps their labels.
+  Pizzeria p = MakePizzeria();
+  Factorisation f = p.view();
+  ApplyAggregate(&f, &p.db->registry(), p.n_item,
+                 {{AggFn::kSum, p.attr("price")},
+                  {AggFn::kCount, kInvalidAttr}});
+  ApplySwap(&f, p.n_date);
+  p.db->AddView("Agg", std::move(f));
+  std::string bytes = storage::SerialiseDatabase(*p.db);
+  Database fresh = Database::OpenSnapshot(
+      storage::SnapshotMapping::FromBuffer(bytes.data(), bytes.size()));
+  const Factorisation* g = fresh.view("Agg");
+  ASSERT_NE(g, nullptr);
+  EXPECT_TRUE(g->Validate());
+  EXPECT_EQ(FlattenCsv(*g, fresh.registry()),
+            FlattenCsv(*p.db->view("Agg"), p.db->registry()));
+  // Aggregate semantics survive: the global sum is still computable.
+  Value sum = EvalAggregate(g->tree(), g->tree().roots()[0], *g->roots()[0],
+                            {AggFn::kSum, *fresh.registry().Find("price")});
+  EXPECT_EQ(sum.as_int(), 40);
 }
 
 TEST(StorageSnapshotTest, OpsOnMappedViewsOutliveTheDatabase) {
