@@ -11,11 +11,11 @@
 // fast path exactly as a fresh process would (nothing to intern either
 // way) — the comparison is fair, just not a disk-latency measurement.
 //
-// A second phase measures incremental checkpointing: a grouped trie view
-// receives K updates, Database::Checkpoint appends a delta, and the
-// per-checkpoint bytes/time are recorded against K — demonstrating that
-// a checkpoint costs O(changes) (the unions along the updated paths),
-// not O(database). The streaming writer's peak transient allocation is
+// A second phase measures checkpointing: a grouped trie view receives K
+// updates, Database::Checkpoint writes a full base, and the
+// per-checkpoint bytes/time are recorded against K — a checkpoint costs
+// O(database), whatever K is — then an idle Checkpoint must write
+// nothing (kNoop). The streaming writer's peak transient allocation is
 // recorded alongside the file size (the pre-streaming writer buffered
 // the whole file plus the segment arrays: ~3x file size).
 //
@@ -178,10 +178,7 @@ int main(int argc, char** argv) {
             << open_seconds * 1e3 << " ms (" << speedup << "x)"
             << (ok ? "" : "  [MISMATCH]") << "\n";
 
-  // --- incremental checkpointing: delta cost vs update count --------------
-  // A grouped trie (100 tuples per root value) localises updates: an
-  // insert rewrites the root union, one group's subtree and a leaf, so a
-  // checkpoint's delta covers the touched unions, not the database.
+  // --- checkpointing: full-base cost vs update count -----------------------
   std::string ckpt_path = (dir / "ckpt.fdbs").string();
   int64_t rows = int64_t{20000} * scale;
   Database ckdb;
@@ -211,8 +208,6 @@ int main(int argc, char** argv) {
   bool ckpt_ok = base_info.kind == storage::CheckpointInfo::kBase;
   int64_t total_inserted = 0;
   for (int64_t k : {16, 64, 256, 1024}) {
-    // K updates spread over 8 groups: the touched-union set stays small
-    // while K grows, so delta bytes track the changes.
     for (int64_t i = 0; i < k; ++i) {
       ckdb.UpdateView("U", [&](Factorisation* f) {
         InsertTuple(f, {Value(i % 8), Value(next_b++)});
@@ -223,15 +218,21 @@ int main(int argc, char** argv) {
     double secs = SubsystemSeconds("storage.checkpoint_ns", [&] {
       info = ckdb.Checkpoint(ckpt_path);
     });
-    ckpt_ok = ckpt_ok && info.kind == storage::CheckpointInfo::kDelta &&
-              info.bytes * 4 < base_info.bytes;
+    ckpt_ok = ckpt_ok && info.kind == storage::CheckpointInfo::kBase;
     rows_out.push_back({k, info.bytes, secs});
   }
+  storage::CheckpointInfo idle;
+  double idle_seconds = SubsystemSeconds("storage.checkpoint_ns", [&] {
+    idle = ckdb.Checkpoint(ckpt_path);
+  });
+  ckpt_ok = ckpt_ok && idle.kind == storage::CheckpointInfo::kNoop &&
+            idle.bytes == 0;
   {
     Database reloaded = Database::Open(ckpt_path);
     const Factorisation* u = reloaded.view("U");
     ckpt_ok = ckpt_ok && u != nullptr &&
-              u->CountTuples() == rows + total_inserted;
+              u->CountTuples() == rows + total_inserted &&
+              u->Flatten().BagEquals(ckdb.view("U")->Flatten());
   }
 
   std::ofstream cj("BENCH_storage_checkpoint.json");
@@ -244,24 +245,23 @@ int main(int argc, char** argv) {
      << "  \"checkpoints\": [\n";
   for (size_t i = 0; i < rows_out.size(); ++i) {
     cj << "    {\"updates\": " << rows_out[i].updates
-       << ", \"delta_bytes\": " << rows_out[i].bytes
-       << ", \"seconds\": " << rows_out[i].seconds
-       << ", \"delta_to_base_ratio\": "
-       << static_cast<double>(rows_out[i].bytes) /
-              static_cast<double>(base_info.bytes)
-       << "}" << (i + 1 < rows_out.size() ? "," : "") << "\n";
+       << ", \"bytes\": " << rows_out[i].bytes
+       << ", \"seconds\": " << rows_out[i].seconds << "}"
+       << (i + 1 < rows_out.size() ? "," : "") << "\n";
   }
   cj << "  ],\n"
+     << "  \"idle_bytes\": " << idle.bytes << ",\n"
+     << "  \"idle_seconds\": " << idle_seconds << ",\n"
      << "  \"consistent\": " << (ckpt_ok ? "true" : "false") << ",\n"
-     << "  \"note\": \"delta bytes cover the unions along the updated "
-        "paths (root union + touched groups + new leaves), so they grow "
-        "with the update count and stay far below the base size; the "
-        "streaming writer's peak transient allocation is reported in "
-        "BENCH_storage_open.json (save_peak_transient_bytes: node index "
-        "+ emission order + a fixed 64 KiB write buffer, vs the "
-        "~3x-file-size peak of the old build-then-write path — at small "
-        "scales the constant buffer floor dominates the ratio, so "
-        "compare against files well above 64 KiB)\"\n"
+     << "  \"note\": \"every checkpoint after updates writes a full base, "
+        "so its bytes track the view size, not the update count; an idle "
+        "checkpoint writes nothing (kNoop); the streaming writer's peak "
+        "transient allocation is reported in BENCH_storage_open.json "
+        "(save_peak_transient_bytes: node index + emission order + a "
+        "fixed 64 KiB write buffer, vs the ~3x-file-size peak of the old "
+        "build-then-write path — at small scales the constant buffer "
+        "floor dominates the ratio, so compare against files well above "
+        "64 KiB)\"\n"
      << "}\n";
 
   std::cout << "checkpoint: base " << base_info.bytes << " B in "
@@ -270,7 +270,8 @@ int main(int argc, char** argv) {
     std::cout << "; K=" << r.updates << " -> " << r.bytes << " B in "
               << r.seconds * 1e3 << " ms";
   }
-  std::cout << (ckpt_ok ? "" : "  [MISMATCH]") << "\n";
+  std::cout << "; idle -> " << idle.bytes << " B in " << idle_seconds * 1e3
+            << " ms" << (ckpt_ok ? "" : "  [MISMATCH]") << "\n";
 
   // --- WAL group commit: durable throughput, one fsync per group ----------
   // Single-op autocommits pay one frame write + one fsync each; grouping G

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "fdb/fdb.h"
-#include "fdb/storage/snapshot.h"
 
 using namespace fdb;
 
@@ -65,10 +64,7 @@ int main(int argc, char** argv) {
   DeleteTuple(&r3, order);
   std::cout << "after delete: " << r3.CountTuples() << " tuples\n";
 
-  // --- clean up the snapshot: the base file and any delta files ------------
+  // --- clean up the snapshot: one base file -------------------------------
   std::remove(path.c_str());
-  for (uint64_t seq = 1;
-       std::remove(storage::DeltaPath(path, seq).c_str()) == 0; ++seq) {
-  }
   return 0;
 }

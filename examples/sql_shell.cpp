@@ -20,14 +20,13 @@
 //                           (views reopen lazily, zero-copy via mmap)
 //            \check         run the deep invariant checker (fdb/check)
 //                           over every view, the dictionary, and the
-//                           on-disk chain; prints each issue found
+//                           files on disk; prints each issue found
 //            \checkpoint <path>
-//                           incremental persistence: the first call (or a
-//                           fold) writes a base snapshot, later calls
-//                           append only what changed since (a delta file
-//                           <path>.delta-N) — O(changes), not O(database)
+//                           \save <path>, unless nothing changed since
+//                           the last save of <path> (then no file is
+//                           written); resets a log bound to <path>
 //            \wal <path>    enable the write-ahead log bound to <path>
-//                           (checkpoints there first; every commit is
+//                           (saves a base there first; every commit is
 //                           durable with one fsync)
 //            \wal-status    log path, pending ops/bytes, committed groups
 //            \timing on|off per-statement wall time and row count (psql
@@ -451,19 +450,11 @@ int main(int argc, char** argv) {
       std::string path = line.substr(12);
       try {
         storage::CheckpointInfo info = db.Checkpoint(path);
-        switch (info.kind) {
-          case storage::CheckpointInfo::kBase:
-            std::cout << "checkpoint: wrote base " << path << " ("
-                      << info.bytes << " bytes)\n";
-            break;
-          case storage::CheckpointInfo::kDelta:
-            std::cout << "checkpoint: appended "
-                      << storage::DeltaPath(path, info.seq) << " ("
-                      << info.bytes << " bytes)\n";
-            break;
-          case storage::CheckpointInfo::kNoop:
-            std::cout << "checkpoint: no changes since the last one\n";
-            break;
+        if (info.kind == storage::CheckpointInfo::kBase) {
+          std::cout << "checkpoint: wrote base " << path << " ("
+                    << info.bytes << " bytes)\n";
+        } else {
+          std::cout << "checkpoint: no changes since the last one\n";
         }
       } catch (const std::exception& e) {
         std::cout << "error: " << e.what() << "\n";

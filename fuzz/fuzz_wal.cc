@@ -1,9 +1,9 @@
-// Fuzz target: WAL recovery. The first 16 input bytes pick the
-// (epoch, chain_pos) stamp recovery validates against (reduced mod 4 so
-// mutated inputs still land near the seeds' real stamps); the rest is
-// the log file image, written to a scratch path and replayed through
-// ReadWal. Invariant: recovery returns a prefix-consistent group list,
-// returns nullopt, or throws std::invalid_argument — never a crash.
+// Fuzz target: WAL recovery. The first 8 input bytes pick the base
+// epoch recovery validates against (reduced mod 4 so mutated inputs
+// still land near the seeds' real stamps); the rest is the log file
+// image, written to a scratch path and replayed through ReadWal.
+// Invariant: recovery returns a prefix-consistent group list, returns
+// nullopt, or throws std::invalid_argument — never a crash.
 
 #include <cstddef>
 #include <cstdint>
@@ -17,14 +17,12 @@
 #include "fuzz_driver.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  uint64_t epoch = 1, chain_pos = 0;
-  if (size >= 16) {
+  uint64_t epoch = 1;
+  if (size >= 8) {
     std::memcpy(&epoch, data, 8);
-    std::memcpy(&chain_pos, data + 8, 8);
     epoch %= 4;
-    chain_pos %= 4;
-    data += 16;
-    size -= 16;
+    data += 8;
+    size -= 8;
   }
   static const std::string base = [] {
     const char* t = std::getenv("TMPDIR");
@@ -37,7 +35,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
               static_cast<std::streamsize>(size));
   }
   try {
-    (void)fdb::storage::ReadWal(base, epoch, chain_pos);
+    (void)fdb::storage::ReadWal(base, epoch);
   } catch (const std::exception&) {
     // Undecodable CRC-valid frame rejected cleanly — the invariant holds.
   }

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     Put(root / "fuzz_snapshot", "base.fdbs", bytes.data(), bytes.size());
   }
 
-  // --- fuzz_wal: (epoch, chain_pos) prefix + a real log -----------------
+  // --- fuzz_wal: epoch prefix + a real log -------------------------------
   {
     fdb::Database db = SmallDb();
     std::string path = (tmp / "seed_wal.fdbs").string();
@@ -137,12 +137,11 @@ int main(int argc, char** argv) {
     db.Commit();
     db.Insert("V", {fdb::Value(int64_t{101}), fdb::Value(int64_t{1001})});
     std::string wal = ReadFile(fdb::storage::WalPath(path));
-    // The harness reads the stamp prefix the log must validate against;
-    // lift the real one out of the WalHeader (epoch at 16, pos at 24).
-    std::vector<uint8_t> seed(16 + wal.size());
+    // The harness reads the epoch prefix the log must validate against;
+    // lift the real one out of the WalHeader (epoch at byte 16).
+    std::vector<uint8_t> seed(8 + wal.size());
     std::memcpy(seed.data(), wal.data() + 16, 8);
-    std::memcpy(seed.data() + 8, wal.data() + 24, 8);
-    std::memcpy(seed.data() + 16, wal.data(), wal.size());
+    std::memcpy(seed.data() + 8, wal.data(), wal.size());
     Put(root / "fuzz_wal", "log.bin", seed);
   }
 

@@ -196,47 +196,7 @@ void CheckAdmission(const serve::AdmissionController& ac, Report* out) {
   }
 }
 
-// --- checkpoint retention state --------------------------------------------
-
-void CheckPersistState(const Database& db, const storage::PersistState& ps,
-                       Report* out) {
-  if (ps.epoch == 0) out->Add("persist-epoch", "base epoch is 0");
-  if (ps.next_seq < 1) out->Add("persist-seq", "next delta sequence is 0");
-  if (ps.base_strings > ps.string_watermark) {
-    out->Add("persist-watermark", "base_strings exceeds string_watermark");
-  }
-  if (ps.string_watermark > db.dict().num_strings()) {
-    out->Add("persist-watermark",
-             "string watermark exceeds the live dictionary");
-  }
-  if (ps.bigint_watermark > db.dict().num_big_ints()) {
-    out->Add("persist-watermark",
-             "big-int watermark exceeds the live pool");
-  }
-  if (ps.attr_watermark > static_cast<uint64_t>(db.registry().size())) {
-    out->Add("persist-watermark",
-             "attribute watermark exceeds the live registry");
-  }
-  if (ps.base_rank.size() != ps.base_strings) {
-    out->Add("persist-rank-table",
-             "base rank table covers " + std::to_string(ps.base_rank.size()) +
-                 " codes, base_strings is " + std::to_string(ps.base_strings));
-  }
-  for (const auto& [name, vb] : ps.views) {
-    if (vb.pinned == nullptr) {
-      out->Add("persist-view-pin", "view '" + name + "' retains no version");
-      continue;
-    }
-    if (vb.index.size() != vb.num_nodes) {
-      out->Add("persist-view-index",
-               "view '" + name + "': index holds " +
-                   std::to_string(vb.index.size()) + " nodes, " +
-                   std::to_string(vb.num_nodes) + " ids assigned");
-    }
-  }
-}
-
-// --- on-disk chain ---------------------------------------------------------
+// --- on-disk files ---------------------------------------------------------
 
 namespace {
 
@@ -245,7 +205,7 @@ struct FileEnvelope {
   std::string bytes;
 };
 
-/// Reads and validates one chain file's envelope and verifies every
+/// Reads and validates the base file's envelope and verifies every
 /// section's CRC. Returns nullopt (with issues) on damage.
 std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
                                              Report* out) {
@@ -316,7 +276,7 @@ uint64_t ReadU64(const FileEnvelope& env, uint64_t off) {
 
 }  // namespace
 
-void CheckChainFiles(const std::string& path, Report* out) {
+void CheckChainFiles(const std::string& path, Report* out, bool check_wal) {
   using namespace storage;
   std::optional<FileEnvelope> base = ReadFileEnvelope(path, out);
   if (!base.has_value()) return;
@@ -328,53 +288,27 @@ void CheckChainFiles(const std::string& path, Report* out) {
   }
   uint64_t base_epoch = ReadU64(*base, meta->offset);
 
-  uint64_t deltas = 0;
-  for (uint64_t seq = 1;; ++seq) {
-    std::string dp = DeltaPath(path, seq);
-    std::ifstream probe(dp, std::ios::binary);
-    if (!probe) break;
-    probe.close();
-    std::optional<FileEnvelope> delta = ReadFileEnvelope(dp, out);
-    if (!delta.has_value()) break;
-    const SectionEntry* man = FindSection(*delta, kSectionDeltaManifest);
-    if (man == nullptr || man->size < 2 * sizeof(uint64_t)) {
-      out->Add("chain-envelope", dp + ": missing delta manifest");
-      break;
-    }
-    uint64_t epoch = ReadU64(*delta, man->offset);
-    uint64_t mseq = ReadU64(*delta, man->offset + sizeof(uint64_t));
-    if (epoch != base_epoch) {
-      out->Add("delta-chain-stamp",
-               dp + ": stamped for epoch " + std::to_string(epoch) +
-                   ", base is " + std::to_string(base_epoch) +
-                   " (stale leftover of a folded chain)");
-    }
-    if (mseq != seq) {
-      out->Add("delta-chain-seq", dp + ": manifest sequence " +
-                                      std::to_string(mseq) + ", expected " +
-                                      std::to_string(seq));
-    }
-    ++deltas;
+  // Open refuses a base with an older build's checkpoint delta beside it.
+  std::string leftover = path + ".delta-1";
+  if (std::ifstream(leftover, std::ios::binary)) {
+    out->Add("chain-envelope",
+             leftover + ": checkpoint delta of an older build beside the "
+                        "base; Open refuses it");
   }
 
-  // The WAL, when present, must be stamped for this exact chain state;
-  // any other stamp means Open will silently discard it.
+  // The WAL, when present, must be stamped for this base; any other
+  // stamp means Open will silently discard it.
+  if (!check_wal) return;
   std::ifstream wal(WalPath(path), std::ios::binary);
   if (wal) {
     WalHeader wh;
     if (wal.read(reinterpret_cast<char*>(&wh), sizeof(wh)) &&
-        std::memcmp(wh.magic, kWalMagic, sizeof(kWalMagic)) == 0) {
-      if (wh.epoch != base_epoch) {
-        out->Add("wal-chain-stamp",
-                 WalPath(path) + ": log epoch " + std::to_string(wh.epoch) +
-                     " does not match base epoch " +
-                     std::to_string(base_epoch));
-      } else if (wh.chain_pos != deltas) {
-        out->Add("wal-chain-stamp",
-                 WalPath(path) + ": log chain position " +
-                     std::to_string(wh.chain_pos) + ", chain has " +
-                     std::to_string(deltas) + " deltas");
-      }
+        std::memcmp(wh.magic, kWalMagic, sizeof(kWalMagic)) == 0 &&
+        wh.epoch != base_epoch) {
+      out->Add("wal-chain-stamp",
+               WalPath(path) + ": log epoch " + std::to_string(wh.epoch) +
+                   " does not match base epoch " +
+                   std::to_string(base_epoch));
     }
   }
 }
@@ -392,8 +326,10 @@ Report ValidateDatabase(const Database& db) {
   CheckDictionary(db.dict(), &report);
   if (std::optional<storage::PersistState> ps = db.PersistSnapshot();
       ps.has_value()) {
-    CheckPersistState(db, *ps, &report);
-    CheckChainFiles(ps->path, &report);
+    // A log whose reset failed after a base was written keeps its old
+    // stamp, but nothing acknowledged can be lost through it: it refuses
+    // commits until EnableWal re-creates it, and Open skips it.
+    CheckChainFiles(ps->path, &report, !db.WalStatus().broken);
   }
   NodesCounter().Inc(report.nodes_visited);
   if (!report.ok()) IssuesCounter().Inc(report.issues.size());

@@ -15,10 +15,6 @@ namespace serve {
 class AdmissionController;
 }  // namespace serve
 
-namespace storage {
-struct PersistState;
-}  // namespace storage
-
 namespace check {
 
 /// One invariant violation: which check tripped and what it saw. Check
@@ -34,13 +30,10 @@ namespace check {
 ///   dict-rank-duplicate two codes share one rank
 ///   dict-rank-order    rank order disagrees with string order
 ///   admission-counters active/queued outside their configured bounds
-///   persist-*          checkpoint retention state inconsistent with the
-///                      live database
-///   chain-envelope     a chain file's header/table fails validation
-///   section-crc        a chain file section's CRC32 does not match
-///   delta-chain-stamp  a delta file carries a foreign base epoch
-///   delta-chain-seq    a delta file's manifest sequence is wrong
-///   wal-chain-stamp    the WAL header is stamped for a different chain
+///   chain-envelope     the base's header/table fails validation, or a
+///                      `<path>.delta-1` of an older build lies beside it
+///   section-crc        a base section's CRC32 does not match
+///   wal-chain-stamp    the WAL header is stamped for a different base
 struct Issue {
   std::string check;
   std::string detail;
@@ -78,19 +71,14 @@ void CheckDictionary(const ValueDict& dict, Report* out);
 /// (a drift means a lost or double Release()).
 void CheckAdmission(const serve::AdmissionController& ac, Report* out);
 
-/// Validates checkpoint retention state against the live database
-/// (watermarks, per-view node indexes, pinned versions).
-void CheckPersistState(const Database& db, const storage::PersistState& ps,
-                       Report* out);
-
-/// Walks the on-disk snapshot chain at `path`: base and delta envelopes,
-/// per-section CRCs, delta epoch/sequence stamps, and the WAL header's
-/// chain binding.
-void CheckChainFiles(const std::string& path, Report* out);
+/// Checks the files at snapshot `path`: the base's envelope and
+/// per-section CRCs, no leftover delta file of an older build, and —
+/// with `check_wal` — the WAL header's epoch binding to the base.
+void CheckChainFiles(const std::string& path, Report* out,
+                     bool check_wal = true);
 
 /// Runs every applicable check against `db`: all views, the dictionary,
-/// and — when the database has checkpointed — the retention state and
-/// the on-disk chain.
+/// and — when the database has saved a base — the files at its path.
 Report ValidateDatabase(const Database& db);
 
 /// ValidateDatabase, throwing std::runtime_error with the report when it

@@ -1,7 +1,6 @@
 #include "fdb/core/fact_arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <new>
 #include <unordered_set>
@@ -15,11 +14,6 @@ const FactNode kEmptyNode{};
 }  // namespace
 
 FactPtr FactArena::EmptyNode() { return &kEmptyNode; }
-
-uint64_t FactArena::NextGeneration() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 const std::shared_ptr<FactArena>& FactArena::Scratch() {
   static const std::shared_ptr<FactArena>* arena =
@@ -67,14 +61,6 @@ FactPtr FactArena::NewNode(const ValueRef* vals, size_t nv, const FactPtr* kids,
   node->children = {k, static_cast<uint32_t>(nk)};
   ++nodes_;
   return node;
-}
-
-bool FactArena::KeepsAlive(const FactArena* other) const {
-  if (other == this) return true;
-  for (const auto& p : parents_) {
-    if (p.get() == other) return true;
-  }
-  return false;
 }
 
 bool FactArena::OwnsNodeMemory(const FactNode* node) const {

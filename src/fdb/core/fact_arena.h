@@ -102,14 +102,6 @@ class FactArena {
   /// garbage against it.
   int64_t chain_bytes() const { return bytes_ + adopted_bytes_; }
 
-  /// True if `other` is this arena or one this arena keeps alive
-  /// (transitively — Adopt flattens chains to depth one). The storage
-  /// layer's incremental-checkpoint eligibility test: nodes indexed
-  /// against `other` can only be referenced by address if the current
-  /// arena still pins them, else a recycled address could alias a new
-  /// node (ABA).
-  bool KeepsAlive(const FactArena* other) const;
-
   /// True if `node`'s header lies inside memory this arena itself
   /// allocated (not its adopted parents). Subclasses with out-of-chunk
   /// node storage (MappedArena) extend the test to it. An O(#chunks)
@@ -132,12 +124,6 @@ class FactArena {
   int64_t bytes_used() const { return bytes_; }
   int64_t num_nodes() const { return nodes_; }
 
-  /// Process-wide monotone creation stamp: arena A was constructed before
-  /// arena B iff A.generation() < B.generation(). The storage layer uses
-  /// it to tell a rebuild (compaction/compression installed a *fresh*
-  /// arena, invalidating node identities) from ordinary update growth.
-  uint64_t generation() const { return generation_; }
-
  protected:
   // Subclasses with out-of-chunk node storage (MappedArena) account for it
   // here so bytes_used()/num_nodes() stay meaningful for stats and the
@@ -147,12 +133,10 @@ class FactArena {
 
  private:
   void* Allocate(size_t bytes);
-  static uint64_t NextGeneration();
 
   static constexpr size_t kFirstChunk = size_t{1} << 12;
   static constexpr size_t kMaxChunk = size_t{1} << 20;
 
-  const uint64_t generation_ = NextGeneration();
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::vector<size_t> chunk_sizes_;  ///< capacity of each chunk
   std::vector<std::shared_ptr<const FactArena>> parents_;

@@ -71,21 +71,11 @@ class Factorisation {
   /// Replaces the attached arena wholesale. Only valid when every root
   /// points into `arena` (e.g. after a full rebuild such as compression or
   /// compaction). Records the arena's size as the live-data watermark that
-  /// MaybeCompact() measures garbage against, and the arena's creation
-  /// generation as this factorisation's rebuild stamp.
+  /// MaybeCompact() measures garbage against.
   void ReplaceArena(std::shared_ptr<FactArena> arena) {
     arena_ = std::move(arena);
     compacted_bytes_ = arena_ == nullptr ? 0 : arena_->chain_bytes();
-    rebuild_gen_ = arena_ == nullptr ? 0 : arena_->generation();
   }
-
-  /// Stamp of the last wholesale rebuild (compaction/compression), 0 if
-  /// never rebuilt. Ordinary updates (ArenaForWrite growth) leave it
-  /// unchanged, so incremental checkpointing can tell "new nodes appended
-  /// next to the persisted ones" (delta-friendly) from "every node was
-  /// copied to fresh addresses" (the retained index is useless; re-dump
-  /// the view).
-  uint64_t rebuild_generation() const { return rebuild_gen_; }
 
   /// Generational compaction: copies every node reachable from the roots
   /// into a fresh arena and drops the old one (and, transitively, every
@@ -149,8 +139,6 @@ class Factorisation {
   std::shared_ptr<FactArena> arena_;
   // Live bytes at the last compaction/rebuild; -1 = never measured.
   int64_t compacted_bytes_ = -1;
-  // Arena generation installed by the last rebuild; 0 = never rebuilt.
-  uint64_t rebuild_gen_ = 0;
 };
 
 }  // namespace fdb

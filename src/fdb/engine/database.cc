@@ -16,16 +16,14 @@
 
 namespace fdb {
 
-// Copies do not share checkpoint state (persist_) or the WAL: the
-// retained node index is mutated by Checkpoint, and two databases
-// appending to one delta chain or one log would corrupt it. A copy
-// starts a fresh chain on its first Checkpoint and logs nothing until
-// EnableWal.
+// Copies do not share checkpoint state (persist_) or the WAL: two
+// databases appending to one log would corrupt it. A copy writes a base
+// on its first Checkpoint and logs nothing until EnableWal.
 Database::Database(const Database& other)
     : reg_(other.reg_),
       dict_(other.dict_),
       relations_(other.relations_),
-      relation_versions_(other.relation_versions_),
+      changes_(other.changes_.load()),
       snapshot_(other.snapshot_),
       prefix_cache_(other.prefix_cache_.budget()) {
   base::MutexLock g(&other.mu_);
@@ -37,15 +35,12 @@ Database& Database::operator=(const Database& other) {
   reg_ = other.reg_;
   dict_ = other.dict_;
   relations_ = other.relations_;
-  relation_versions_ = other.relation_versions_;
-  {
-    base::MutexLock g(&persist_mu_);
-    persist_.reset();
-  }
+  changes_ = other.changes_.load();
   {
     // The old logical state is being replaced wholesale: a log bound to
     // it must not keep recording on behalf of the new one.
     base::MutexLock g(&txn_mu_);
+    persist_.reset();
     wal_.reset();
     wal_base_.clear();
     in_txn_ = false;
@@ -77,15 +72,12 @@ Database::Database(Database&& other) noexcept
     : reg_(std::move(other.reg_)),
       dict_(std::exchange(other.dict_, DefaultDictAlias())),
       relations_(std::move(other.relations_)),
-      relation_versions_(std::move(other.relation_versions_)),
+      changes_(other.changes_.load()),
       snapshot_(std::move(other.snapshot_)),
       prefix_cache_(other.prefix_cache_.budget()) {
   {
-    base::MutexLock g(&other.persist_mu_);
-    persist_ = std::move(other.persist_);
-  }
-  {
     base::MutexLock g(&other.txn_mu_);
+    persist_ = std::exchange(other.persist_, std::nullopt);
     wal_ = std::move(other.wal_);
     wal_base_ = std::exchange(other.wal_base_, {});
     in_txn_ = std::exchange(other.in_txn_, false);
@@ -107,23 +99,16 @@ Database& Database::operator=(Database&& other) noexcept {
   reg_ = std::move(other.reg_);
   dict_ = std::exchange(other.dict_, DefaultDictAlias());
   relations_ = std::move(other.relations_);
-  relation_versions_ = std::move(other.relation_versions_);
+  changes_ = other.changes_.load();
   {
-    std::shared_ptr<storage::PersistState> p;
-    {
-      base::MutexLock g(&other.persist_mu_);
-      p = std::move(other.persist_);
-    }
-    base::MutexLock g(&persist_mu_);
-    persist_ = std::move(p);
-  }
-  {
+    std::optional<storage::PersistState> p;
     std::unique_ptr<storage::Wal> w;
     std::string base;
     bool in_txn = false;
     std::vector<storage::WalOp> pending;
     {
       base::MutexLock g(&other.txn_mu_);
+      p = std::exchange(other.persist_, std::nullopt);
       w = std::move(other.wal_);
       base = std::exchange(other.wal_base_, {});
       in_txn = std::exchange(other.in_txn_, false);
@@ -131,6 +116,7 @@ Database& Database::operator=(Database&& other) noexcept {
       other.pending_.clear();
     }
     base::MutexLock g(&txn_mu_);
+    persist_ = std::move(p);
     wal_ = std::move(w);
     wal_base_ = std::move(base);
     in_txn_ = in_txn;
@@ -171,17 +157,12 @@ void Database::AddRelation(const std::string& name, Relation rel) {
   }
   if (!strs.empty()) dict_->InternBulk(std::move(strs));
   relations_.insert_or_assign(name, std::move(rel));
-  ++relation_versions_[name];
+  ++changes_;
 }
 
 const Relation* Database::relation(const std::string& name) const {
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
-}
-
-uint64_t Database::relation_version(const std::string& name) const {
-  auto it = relation_versions_.find(name);
-  return it == relation_versions_.end() ? 0 : it->second;
 }
 
 void Database::PublishView(const std::string& name,
@@ -193,6 +174,9 @@ void Database::PublishView(const std::string& name,
     (*next)[name] = std::move(fp);
     views_ = std::move(next);
   }
+  // After the swap: a Checkpoint that reads the new count also sees the
+  // version it counts.
+  ++changes_;
   prefix_cache_.Publish(name, version);
 }
 
@@ -263,18 +247,13 @@ void Database::EnableWal(const std::string& raw_path) {
     throw std::invalid_argument(
         "txn: cannot enable the WAL inside an open transaction");
   }
-  // Fold the current state (including anything a previous log replay
-  // contributed) into the chain first, so the fresh log applies on top
-  // of exactly what is durable.
-  CheckpointLocked(path);
-  uint64_t epoch = 0;
-  uint64_t chain_pos = 0;
-  {
-    base::MutexLock g(&persist_mu_);
-    epoch = persist_->epoch;
-    chain_pos = persist_->next_seq - 1;
-  }
-  wal_ = storage::Wal::Create(path, epoch, chain_pos);
+  // Save the current state (including anything a previous log replay
+  // contributed) as a base first, so the fresh log applies on top of
+  // exactly what is durable. Never a kNoop: that would stamp the log
+  // with the epoch this database last wrote, which another writer may
+  // have replaced on disk since.
+  uint64_t epoch = SaveLocked(path);
+  wal_ = storage::Wal::Create(path, epoch);
   wal_base_ = path;
 }
 
@@ -285,8 +264,8 @@ void Database::DisableWal() {
         "txn: cannot disable the WAL inside an open transaction");
   }
   if (wal_ == nullptr) return;
-  // Fold outstanding groups into the chain; after that the log holds
-  // nothing the chain does not, so the file can go.
+  // Capture outstanding groups in a base; after that the log holds
+  // nothing the base does not, so the file can go.
   CheckpointLocked(wal_base_);
   std::string wp = wal_->path();
   wal_.reset();
@@ -316,9 +295,8 @@ storage::WalStatus Database::WalStatus() const {
 }
 
 std::optional<storage::PersistState> Database::PersistSnapshot() const {
-  base::MutexLock g(&persist_mu_);
-  if (persist_ == nullptr) return std::nullopt;
-  return *persist_;
+  base::MutexLock t(&txn_mu_);
+  return persist_;
 }
 
 void Database::Begin() {
@@ -414,8 +392,7 @@ uint64_t Database::CommitGroupLocked(std::vector<storage::WalOp>* ops) {
     }
   }
   // Apply, one batch per affected view: each union along the touched
-  // paths is rebuilt once per group, not once per tuple, and the delta
-  // checkpointer later sees one coalesced diff.
+  // paths is rebuilt once per group, not once per tuple.
   std::map<std::string, std::vector<BatchOp>> per_view;
   for (storage::WalOp& op : *ops) {
     per_view[op.view].push_back(

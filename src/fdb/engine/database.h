@@ -1,13 +1,13 @@
 #ifndef FDB_ENGINE_DATABASE_H_
 #define FDB_ENGINE_DATABASE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "fdb/base/thread_annotations.h"
 #include "fdb/core/factorisation.h"
@@ -84,10 +84,6 @@ class Database {
   void AddRelation(const std::string& name, Relation rel);
   /// The named base relation, or nullptr.
   const Relation* relation(const std::string& name) const;
-  /// How many times the named relation has been (re)published via
-  /// AddRelation — the change detector incremental checkpoints use to
-  /// decide whether a relation needs re-dumping. 0 if absent.
-  uint64_t relation_version(const std::string& name) const;
 
   /// Publishes `f` as the new version of view `name` (a new epoch of the
   /// view map). Readers holding the previous version keep it alive.
@@ -128,49 +124,44 @@ class Database {
   /// nodes reachable from the roots — saved data is always compacted.
   /// Streams with bounded buffers (peak memory is the writer's node
   /// bookkeeping, not the file size) and publishes crash-safely:
-  /// write-to-temp, fsync, rename, fsync the directory. Any delta files
-  /// a previous Checkpoint() left next to `path` are superseded and
-  /// removed. Throws std::invalid_argument on I/O failure.
+  /// write-to-temp, fsync, rename, fsync the directory. A WAL bound to
+  /// `path` restarts empty under the new base. Holds the transaction
+  /// lock while writing, so commits wait for it. Throws
+  /// std::invalid_argument on I/O failure.
   void Save(const std::string& path) const;
 
-  /// Incremental persistence: appends a delta file
-  /// (`path.delta-1`, `-2`, ...) holding only what changed since the
-  /// last Save/Checkpoint of `path` from this Database — new view nodes
-  /// (by arena generation: updates append nodes next to the persisted
-  /// ones), dictionary/registry growth, and re-published relations — so
-  /// a checkpoint costs O(changes), not O(database). Falls back to a
-  /// fresh base when there is nothing to delta against (first call, a
-  /// different path, a rebuild) or when the chain trips the fold
-  /// threshold (storage::kMaxDeltaChain deltas or half the base's size).
-  /// Open() replays the chain. Between checkpoints the Database retains
-  /// the persisted node index and pins the last persisted view versions
-  /// (memory traded for O(changes) I/O; dropped at each fold). Throws
+  /// Save(path), unless nothing changed since this Database last saved
+  /// `path`: no view or relation was published and the registry did not
+  /// grow. Then it writes nothing and returns kNoop. Every other call
+  /// writes a full base (kBase) — O(database), not O(changes). Throws
   /// std::invalid_argument on I/O failure.
   storage::CheckpointInfo Checkpoint(const std::string& path) const;
 
   // --- durability: write-ahead logging and transactions ------------------
   //
   // EnableWal(path) binds a write-ahead log (`<path>.wal`) to the
-  // snapshot chain at `path`: the current state is checkpointed into the
-  // chain, and every committed mutation is then made durable by a single
-  // appended, CRC32-framed log record (one write + one fsync per commit
-  // group) before it is applied in memory. Open(path) replays the chain
-  // and then the log, so a crash loses at most the in-flight commit and
-  // never an acknowledged one. Save/Checkpoint of `path` fold the logged
-  // groups into the chain and reset the log.
+  // snapshot at `path`: the current state is saved as a base there, and
+  // every committed mutation is then made durable by a single appended,
+  // CRC32-framed log record (one write + one fsync per commit group)
+  // before it is applied in memory. Open(path) opens the base and then
+  // replays the log, so a crash loses at most the in-flight commit and
+  // never an acknowledged one. A Save, or a Checkpoint that writes, of
+  // `path` captures the logged groups in a new base and resets the log.
   //
   // Scope: the log records view tuple mutations (Insert/Delete) only.
   // Schema changes — AddRelation, AddView, a view's shape — are not
   // logged; checkpoint after DDL, and only mutate views that exist in
-  // the chain. Commit groups are durably atomic; concurrent readers see
+  // the base. Commit groups are durably atomic; concurrent readers see
   // each view's update as it is published (per-view visibility).
 
-  /// Binds the WAL as described above. Checkpoints into `path` first
-  /// (throws on I/O failure, leaving durability as it was). Must not be
-  /// called inside an open transaction.
+  /// Binds the WAL as described above. Saves a base to `path` first —
+  /// always, so the log is stamped for the base on disk even when
+  /// another writer replaced it (throws on I/O failure, leaving
+  /// durability as it was). Must not be called inside an open
+  /// transaction.
   void EnableWal(const std::string& path);
-  /// Folds any logged groups into the chain, then unbinds and removes
-  /// the (now empty) log file.
+  /// Checkpoints any logged groups into the base, then unbinds and
+  /// removes the (now empty) log file.
   void DisableWal();
   bool wal_enabled() const;
   /// Transaction/log state (pending ops, durable groups, log size).
@@ -208,9 +199,10 @@ class Database {
 
   /// Opens a snapshot written by Save(): mmaps the file, decodes catalog,
   /// registry, dictionary and flat relations eagerly, and defers view
-  /// data to first access. Then replays the delta chain and finally the
-  /// WAL (committed groups only — recovery is prefix-consistent). Throws
-  /// std::invalid_argument on corrupt input.
+  /// data to first access. Then replays the WAL (committed groups only —
+  /// recovery is prefix-consistent). Throws std::invalid_argument on
+  /// corrupt input, and when a `<path>.delta-1` file of an older build's
+  /// checkpoint chain lies beside the base.
   static Database Open(const std::string& path);
 
   /// Open() on an already-constructed mapping (tests, in-memory buffers).
@@ -221,11 +213,11 @@ class Database {
   Relation MakeRelation(const std::vector<std::string>& attrs,
                         const std::vector<std::vector<int64_t>>& rows);
 
-  /// A copy of the incremental-checkpoint retention state, or nullopt
+  /// What this Database remembers of the last base it wrote, or nullopt
   /// before any Save/Checkpoint. The deep invariant checker (fdb/check)
-  /// validates it against the live database and the on-disk chain.
+  /// validates the files at its path.
   std::optional<storage::PersistState> PersistSnapshot() const
-      EXCLUDES(persist_mu_);
+      EXCLUDES(txn_mu_);
 
   // --- queryable introspection -------------------------------------------
   //
@@ -263,9 +255,9 @@ class Database {
   std::shared_ptr<const Factorisation> FindOrAdmit(
       const std::string& name) const;
 
-  // Swaps `fp` in as the new epoch's version of `name` and retires the
-  // prefix-cache entries of the older ones. Callers must hold writer_mu_
-  // (AddView takes it; UpdateView already holds it).
+  // Swaps `fp` in as the new epoch's version of `name`, counts the change
+  // and retires the prefix-cache entries of the older ones. Callers must
+  // hold writer_mu_ (AddView takes it; UpdateView already holds it).
   void PublishView(const std::string& name,
                    std::shared_ptr<const Factorisation> fp);
 
@@ -281,16 +273,13 @@ class Database {
   uint64_t CommitGroupLocked(std::vector<storage::WalOp>* ops)
       REQUIRES(txn_mu_);
   // Save/Checkpoint internals, callable with txn_mu_ already held
-  // (EnableWal checkpoints under it). Lock order: txn_mu_ → persist_mu_,
-  // txn_mu_ → writer_mu_.
-  void SaveLocked(const std::string& path,
-                  storage::SaveStats* stats = nullptr) const
-      REQUIRES(txn_mu_) EXCLUDES(persist_mu_);
+  // (EnableWal and DisableWal write under it). SaveLocked writes the base,
+  // records it in persist_, re-stamps a WAL bound to `path` and returns
+  // the new epoch. Lock order: txn_mu_ → writer_mu_.
+  uint64_t SaveLocked(const std::string& path,
+                      storage::SaveStats* stats = nullptr) const
+      REQUIRES(txn_mu_);
   storage::CheckpointInfo CheckpointLocked(const std::string& path) const
-      REQUIRES(txn_mu_) EXCLUDES(persist_mu_);
-  // Re-stamps a WAL bound to `path` after a fold made its contents
-  // durable in the chain.
-  void ResetWalAfterFoldLocked(const std::string& path) const
       REQUIRES(txn_mu_);
 
   AttributeRegistry reg_;
@@ -298,7 +287,10 @@ class Database {
   std::shared_ptr<ValueDict> dict_{std::shared_ptr<ValueDict>(),
                                    &ValueDict::Default()};
   std::map<std::string, Relation> relations_;
-  std::map<std::string, uint64_t> relation_versions_;
+  // Counts AddRelation calls and view publications (not lazy snapshot
+  // admissions): Checkpoint compares it with the count its last base
+  // covered to detect an idle database.
+  std::atomic<uint64_t> changes_{0};
   // Guards the views_ pointer (epoch swaps, snapshot admissions). Held
   // only for pointer copies and map clones — never across query work.
   mutable base::Mutex mu_ ACQUIRED_AFTER(writer_mu_);
@@ -313,21 +305,17 @@ class Database {
   // versions. Not shared with copies: entries are a cache, and each
   // Database publishes its own versions.
   PrefixCache prefix_cache_;
-  // Incremental-checkpoint state (Save/Checkpoint): the retained node
-  // index and pinned versions of the last base/delta written. Mutable
-  // cache — the logical database is untouched. Not shared with copies
-  // (each Database owns its own checkpoint chain).
-  mutable base::Mutex persist_mu_;
-  mutable std::shared_ptr<storage::PersistState> persist_
-      GUARDED_BY(persist_mu_);
   // Transaction/WAL state. txn_mu_ serialises Begin/Commit/Rollback,
   // autocommits, EnableWal/DisableWal and the public Save/Checkpoint (a
-  // fold must not interleave with a commit's log append). The log itself
-  // is mutable because a (const) Save/Checkpoint folds and re-stamps it
-  // — like persist_, it is durability bookkeeping, not logical state.
-  // Not copied (two databases appending to one log would corrupt it);
-  // moves transfer it.
-  mutable base::Mutex txn_mu_ ACQUIRED_BEFORE(persist_mu_, writer_mu_);
+  // base must not interleave with a commit's log append). The log itself
+  // is mutable because a (const) Save/Checkpoint re-stamps it — like
+  // persist_, it is durability bookkeeping, not logical state. Not
+  // copied (two databases appending to one log would corrupt it); moves
+  // transfer it.
+  mutable base::Mutex txn_mu_ ACQUIRED_BEFORE(writer_mu_);
+  // The last base Save/Checkpoint wrote. Not shared with copies: each
+  // Database tracks its own saves.
+  mutable std::optional<storage::PersistState> persist_ GUARDED_BY(txn_mu_);
   mutable std::unique_ptr<storage::Wal> wal_ GUARDED_BY(txn_mu_);
   /// Canonical snapshot path the log is bound to.
   std::string wal_base_ GUARDED_BY(txn_mu_);

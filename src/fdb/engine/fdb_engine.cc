@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "fdb/core/build.h"
-#include "fdb/core/compress.h"
 #include "fdb/core/order.h"
 #include "fdb/core/ops/project.h"
 #include "fdb/core/stats.h"
@@ -368,12 +367,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
       }
       fact = ProjectToTopFragment(fact, keep);
     }
-    if (options.compress_output) {
-      CompressInPlace(&fact);
-      result.result_singletons = CountStoredSingletons(fact);
-    } else {
-      result.result_singletons = fact.CountSingletons();
-    }
+    result.result_singletons = fact.CountSingletons();
     if (tr != nullptr) {
       span.NoteInt("result_singletons", result.result_singletons);
       NoteFootprint(span, ComputeFootprint(fact));

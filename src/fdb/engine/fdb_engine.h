@@ -32,10 +32,6 @@ struct FdbOptions {
   /// the factorisation, which would mask the benefit of partial
   /// restructuring on limit queries.
   bool collect_stats = false;
-  /// Share structurally identical subexpressions in the factorised output
-  /// (CompressInPlace): a step toward the §8 "beyond f-trees"
-  /// representations. Only meaningful with factorised_output.
-  bool compress_output = false;
   /// Record per-phase spans (with cardinalities and factorisation stats)
   /// into this trace. Null = tracing off: the execution path pays nothing.
   /// ExecuteSql creates and attaches one automatically for

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fdb/core/fact_arena.h"
 
@@ -56,28 +55,24 @@ class SnapshotMapping {
 
 /// The arena behind a view materialised from a snapshot. Node headers and
 /// the widened child-pointer array live in memory (built by the reader's
-/// fix-up pass); the value spans point straight into the mappings — the
-/// base file plus any replayed delta files — which this arena keeps
-/// alive. It is a fully functional FactArena: operators that write into
-/// it (updates on an opened view) allocate ordinary heap chunks, and
-/// operators that switch to a fresh arena adopt this one, chaining the
-/// mappings' lifetimes to their results.
+/// fix-up pass); the value spans point straight into the snapshot
+/// mapping, which this arena keeps alive. It is a fully functional
+/// FactArena: operators that write into it (updates on an opened view)
+/// allocate ordinary heap chunks, and operators that switch to a fresh
+/// arena adopt this one, chaining the mapping's lifetime to their
+/// results.
 class MappedArena : public FactArena {
  public:
-  MappedArena(std::vector<std::shared_ptr<SnapshotMapping>> mappings,
+  MappedArena(std::shared_ptr<SnapshotMapping> mapping,
               std::unique_ptr<FactNode[]> nodes, int64_t num_nodes,
               std::unique_ptr<FactPtr[]> children, int64_t mapped_bytes)
-      : mappings_(std::move(mappings)),
+      : mapping_(std::move(mapping)),
         nodes_mem_(std::move(nodes)),
         child_mem_(std::move(children)),
         mapped_nodes_(num_nodes) {
     bytes_ = mapped_bytes;
     nodes_ = num_nodes;
   }
-
-  /// The base mapping (first of the chain).
-  const SnapshotMapping& mapping() const { return *mappings_.front(); }
-  size_t num_mappings() const { return mappings_.size(); }
 
   /// Extends the heap-chunk test to the materialised node array (nodes_
   /// counts heap-allocated nodes too after updates, so the fixed-up
@@ -90,7 +85,7 @@ class MappedArena : public FactArena {
   }
 
  private:
-  std::vector<std::shared_ptr<SnapshotMapping>> mappings_;
+  std::shared_ptr<SnapshotMapping> mapping_;
   std::unique_ptr<FactNode[]> nodes_mem_;
   std::unique_ptr<FactPtr[]> child_mem_;
   int64_t mapped_nodes_ = 0;

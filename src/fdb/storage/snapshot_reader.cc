@@ -23,7 +23,7 @@ namespace {
 
 // The file (or "<memory>") the current parse reads from, so every
 // rejection names its source — corrupt-file triage should never have to
-// guess which of base, delta-N or log is damaged. Thread-local because
+// guess which file is damaged. Thread-local because
 // parses of different snapshots may run concurrently.
 thread_local const std::string* g_parse_source = nullptr;
 
@@ -214,11 +214,10 @@ struct Section {
   bool present = false;
 };
 
-/// Validates the file envelope and fills the per-kind section ranges.
-/// `lo..hi` are the section kinds this file type requires (base: 1..6;
-/// delta: 7..12). Every section's payload CRC is verified.
-void ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo, uint32_t hi,
-                  Section* sections) {
+/// Validates the file envelope and fills the per-kind section ranges;
+/// every section must be present once. Every section's payload CRC is
+/// verified.
+void ReadEnvelope(const SnapshotMapping& mapping, Section* sections) {
   const std::byte* base = mapping.data();
   size_t size = mapping.size();
   if (size < sizeof(FileHeader)) Corrupt("file shorter than its header");
@@ -239,7 +238,9 @@ void ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo, uint32_t hi,
   Reader table(base, sizeof(FileHeader), size);
   for (uint64_t s = 0; s < header.section_count; ++s) {
     SectionEntry e = table.Pod<SectionEntry>();
-    if (e.kind < lo || e.kind > hi) Corrupt("unknown section kind");
+    if (e.kind < kSectionRegistry || e.kind > kSectionKindMax) {
+      Corrupt("unknown section kind");
+    }
     Section& sec = sections[e.kind];
     if (sec.present) Corrupt("duplicate section");
     if (e.offset % 8 != 0 || e.offset > size || e.size > size - e.offset) {
@@ -256,25 +257,22 @@ void ReadEnvelope(const SnapshotMapping& mapping, uint32_t lo, uint32_t hi,
     sec.end = e.offset + e.size;
     sec.present = true;
   }
+  for (uint32_t k = kSectionRegistry; k <= kSectionKindMax; ++k) {
+    if (!sections[k].present) Corrupt("missing section");
+  }
 }
 
 /// Range-checks one view data segment starting at the reader's position
-/// and records its layout (the reader is advanced past it).
-SnapshotState::SegDesc ReadSegmentDesc(
-    Reader* in, const std::shared_ptr<SnapshotMapping>& mapping,
-    uint64_t first_node) {
-  SnapshotState::SegDesc desc;
-  desc.mapping = mapping;
-  desc.first_node = first_node;
+/// and records its layout in `desc` (the reader is advanced past it).
+void ReadSegmentDesc(Reader* in, SnapshotState::ViewDesc* desc_out) {
+  SnapshotState::ViewDesc& desc = *desc_out;
   in->Align8();
   SegmentHeader seg = in->Pod<SegmentHeader>();
   desc.num_nodes = seg.num_nodes;
   desc.num_values = seg.num_values;
   desc.num_children = seg.num_children;
   desc.num_roots = seg.num_roots;
-  if (first_node + seg.num_nodes > uint64_t{1} << 32) {
-    Corrupt("node count out of range");
-  }
+  if (seg.num_nodes > uint64_t{1} << 32) Corrupt("node count out of range");
   if (seg.num_nodes > in->remaining() / sizeof(NodeRec)) {
     Corrupt("node table out of range");
   }
@@ -297,7 +295,6 @@ SnapshotState::SegDesc ReadSegmentDesc(
   desc.children_off = in->pos();
   in->Skip(seg.num_children * sizeof(uint32_t));
   in->Align8();
-  return desc;
 }
 
 }  // namespace
@@ -307,10 +304,7 @@ std::shared_ptr<SnapshotState> ParseSnapshot(
   ParseSourceScope src(mapping->source());
   const std::byte* base = mapping->data();
   Section sections[kSectionKindMax + 1];
-  ReadEnvelope(*mapping, kSectionRegistry, kSectionMeta, sections);
-  for (uint32_t k = kSectionRegistry; k <= kSectionMeta; ++k) {
-    if (!sections[k].present) Corrupt("missing section");
-  }
+  ReadEnvelope(*mapping, sections);
 
   auto state = std::make_shared<SnapshotState>();
   state->mapping = mapping;
@@ -412,7 +406,7 @@ std::shared_ptr<SnapshotState> ParseSnapshot(
       std::string name = in.Str32();
       SnapshotState::ViewDesc desc;
       desc.tree = ReadFTreeBlob(&in, &db->registry(), num_attrs);
-      desc.segs.push_back(ReadSegmentDesc(&in, mapping, 0));
+      ReadSegmentDesc(&in, &desc);
       if (!state->views.emplace(std::move(name), std::move(desc)).second) {
         Corrupt("duplicate view name");
       }
@@ -421,268 +415,102 @@ std::shared_ptr<SnapshotState> ParseSnapshot(
   return state;
 }
 
-bool ParseDeltaSnapshot(std::shared_ptr<SnapshotMapping> mapping,
-                        Database* db, SnapshotState* state, uint64_t seq) {
-  ParseSourceScope src(mapping->source());
-  const std::byte* base = mapping->data();
-  Section sections[kSectionKindMax + 1];
-  ReadEnvelope(*mapping, kSectionDeltaManifest, kSectionViewDeltas, sections);
-  for (uint32_t k = kSectionDeltaManifest; k <= kSectionViewDeltas; ++k) {
-    if (!sections[k].present) Corrupt("missing section");
-  }
-
-  // --- manifest: a delta belongs to exactly one base epoch and slot in
-  // the chain. A mismatch is a stale leftover (e.g. a crash between a
-  // base fold's rename and its delta cleanup), not corruption: skip it.
-  {
-    Reader in(base, sections[kSectionDeltaManifest].begin,
-              sections[kSectionDeltaManifest].end);
-    uint64_t epoch = in.U64();
-    uint64_t dseq = in.U64();
-    if (epoch != state->epoch || dseq != seq) {
-      return false;
-    }
-  }
-
-  // --- registry delta: appended names continue the id sequence.
-  int num_attrs = 0;
-  {
-    Reader in(base, sections[kSectionRegistryDelta].begin,
-              sections[kSectionRegistryDelta].end);
-    uint64_t first = in.U64();
-    uint64_t count = in.U64();
-    if (first != static_cast<uint64_t>(db->registry().size())) {
-      Corrupt("registry delta out of sequence");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      AttrId id = db->registry().Intern(in.Str32());
-      if (id != static_cast<AttrId>(first + i)) {
-        Corrupt("duplicate attribute name in registry");
-      }
-    }
-    num_attrs = db->registry().size();
-  }
-
-  // --- dictionary deltas: appended strings in code order (interned one
-  // by one so a fresh process assigns code == snapshot id and the value
-  // pools keep the zero-rewrite identity path), appended big-int slots.
-  {
-    Reader in(base, sections[kSectionDictStringsDelta].begin,
-              sections[kSectionDictStringsDelta].end);
-    uint64_t first = in.U64();
-    uint64_t count = in.U64();
-    if (first != state->string_codes.size()) {
-      Corrupt("string delta out of sequence");
-    }
-    ValueDict& dict = ValueDict::Default();
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t code = dict.Intern(in.Str32());
-      state->string_codes.push_back(code);
-      if (code != first + i) state->strings_identity = false;
-    }
-  }
-  {
-    Reader in(base, sections[kSectionDictBigIntsDelta].begin,
-              sections[kSectionDictBigIntsDelta].end);
-    uint64_t first = in.U64();
-    uint64_t count = in.U64();
-    if (first != state->bigint_slots.size()) {
-      Corrupt("big-int delta out of sequence");
-    }
-    if (count > in.remaining() / sizeof(int64_t)) {
-      Corrupt("big-int pool out of range");
-    }
-    ValueDict& dict = ValueDict::Default();
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t slot = dict.InternBigInt(in.I64());
-      state->bigint_slots.push_back(slot);
-      if (slot != first + i) state->bigints_identity = false;
-    }
-  }
-
-  // --- changed relations, re-dumped whole: replace in place.
-  {
-    Reader in(base, sections[kSectionRelationsDelta].begin,
-              sections[kSectionRelationsDelta].end);
-    uint64_t count = in.U64();
-    for (uint64_t r = 0; r < count; ++r) {
-      std::string name = in.Str32();
-      uint64_t arity = in.U64();
-      if (arity > 65535) Corrupt("implausible relation arity");
-      std::vector<AttrId> attrs;
-      for (uint64_t a = 0; a < arity; ++a) {
-        int32_t id = in.I32();
-        if (id < 0 || id >= num_attrs) Corrupt("attribute id out of range");
-        attrs.push_back(id);
-      }
-      uint64_t rows = in.U64();
-      if (rows > in.remaining()) Corrupt("row count out of range");
-      Relation rel{RelSchema(std::move(attrs))};
-      for (uint64_t i = 0; i < rows; ++i) {
-        Tuple t;
-        t.reserve(arity);
-        for (uint64_t a = 0; a < arity; ++a) t.push_back(ReadValueCell(&in));
-        rel.Add(std::move(t));
-      }
-      db->AddRelation(name, std::move(rel));
-    }
-  }
-
-  // --- view deltas: full replacements restart a view's segment chain;
-  // incremental segments append to it.
-  {
-    Reader in(base, sections[kSectionViewDeltas].begin,
-              sections[kSectionViewDeltas].end);
-    uint64_t count = in.U64();
-    for (uint64_t v = 0; v < count; ++v) {
-      std::string name = in.Str32();
-      uint8_t mode = in.U8();
-      if (mode == kViewDeltaFull) {
-        SnapshotState::ViewDesc desc;
-        desc.tree = ReadFTreeBlob(&in, &db->registry(), num_attrs);
-        desc.segs.push_back(ReadSegmentDesc(&in, mapping, 0));
-        state->views[name] = std::move(desc);
-      } else if (mode == kViewDeltaIncremental) {
-        uint64_t prior = in.U64();
-        auto it = state->views.find(name);
-        if (it == state->views.end()) {
-          Corrupt("incremental delta for unknown view");
-        }
-        SnapshotState::ViewDesc& desc = it->second;
-        uint64_t have = desc.segs.back().first_node +
-                        desc.segs.back().num_nodes;
-        if (prior != have) Corrupt("view delta out of sequence");
-        desc.segs.push_back(ReadSegmentDesc(&in, mapping, prior));
-      } else {
-        Corrupt("unknown view delta mode");
-      }
-    }
-  }
-  ++state->deltas_replayed;
-  return true;
-}
-
 std::optional<Factorisation> MaterialiseSnapshotView(SnapshotState& state,
                                                      const std::string& name) {
   base::MutexLock g(&state.mu);
   auto it = state.views.find(name);
   if (it == state.views.end()) return std::nullopt;
   SnapshotState::ViewDesc& d = it->second;
+  ParseSourceScope src(state.mapping->source());
+  const std::byte* base = state.mapping->data();
 
   // Pass 1 (once per view, shared across Database copies): validate
-  // every dictionary payload in every segment of the chain, then remap
-  // snapshot-local ids to live codes. Validation completes before the
-  // first write, so a corrupt pool throws without leaving a half-remapped
-  // segment behind. With identity maps nothing is written and the pools'
-  // pages stay clean, file-backed, and demand-paged.
+  // every dictionary payload in the value pool, then remap snapshot-local
+  // ids to live codes. Validation completes before the first write, so a
+  // corrupt pool throws without leaving a half-remapped segment behind.
+  // With identity maps nothing is written and the pool's pages stay
+  // clean, file-backed, and demand-paged.
   if (!d.fixed_up) {
-    for (const SnapshotState::SegDesc& seg : d.segs) {
-      ParseSourceScope src(seg.mapping->source());
-      const ValueRef* ro = reinterpret_cast<const ValueRef*>(
-          seg.mapping->data() + seg.values_off);
-      for (uint64_t i = 0; i < seg.num_values; ++i) {
-        if (ro[i].is_string()) {
-          if (ro[i].string_code() >= state.string_codes.size()) {
-            Corrupt("string id out of range");
-          }
-        } else if (ro[i].is_big_int()) {
-          if (ro[i].big_int_slot() >= state.bigint_slots.size()) {
-            Corrupt("big-int slot out of range");
-          }
+    const ValueRef* ro = reinterpret_cast<const ValueRef*>(base + d.values_off);
+    for (uint64_t i = 0; i < d.num_values; ++i) {
+      if (ro[i].is_string()) {
+        if (ro[i].string_code() >= state.string_codes.size()) {
+          Corrupt("string id out of range");
+        }
+      } else if (ro[i].is_big_int()) {
+        if (ro[i].big_int_slot() >= state.bigint_slots.size()) {
+          Corrupt("big-int slot out of range");
         }
       }
     }
     if (!state.strings_identity || !state.bigints_identity) {
-      for (const SnapshotState::SegDesc& seg : d.segs) {
-        ValueRef* pool = reinterpret_cast<ValueRef*>(
-            seg.mapping->mutable_data() + seg.values_off);
-        for (uint64_t i = 0; i < seg.num_values; ++i) {
-          ValueRef v = pool[i];
-          // Per-kind guards: an identity kind is not stored back, so its
-          // (byte-identical) writes don't COW-dirty otherwise clean pages.
-          if (v.is_string() && !state.strings_identity) {
-            pool[i] = ValueRef::StringRef(state.string_codes[v.string_code()]);
-          } else if (v.is_big_int() && !state.bigints_identity) {
-            pool[i] = ValueRef::BigIntRef(state.bigint_slots[v.big_int_slot()]);
-          }
+      ValueRef* pool = reinterpret_cast<ValueRef*>(
+          state.mapping->mutable_data() + d.values_off);
+      for (uint64_t i = 0; i < d.num_values; ++i) {
+        ValueRef v = pool[i];
+        // Per-kind guards: an identity kind is not stored back, so its
+        // (byte-identical) writes don't COW-dirty otherwise clean pages.
+        if (v.is_string() && !state.strings_identity) {
+          pool[i] = ValueRef::StringRef(state.string_codes[v.string_code()]);
+        } else if (v.is_big_int() && !state.bigints_identity) {
+          pool[i] = ValueRef::BigIntRef(state.bigint_slots[v.big_int_slot()]);
         }
       }
     }
     d.fixed_up = true;
   }
 
-  // Pass 2: offsets -> pointers, across the whole segment chain. Node
-  // headers and the widened child pointer array are the only per-open
-  // allocations; value spans point into the owning segment's mapping.
-  // Node ids are global (base first, then each delta), and children-first
-  // order holds globally: every child id is below its parent's.
-  uint64_t total_nodes = 0;
-  uint64_t total_children = 0;
-  for (const SnapshotState::SegDesc& seg : d.segs) {
-    if (seg.first_node != total_nodes) Corrupt("segment chain out of order");
-    total_nodes += seg.num_nodes;
-    total_children += seg.num_children;
-  }
-  auto nodes = std::make_unique<FactNode[]>(total_nodes);
-  auto kids = std::make_unique<FactPtr[]>(total_children);
-  uint64_t child_base = 0;
-  for (const SnapshotState::SegDesc& seg : d.segs) {
-    ParseSourceScope src(seg.mapping->source());
-    const std::byte* base = seg.mapping->data();
-    const ValueRef* vpool =
-        reinterpret_cast<const ValueRef*>(base + seg.values_off);
-    Reader recs(base, seg.nodes_off,
-                seg.nodes_off + seg.num_nodes * sizeof(NodeRec));
-    for (uint64_t n = 0; n < seg.num_nodes; ++n) {
-      uint64_t gid = seg.first_node + n;
-      NodeRec rec = recs.Pod<NodeRec>();
-      if (uint64_t{rec.value_off} + rec.num_values > seg.num_values) {
-        Corrupt("value span out of range");
-      }
-      if (uint64_t{rec.child_off} + rec.num_children > seg.num_children) {
-        Corrupt("child span out of range");
-      }
-      const ValueRef* vals = vpool + rec.value_off;
-      for (uint32_t i = 1; i < rec.num_values; ++i) {
-        if (!(vals[i - 1] < vals[i])) Corrupt("union not strictly sorted");
-      }
-      nodes[gid].values = {vals, rec.num_values};
-      nodes[gid].children = {kids.get() + child_base + rec.child_off,
-                             rec.num_children};
-      const uint32_t* span = reinterpret_cast<const uint32_t*>(
-          base + seg.children_off + uint64_t{rec.child_off} * sizeof(uint32_t));
-      for (uint32_t i = 0; i < rec.num_children; ++i) {
-        uint32_t idx;
-        std::memcpy(&idx, span + i, sizeof(idx));
-        // Children-first order makes cycles unrepresentable.
-        if (idx >= gid) Corrupt("child index not below parent");
-        kids[child_base + rec.child_off + i] = &nodes[idx];
-      }
+  // Pass 2: offsets -> pointers. Node headers and the widened child
+  // pointer array are the only per-open allocations; value spans point
+  // into the mapping. Children-first order: every child id is below its
+  // parent's.
+  auto nodes = std::make_unique<FactNode[]>(d.num_nodes);
+  auto kids = std::make_unique<FactPtr[]>(d.num_children);
+  const ValueRef* vpool =
+      reinterpret_cast<const ValueRef*>(base + d.values_off);
+  Reader recs(base, d.nodes_off, d.nodes_off + d.num_nodes * sizeof(NodeRec));
+  for (uint64_t n = 0; n < d.num_nodes; ++n) {
+    NodeRec rec = recs.Pod<NodeRec>();
+    if (uint64_t{rec.value_off} + rec.num_values > d.num_values) {
+      Corrupt("value span out of range");
     }
-    child_base += seg.num_children;
+    if (uint64_t{rec.child_off} + rec.num_children > d.num_children) {
+      Corrupt("child span out of range");
+    }
+    const ValueRef* vals = vpool + rec.value_off;
+    for (uint32_t i = 1; i < rec.num_values; ++i) {
+      if (!(vals[i - 1] < vals[i])) Corrupt("union not strictly sorted");
+    }
+    nodes[n].values = {vals, rec.num_values};
+    nodes[n].children = {kids.get() + rec.child_off, rec.num_children};
+    const uint32_t* span = reinterpret_cast<const uint32_t*>(
+        base + d.children_off + uint64_t{rec.child_off} * sizeof(uint32_t));
+    for (uint32_t i = 0; i < rec.num_children; ++i) {
+      uint32_t idx;
+      std::memcpy(&idx, span + i, sizeof(idx));
+      // Children-first order makes cycles unrepresentable.
+      if (idx >= n) Corrupt("child index not below parent");
+      kids[rec.child_off + i] = &nodes[idx];
+    }
   }
 
-  // Roots come from the last segment of the chain (each delta re-states
-  // the full root array). Then a memoised shape check against the
-  // f-tree: every (data node, f-tree node) pair is visited once, so DAG
-  // sharing cannot blow this up, and enumeration/ops can trust
-  // child-matrix extents.
+  // Roots, then a memoised shape check against the f-tree: every (data
+  // node, f-tree node) pair is visited once, so DAG sharing cannot blow
+  // this up, and enumeration/ops can trust child-matrix extents.
   std::vector<FactPtr> roots;
   std::vector<std::pair<uint64_t, int>> work;
   {
-    const SnapshotState::SegDesc& seg = d.segs.back();
-    Reader rr(seg.mapping->data(), seg.roots_off,
-              seg.roots_off + seg.num_roots * sizeof(int64_t));
-    if (seg.num_roots != d.tree.roots().size()) {
+    Reader rr(base, d.roots_off, d.roots_off + d.num_roots * sizeof(int64_t));
+    if (d.num_roots != d.tree.roots().size()) {
       Corrupt("root count disagrees with f-tree");
     }
-    for (uint64_t r = 0; r < seg.num_roots; ++r) {
+    for (uint64_t r = 0; r < d.num_roots; ++r) {
       int64_t idx = rr.I64();
       if (idx == -1) {
         roots.push_back(FactArena::EmptyNode());
         continue;
       }
-      if (idx < 0 || static_cast<uint64_t>(idx) >= total_nodes) {
+      if (idx < 0 || static_cast<uint64_t>(idx) >= d.num_nodes) {
         Corrupt("root index out of range");
       }
       roots.push_back(&nodes[idx]);
@@ -714,20 +542,12 @@ std::optional<Factorisation> MaterialiseSnapshotView(SnapshotState& state,
     }
   }
 
-  int64_t mapped_bytes = 0;
-  std::vector<std::shared_ptr<SnapshotMapping>> mappings;
-  for (const SnapshotState::SegDesc& seg : d.segs) {
-    mapped_bytes += static_cast<int64_t>(
-        seg.num_nodes * sizeof(NodeRec) + seg.num_roots * sizeof(int64_t) +
-        seg.num_values * sizeof(uint64_t) +
-        seg.num_children * sizeof(uint32_t));
-    if (mappings.empty() || mappings.back() != seg.mapping) {
-      mappings.push_back(seg.mapping);
-    }
-  }
+  int64_t mapped_bytes = static_cast<int64_t>(
+      d.num_nodes * sizeof(NodeRec) + d.num_roots * sizeof(int64_t) +
+      d.num_values * sizeof(uint64_t) + d.num_children * sizeof(uint32_t));
   auto arena = std::make_shared<MappedArena>(
-      std::move(mappings), std::move(nodes),
-      static_cast<int64_t>(total_nodes), std::move(kids), mapped_bytes);
+      state.mapping, std::move(nodes), static_cast<int64_t>(d.num_nodes),
+      std::move(kids), mapped_bytes);
   return Factorisation(d.tree, std::move(roots), std::move(arena));
 }
 
@@ -742,38 +562,30 @@ Database Database::OpenSnapshot(
 
 Database Database::Open(const std::string& path) {
   static obs::Histogram& open_hist = obs::Registry::Instance().GetHistogram(
-      "storage.open_ns", "ns", "Database::Open wall time (chain + WAL)");
-  static obs::Counter& deltas_replayed = obs::Registry::Instance().GetCounter(
-      "storage.open_deltas_replayed", "deltas",
-      "checkpoint deltas replayed during Open");
+      "storage.open_ns", "ns", "Database::Open wall time (base + WAL)");
   static obs::Counter& wal_groups_replayed =
       obs::Registry::Instance().GetCounter(
           "storage.open_wal_groups_replayed", "groups",
           "WAL commit groups replayed during Open");
   obs::ScopedLatency latency(open_hist);
-  Database db = OpenSnapshot(storage::SnapshotMapping::FromFile(path));
-  // Counted locally as well as via the (process-wide) registry counters,
-  // so the recovery event describes *this* Open.
-  uint64_t my_deltas = 0;
-  // Replay the delta chain, stopping at the first gap or stale epoch
-  // (leftovers of a crashed fold are skipped, never misapplied).
-  for (uint64_t seq = 1;; ++seq) {
-    std::string dp = storage::DeltaPath(path, seq);
-    if (::access(dp.c_str(), F_OK) != 0) break;
-    auto mapping = storage::SnapshotMapping::FromFile(dp);
-    if (!storage::ParseDeltaSnapshot(std::move(mapping), &db,
-                                     db.snapshot_.get(), seq)) {
-      break;
-    }
-    deltas_replayed.Inc();
-    ++my_deltas;
+  // Older builds appended checkpoint deltas (`<path>.delta-N`) and stamped
+  // the WAL to follow them. Opening the base alone would silently drop
+  // their changes and the log, so refuse instead. (A base this build
+  // writes removes them.)
+  std::string leftover = path + ".delta-1";
+  if (::access(leftover.c_str(), F_OK) == 0) {
+    throw std::invalid_argument(
+        "snapshot: " + leftover +
+        ": checkpoint delta of an older build; open and Save the database "
+        "with that build first");
   }
-  // Finally the write-ahead log: committed groups only (ReadWal dropped
-  // any torn tail), applied in commit order, and only when the log's
-  // (epoch, chain position) stamp matches the chain just replayed — a
-  // mismatched log predates a fold that already captured it.
-  std::optional<storage::WalRecovery> rec = storage::ReadWal(
-      path, db.snapshot_->epoch, db.snapshot_->deltas_replayed);
+  Database db = OpenSnapshot(storage::SnapshotMapping::FromFile(path));
+  // Then the write-ahead log: committed groups only (ReadWal dropped any
+  // torn tail), applied in commit order, and only when the log's epoch
+  // stamp matches the base just opened — a mismatched log predates a
+  // checkpoint that already captured it.
+  std::optional<storage::WalRecovery> rec =
+      storage::ReadWal(path, db.snapshot_->epoch);
   uint64_t my_groups = 0;
   if (rec.has_value()) {
     my_groups = rec->groups.size();
@@ -788,8 +600,8 @@ Database Database::Open(const std::string& path) {
         if (!db.UpdateView(name, [&batch](Factorisation* f) {
               ApplyBatch(f, batch);
             })) {
-          // Commits only ever log existing views, and EnableWal
-          // checkpointed them into the chain — a missing one is damage.
+          // Commits only ever log existing views, and EnableWal wrote
+          // them into the base — a missing one is damage.
           throw std::invalid_argument("wal: " + storage::WalPath(path) +
                                       ": log references unknown view '" +
                                       name + "'");
@@ -803,14 +615,13 @@ Database Database::Open(const std::string& path) {
     obs::EventLog::Instance().Emit(
         obs::EventType::kRecovery,
         {obs::F("path", path), obs::F("epoch", db.snapshot_->epoch),
-         obs::F("deltas_replayed", my_deltas),
          obs::F("wal_groups_replayed", my_groups),
          obs::F("wal_valid_bytes",
                 rec.has_value() ? rec->valid_bytes : uint64_t{0}),
          obs::F("wal_truncated_tail",
                 rec.has_value() ? rec->truncated_tail : false)});
   }
-  // With FDB_CHECK on, an Open that replayed a corrupt chain or WAL fails
+  // With FDB_CHECK on, an Open that replayed a corrupt base or WAL fails
   // here, before the database is handed to anyone.
   if (check::Enabled()) check::ValidateDatabaseOrThrow(db);
   return db;

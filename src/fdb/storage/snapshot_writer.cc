@@ -6,10 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <limits>
-#include <optional>
 #include <random>
 #include <stdexcept>
 #include <system_error>
@@ -271,33 +268,72 @@ void WriteFTree(Out* out, const FTree& tree) {
   }
 }
 
-std::string SerialiseFTree(const FTree& tree) {
-  BufferSink sink;
-  Out out(&sink);
-  WriteFTree(&out, tree);
-  return sink.Take();
-}
+/// Open-addressed pointer -> dense-id map of the segment writer (12
+/// bytes per slot in parallel arrays; an unordered_map would several-fold
+/// the writer's peak transient memory, which this map dominates).
+class PtrIdMap {
+ public:
+  /// The id of `p`, or -1 if absent.
+  int64_t Find(const void* p) const {
+    if (keys_.empty()) return -1;
+    size_t mask = keys_.size() - 1;
+    size_t i = (reinterpret_cast<uintptr_t>(p) >> 4) & mask;
+    while (keys_[i] != nullptr) {
+      if (keys_[i] == p) return vals_[i];
+      i = (i + 1) & mask;
+    }
+    return -1;
+  }
 
-/// Streams one view data segment — base or incremental delta — in write
-/// order: a placeholder SegmentHeader, node records emitted as the
-/// children-first reachability walk finalises each new node, the root id
-/// array, then the value and child pools re-derived from the emission
-/// order. The pools never materialise in memory; the only transient
-/// state is the node -> id index and the emission order (O(nodes), not
-/// O(values + children + file)).
-///
-/// `index` maps nodes persisted by earlier segments (base + prior
-/// deltas) to their global ids and receives the new nodes; new ids start
-/// at `first_id`. `string_id` maps a live dictionary code to its
-/// snapshot-local string id.
+  /// Inserts p -> id (p must be absent and non-null).
+  void Insert(const void* p, uint32_t id) {
+    if (keys_.empty() || size_ * 4 >= keys_.size() * 3) Grow();
+    size_t mask = keys_.size() - 1;
+    size_t i = (reinterpret_cast<uintptr_t>(p) >> 4) & mask;
+    while (keys_[i] != nullptr) i = (i + 1) & mask;
+    keys_[i] = p;
+    vals_[i] = id;
+    ++size_;
+  }
+
+  uint64_t MemoryBytes() const {
+    return keys_.capacity() * sizeof(const void*) +
+           vals_.capacity() * sizeof(uint32_t);
+  }
+
+ private:
+  void Grow() {
+    std::vector<const void*> old_keys = std::move(keys_);
+    std::vector<uint32_t> old_vals = std::move(vals_);
+    size_t cap = old_keys.empty() ? 1024 : old_keys.size() * 2;
+    keys_.assign(cap, nullptr);
+    vals_.assign(cap, 0);
+    size_t mask = cap - 1;
+    for (size_t s = 0; s < old_keys.size(); ++s) {
+      if (old_keys[s] == nullptr) continue;
+      size_t i = (reinterpret_cast<uintptr_t>(old_keys[s]) >> 4) & mask;
+      while (keys_[i] != nullptr) i = (i + 1) & mask;
+      keys_[i] = old_keys[s];
+      vals_[i] = old_vals[s];
+    }
+  }
+
+  std::vector<const void*> keys_;  ///< nullptr = empty slot
+  std::vector<uint32_t> vals_;
+  size_t size_ = 0;
+};
+
+/// Streams one view data segment in write order: a placeholder
+/// SegmentHeader, node records emitted as the children-first
+/// reachability walk finalises each node, the root id array, then the
+/// value and child pools re-derived from the emission order. The pools
+/// never materialise in memory; the only transient state is the
+/// node -> id index and the emission order (O(nodes), not
+/// O(values + children + file)). String refs are stored as their rank
+/// in `dict` (the snapshot-local string id).
 class SegmentStreamer {
  public:
-  SegmentStreamer(Out* out, PtrIdMap* index, uint64_t first_id,
-                  std::function<uint32_t(uint32_t)> string_id)
-      : out_(out),
-        index_(index),
-        first_id_(first_id),
-        string_id_(std::move(string_id)) {}
+  SegmentStreamer(Out* out, const ValueDict& dict) : out_(out), dict_(dict) {}
 
   /// Writes the whole segment for `roots`; call exactly once.
   void WriteSegment(const std::vector<FactPtr>& roots) {
@@ -324,15 +360,15 @@ class SegmentStreamer {
       for (const ValueRef& v : n->values) {
         ValueRef stored = v;
         if (v.is_string()) {
-          stored = ValueRef::StringRef(string_id_(v.string_code()));
+          stored = ValueRef::StringRef(dict_.rank(v.string_code()));
         }
         out_->U64(stored.bits());
       }
     }
-    // Child pool: global ids via the index.
+    // Child pool: node ids via the index.
     for (FactPtr n : order_) {
       for (FactPtr c : n->children) {
-        int64_t id = index_->Find(c);
+        int64_t id = index_.Find(c);
         if (id < 0) throw std::logic_error("snapshot: child not emitted");
         out_->U32(static_cast<uint32_t>(id));
       }
@@ -346,14 +382,13 @@ class SegmentStreamer {
     out_->PatchAt(header_at, h);
   }
 
-  uint64_t new_nodes() const { return order_.size(); }
   uint64_t transient_bytes() const {
-    return index_->MemoryBytes() + order_.capacity() * sizeof(FactPtr);
+    return index_.MemoryBytes() + order_.capacity() * sizeof(FactPtr);
   }
 
  private:
   int64_t Emit(FactPtr n) {
-    int64_t got = index_->Find(n);
+    int64_t got = index_.Find(n);
     if (got >= 0) return got;
     for (FactPtr c : n->children) Emit(c);
 
@@ -370,18 +405,17 @@ class SegmentStreamer {
     num_values_ += n->values.size();
     num_children_ += n->children.size();
 
-    uint64_t id = first_id_ + order_.size();
+    uint64_t id = order_.size();
     if (id > std::numeric_limits<uint32_t>::max()) TooLarge("node count");
-    index_->Insert(n, static_cast<uint32_t>(id));
+    index_.Insert(n, static_cast<uint32_t>(id));
     order_.push_back(n);
     return static_cast<int64_t>(id);
   }
 
   Out* out_;
-  PtrIdMap* index_;
-  uint64_t first_id_;
-  std::function<uint32_t(uint32_t)> string_id_;
-  std::vector<FactPtr> order_;  ///< newly emitted nodes, id order
+  const ValueDict& dict_;
+  PtrIdMap index_;
+  std::vector<FactPtr> order_;  ///< emitted nodes, id order
   uint64_t num_values_ = 0;
   uint64_t num_children_ = 0;
 };
@@ -442,12 +476,6 @@ void FinishFile(Out* out, uint64_t table_at,
   out->PatchAt(0, header);
 }
 
-void WriteRegistryRange(Out* out, const AttributeRegistry& reg, AttrId first) {
-  out->U64(static_cast<uint64_t>(first));
-  out->U64(static_cast<uint64_t>(reg.size() - first));
-  for (AttrId id = first; id < reg.size(); ++id) out->Str32(reg.Name(id));
-}
-
 void WriteRelation(Out* out, const std::string& name, const Relation& rel) {
   out->Str32(name);
   out->U64(static_cast<uint64_t>(rel.schema().arity()));
@@ -465,9 +493,8 @@ void UpdatePeak(SaveStats* stats, uint64_t transient) {
 }
 
 /// The base writer, shared by SerialiseDatabase (BufferSink) and
-/// SaveSnapshot (FileSink).
-void WriteBase(Out* out, const Database& db, SaveStats* stats,
-               PersistState* retain) {
+/// SaveSnapshot (FileSink). Returns the epoch stamped into the file.
+uint64_t WriteBase(Out* out, const Database& db, SaveStats* stats) {
   const ValueDict& dict = db.dict();
   // Interning — and with it rank shifts and new codes — is frozen for
   // the whole serialisation: the rank-ordered string table, the
@@ -530,26 +557,11 @@ void WriteBase(Out* out, const Database& db, SaveStats* stats,
           // swap must not retire these nodes mid-walk.
           std::shared_ptr<const Factorisation> f = db.ViewSnapshot(name);
           out->Str32(name);
-          std::string tree_blob = SerialiseFTree(f->tree());
-          out->Bytes(tree_blob.data(), tree_blob.size());
-          PtrIdMap local_index;
-          PtrIdMap* index = &local_index;
-          if (retain != nullptr) {
-            index = &retain->views[name].index;
-          }
-          SegmentStreamer seg(out, index, 0, [&dict](uint32_t code) {
-            return dict.rank(code);
-          });
+          WriteFTree(out, f->tree());
+          SegmentStreamer seg(out, dict);
           seg.WriteSegment(f->roots());
           UpdatePeak(stats, seg.transient_bytes() +
                                 out->sink()->buffer_bytes());
-          if (retain != nullptr) {
-            PersistState::ViewBase& vb = retain->views[name];
-            vb.pinned = std::move(f);
-            vb.num_nodes = seg.new_nodes();
-            vb.rebuild_gen = vb.pinned->rebuild_generation();
-            vb.tree_blob = std::move(tree_blob);
-          }
         }
         break;
       }
@@ -563,65 +575,7 @@ void WriteBase(Out* out, const Database& db, SaveStats* stats,
   FinishFile(out, table_at, entries);
 
   if (stats != nullptr) stats->bytes_written = out->pos();
-  if (retain != nullptr) {
-    retain->epoch = epoch;
-    retain->next_seq = 1;
-    retain->base_bytes = out->pos();
-    retain->delta_bytes = 0;
-    retain->base_strings = dict.num_strings();
-    retain->string_watermark = dict.num_strings();
-    retain->base_rank.resize(dict.num_strings());
-    for (uint32_t code = 0; code < retain->base_strings; ++code) {
-      retain->base_rank[code] = dict.rank(code);
-    }
-    retain->bigint_watermark = dict.num_big_ints();
-    retain->attr_watermark = static_cast<uint64_t>(db.registry().size());
-    retain->relation_versions.clear();
-    for (const std::string& name : db.RelationNames()) {
-      retain->relation_versions[name] = db.relation_version(name);
-    }
-  }
-}
-
-/// Removes every delta file (and stray delta temp file) of `path`. A
-/// freshly written base supersedes them all; epoch stamps additionally
-/// protect readers against any leftover this cleanup misses. Probes past
-/// gaps up to twice the chain bound so a crash mid-cleanup (delta-1
-/// gone, delta-2 stranded) cannot leak files across the next fold.
-void RemoveStaleDeltas(const std::string& path) {
-  for (uint64_t seq = 1;; ++seq) {
-    std::string dp = DeltaPath(path, seq);
-    bool had = std::remove(dp.c_str()) == 0;
-    bool had_tmp = std::remove((dp + ".tmp").c_str()) == 0;
-    if (!had && !had_tmp && seq > 2 * kMaxDeltaChain) break;
-  }
-}
-
-/// True when a delta written now would carry anything — cheap watermark,
-/// version and pin comparisons, no serialisation. Lets Checkpoint report
-/// kNoop on an idle database even when the fold threshold has tripped
-/// (a fold that writes nothing new is pure wasted I/O).
-bool HasChangesSince(const Database& db, const PersistState& st) {
-  const ValueDict& dict = db.dict();
-  if (static_cast<uint64_t>(db.registry().size()) != st.attr_watermark ||
-      dict.num_strings() != st.string_watermark ||
-      dict.num_big_ints() != st.bigint_watermark) {
-    return true;
-  }
-  for (const std::string& name : db.RelationNames()) {
-    auto it = st.relation_versions.find(name);
-    if (it == st.relation_versions.end() ||
-        it->second != db.relation_version(name)) {
-      return true;
-    }
-  }
-  for (const std::string& name : db.ViewNames()) {
-    auto it = st.views.find(name);
-    if (it == st.views.end() || it->second.pinned != db.ViewSnapshot(name)) {
-      return true;
-    }
-  }
-  return false;
+  return epoch;
 }
 
 void FsyncParentDir(const std::string& path) {
@@ -641,16 +595,31 @@ void FsyncParentDir(const std::string& path) {
   io.Close("dir_close", fd);
 }
 
-/// Streams `write` into `path + ".tmp"`, fsyncs, atomically renames over
-/// `path`, then fsyncs the parent directory — the crash-safe publish
-/// used by base saves and delta appends alike.
-void WriteFileAtomically(const std::string& path,
-                         const std::function<void(Out*)>& write) {
+}  // namespace
+
+std::string CanonicalSnapshotPath(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::path canon = std::filesystem::weakly_canonical(path, ec);
+  return ec ? path : canon.string();
+}
+
+std::string SerialiseDatabase(const Database& db) {
+  BufferSink sink;
+  Out out(&sink);
+  WriteBase(&out, db, nullptr);
+  return sink.Take();
+}
+
+uint64_t SaveSnapshot(const Database& db, const std::string& path,
+                      SaveStats* stats) {
+  // Stream into `path.tmp`, fsync, atomically rename over `path`, then
+  // fsync the parent directory.
   std::string tmp = path + ".tmp";
+  uint64_t epoch = 0;
   try {
     FileSink sink(tmp);
     Out out(&sink);
-    write(&out);
+    epoch = WriteBase(&out, db, stats);
     sink.Close();
   } catch (...) {
     std::remove(tmp.c_str());
@@ -663,260 +632,21 @@ void WriteFileAtomically(const std::string& path,
                                 std::strerror(errno));
   }
   FsyncParentDir(path);
-}
-
-/// The epoch stamp of the base file at `path`, or nullopt if the file is
-/// missing, unreadable, of another format version, or has no meta
-/// section. Checkpoint reads it before appending a delta: if another
-/// writer re-based the path since this chain started, appending would
-/// stamp the delta with a dead epoch — reported as success but skipped
-/// forever at Open. A mismatch forces a rebase instead.
-std::optional<uint64_t> ReadBaseEpoch(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FileHeader h;
-  if (!in.read(reinterpret_cast<char*>(&h), sizeof(h))) return std::nullopt;
-  if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.endian != kEndianProbe || h.version != kVersion ||
-      h.section_count > 64) {
-    return std::nullopt;
+  // Older builds appended checkpoint deltas `<path>.delta-1`, `-2`, ...;
+  // the base just written supersedes them, and Open refuses a base with
+  // one beside it.
+  for (int seq = 1;
+       std::remove((path + ".delta-" + std::to_string(seq)).c_str()) == 0;
+       ++seq) {
   }
-  for (uint64_t s = 0; s < h.section_count; ++s) {
-    SectionEntry e;
-    if (!in.read(reinterpret_cast<char*>(&e), sizeof(e))) return std::nullopt;
-    if (e.kind == kSectionMeta && e.size >= sizeof(uint64_t)) {
-      uint64_t epoch = 0;
-      if (!in.seekg(static_cast<std::streamoff>(e.offset)) ||
-          !in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch))) {
-        return std::nullopt;
-      }
-      return epoch;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::string DeltaPath(const std::string& path, uint64_t seq) {
-  return path + ".delta-" + std::to_string(seq);
-}
-
-std::string CanonicalSnapshotPath(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::path canon = std::filesystem::weakly_canonical(path, ec);
-  return ec ? path : canon.string();
-}
-
-int64_t PtrIdMap::Find(const void* p) const {
-  if (keys_.empty()) return -1;
-  size_t mask = keys_.size() - 1;
-  size_t i = (reinterpret_cast<uintptr_t>(p) >> 4) & mask;
-  while (keys_[i] != nullptr) {
-    if (keys_[i] == p) return vals_[i];
-    i = (i + 1) & mask;
-  }
-  return -1;
-}
-
-void PtrIdMap::Insert(const void* p, uint32_t id) {
-  if (keys_.empty() || size_ * 4 >= keys_.size() * 3) Grow();
-  size_t mask = keys_.size() - 1;
-  size_t i = (reinterpret_cast<uintptr_t>(p) >> 4) & mask;
-  while (keys_[i] != nullptr) i = (i + 1) & mask;
-  keys_[i] = p;
-  vals_[i] = id;
-  ++size_;
-}
-
-void PtrIdMap::Grow() {
-  std::vector<const void*> old_keys = std::move(keys_);
-  std::vector<uint32_t> old_vals = std::move(vals_);
-  size_t cap = old_keys.empty() ? 1024 : old_keys.size() * 2;
-  keys_.assign(cap, nullptr);
-  vals_.assign(cap, 0);
-  size_t mask = cap - 1;
-  for (size_t s = 0; s < old_keys.size(); ++s) {
-    if (old_keys[s] == nullptr) continue;
-    size_t i = (reinterpret_cast<uintptr_t>(old_keys[s]) >> 4) & mask;
-    while (keys_[i] != nullptr) i = (i + 1) & mask;
-    keys_[i] = old_keys[s];
-    vals_[i] = old_vals[s];
-  }
-}
-
-std::string SerialiseDatabase(const Database& db) {
-  BufferSink sink;
-  Out out(&sink);
-  WriteBase(&out, db, nullptr, nullptr);
-  return sink.Take();
-}
-
-void SaveSnapshot(const Database& db, const std::string& path,
-                  SaveStats* stats, PersistState* retain) {
-  WriteFileAtomically(path, [&](Out* out) {
-    WriteBase(out, db, stats, retain);
-  });
-  if (retain != nullptr) retain->path = path;
-  RemoveStaleDeltas(path);
-}
-
-CheckpointInfo AppendCheckpoint(const Database& db, PersistState* st,
-                                SaveStats* stats) {
-  const ValueDict& dict = db.dict();
-  const AttributeRegistry& reg = db.registry();
-  auto frozen = dict.FreezeRanks();
-
-  // --- what changed since the last checkpoint ------------------------------
-  uint64_t new_attrs = static_cast<uint64_t>(reg.size()) - st->attr_watermark;
-  uint64_t new_strings = dict.num_strings() - st->string_watermark;
-  uint64_t new_bigints = dict.num_big_ints() - st->bigint_watermark;
-
-  std::vector<std::string> changed_rels;
-  for (const std::string& name : db.RelationNames()) {
-    auto it = st->relation_versions.find(name);
-    if (it == st->relation_versions.end() ||
-        it->second != db.relation_version(name)) {
-      changed_rels.push_back(name);
-    }
-  }
-  struct ChangedView {
-    std::string name;
-    std::shared_ptr<const Factorisation> cur;
-    bool full = false;
-    std::string tree_blob;
-  };
-  std::vector<ChangedView> changed_views;
-  for (const std::string& name : db.ViewNames()) {
-    std::shared_ptr<const Factorisation> cur = db.ViewSnapshot(name);
-    auto it = st->views.find(name);
-    if (it != st->views.end() && it->second.pinned == cur) continue;
-    std::string tree_blob = SerialiseFTree(cur->tree());
-    // Incremental only when the persisted nodes are provably still
-    // alive: the current version's arena chain must keep the pinned
-    // version's arena (updates adopt it; a rebuild — Compact,
-    // CompressInPlace, or an AddView of a from-scratch factorisation —
-    // breaks the chain, and a freed node's address could alias a new
-    // node in the retained index). The rebuild generation catches
-    // adopt-preserving rebuilds whose node identities changed anyway.
-    bool full = it == st->views.end() ||
-                it->second.rebuild_gen != cur->rebuild_generation() ||
-                !cur->arena()->KeepsAlive(it->second.pinned->arena().get()) ||
-                it->second.tree_blob != tree_blob;
-    changed_views.push_back({name, std::move(cur), full,
-                             std::move(tree_blob)});
-  }
-
-  if (new_attrs == 0 && new_strings == 0 && new_bigints == 0 &&
-      changed_rels.empty() && changed_views.empty()) {
-    return CheckpointInfo{CheckpointInfo::kNoop, 0, 0};
-  }
-
-  // --- write the delta file ------------------------------------------------
-  uint64_t seq = st->next_seq;
-  std::string path = DeltaPath(st->path, seq);
-  uint64_t bytes = 0;
-  WriteFileAtomically(path, [&](Out* out) {
-    const uint32_t kinds[6] = {kSectionDeltaManifest, kSectionRegistryDelta,
-                               kSectionDictStringsDelta,
-                               kSectionDictBigIntsDelta,
-                               kSectionRelationsDelta, kSectionViewDeltas};
-    uint64_t table_at = BeginFile(out, 6);
-    std::vector<SectionEntry> entries;
-    for (uint32_t kind : kinds) {
-      out->Align8();
-      uint64_t begin = out->pos();
-      switch (kind) {
-        case kSectionDeltaManifest:
-          out->U64(st->epoch);
-          out->U64(seq);
-          break;
-        case kSectionRegistryDelta:
-          WriteRegistryRange(out, reg,
-                             static_cast<AttrId>(st->attr_watermark));
-          break;
-        case kSectionDictStringsDelta:
-          // In code (append) order: the snapshot-string-id of code c is c
-          // itself once c is past the base (base ids 0..B-1 are ranks).
-          out->U64(st->string_watermark);
-          out->U64(new_strings);
-          for (uint64_t c = st->string_watermark; c < dict.num_strings();
-               ++c) {
-            out->Str32(dict.str(static_cast<uint32_t>(c)));
-          }
-          break;
-        case kSectionDictBigIntsDelta:
-          out->U64(st->bigint_watermark);
-          out->U64(new_bigints);
-          for (uint64_t s = st->bigint_watermark; s < dict.num_big_ints();
-               ++s) {
-            out->I64(dict.big_int(static_cast<uint32_t>(s)));
-          }
-          break;
-        case kSectionRelationsDelta:
-          out->U64(changed_rels.size());
-          for (const std::string& name : changed_rels) {
-            WriteRelation(out, name, *db.relation(name));
-          }
-          break;
-        case kSectionViewDeltas: {
-          out->U64(changed_views.size());
-          auto string_id = [st, &dict](uint32_t code) {
-            return code < st->base_strings ? st->base_rank[code] : code;
-          };
-          for (ChangedView& cv : changed_views) {
-            out->Str32(cv.name);
-            PersistState::ViewBase& vb = st->views[cv.name];
-            if (cv.full) {
-              out->U8(kViewDeltaFull);
-              out->Bytes(cv.tree_blob.data(), cv.tree_blob.size());
-              vb.index = PtrIdMap();  // supersedes base + prior deltas
-              SegmentStreamer seg(out, &vb.index, 0, string_id);
-              seg.WriteSegment(cv.cur->roots());
-              vb.num_nodes = seg.new_nodes();
-              vb.tree_blob = std::move(cv.tree_blob);
-              UpdatePeak(stats, seg.transient_bytes() +
-                                    out->sink()->buffer_bytes());
-            } else {
-              out->U8(kViewDeltaIncremental);
-              out->U64(vb.num_nodes);
-              SegmentStreamer seg(out, &vb.index, vb.num_nodes, string_id);
-              seg.WriteSegment(cv.cur->roots());
-              vb.num_nodes += seg.new_nodes();
-              UpdatePeak(stats, seg.transient_bytes() +
-                                    out->sink()->buffer_bytes());
-            }
-            vb.rebuild_gen = cv.cur->rebuild_generation();
-            vb.pinned = std::move(cv.cur);
-          }
-          break;
-        }
-      }
-      entries.push_back(SectionEntry{kind, 0, begin, out->pos() - begin});
-    }
-    FillSectionCrcs(out, &entries);
-    FinishFile(out, table_at, entries);
-    bytes = out->pos();
-  });
-
-  // --- commit the new watermarks -------------------------------------------
-  st->attr_watermark = static_cast<uint64_t>(reg.size());
-  st->string_watermark = dict.num_strings();
-  st->bigint_watermark = dict.num_big_ints();
-  for (const std::string& name : changed_rels) {
-    st->relation_versions[name] = db.relation_version(name);
-  }
-  st->next_seq = seq + 1;
-  st->delta_bytes += bytes;
-  if (stats != nullptr) stats->bytes_written = bytes;
-  return CheckpointInfo{CheckpointInfo::kDelta, bytes, seq};
+  return epoch;
 }
 
 }  // namespace storage
 
-// Public Save/Checkpoint take txn_mu_ first (a fold must not interleave
-// with a commit's log append, and the *Locked internals let EnableWal
-// checkpoint while already holding txn_mu_), then reset a bound WAL once
-// the chain durably holds everything the log did.
+// Public Save/Checkpoint take txn_mu_: a base must not interleave with a
+// commit's log append, and the *Locked internals let EnableWal and
+// DisableWal write one while already holding txn_mu_.
 
 void Database::Save(const std::string& raw_path) const {
   static obs::Histogram& save_hist = obs::Registry::Instance().GetHistogram(
@@ -935,10 +665,8 @@ void Database::Save(const std::string& raw_path) const {
           obs::EventType::kSave,
           {obs::F("path", path), obs::F("bytes", stats.bytes_written)});
     }
-    ResetWalAfterFoldLocked(path);
   }
-  // Deep-validate after the fold, outside txn_mu_ (the checker takes the
-  // view-map and persist locks itself).
+  // Deep-validate outside txn_mu_ (the checker takes it to read persist_).
   if (check::Enabled()) check::ValidateDatabaseOrThrow(*this);
 }
 
@@ -947,12 +675,9 @@ storage::CheckpointInfo Database::Checkpoint(
   static obs::Histogram& ckpt_hist = obs::Registry::Instance().GetHistogram(
       "storage.checkpoint_ns", "ns", "Database::Checkpoint wall time");
   static obs::Histogram& ckpt_bytes = obs::Registry::Instance().GetHistogram(
-      "storage.checkpoint_bytes", "bytes",
-      "bytes written per checkpoint (base or delta)");
+      "storage.checkpoint_bytes", "bytes", "bytes written per checkpoint");
   static obs::Counter& ckpt_base = obs::Registry::Instance().GetCounter(
       "storage.checkpoint_base", "checkpoints", "base snapshots written");
-  static obs::Counter& ckpt_delta = obs::Registry::Instance().GetCounter(
-      "storage.checkpoint_delta", "checkpoints", "delta appends written");
   static obs::Counter& ckpt_noop = obs::Registry::Instance().GetCounter(
       "storage.checkpoint_noop", "checkpoints",
       "checkpoints skipped (no changes)");
@@ -962,120 +687,70 @@ storage::CheckpointInfo Database::Checkpoint(
   {
     base::MutexLock t(&txn_mu_);
     info = CheckpointLocked(path);
-    // On kNoop the log is necessarily empty and still correctly stamped
-    // (every committed group makes HasChangesSince true until folded), so
-    // only an actual write needs the reset. It must happen under the same
-    // txn_mu_ hold as the fold: a commit interleaving between them would
-    // be wiped from the log without ever reaching the chain.
-    if (info.kind != storage::CheckpointInfo::kNoop) {
-      ResetWalAfterFoldLocked(path);
-    }
   }
-  switch (info.kind) {
-    case storage::CheckpointInfo::kBase:
-      ckpt_base.Inc();
-      ckpt_bytes.Record(info.bytes);
-      break;
-    case storage::CheckpointInfo::kDelta:
-      ckpt_delta.Inc();
-      ckpt_bytes.Record(info.bytes);
-      break;
-    case storage::CheckpointInfo::kNoop:
-      ckpt_noop.Inc();
-      break;
+  bool wrote = info.kind == storage::CheckpointInfo::kBase;
+  if (wrote) {
+    ckpt_base.Inc();
+    ckpt_bytes.Record(info.bytes);
+  } else {
+    ckpt_noop.Inc();
   }
   if (obs::LogEnabled()) {
-    const char* kind = info.kind == storage::CheckpointInfo::kBase ? "base"
-                       : info.kind == storage::CheckpointInfo::kDelta
-                           ? "delta"
-                           : "noop";
     obs::EventLog::Instance().Emit(
         obs::EventType::kCheckpoint,
-        {obs::F("path", path), obs::F("kind", kind),
-         obs::F("bytes", info.bytes), obs::F("seq", info.seq)});
+        {obs::F("path", path), obs::F("kind", wrote ? "base" : "noop"),
+         obs::F("bytes", info.bytes)});
   }
-  // On kNoop the chain and the live state were just proven in sync, so
+  // On kNoop the base and the live state were just proven in sync, so
   // the deep check is only worth its cost when something was written.
-  if (info.kind != storage::CheckpointInfo::kNoop && check::Enabled()) {
-    check::ValidateDatabaseOrThrow(*this);
-  }
+  if (wrote && check::Enabled()) check::ValidateDatabaseOrThrow(*this);
   return info;
 }
 
-// Re-stamps a WAL bound to `path` after the chain at `path` was rewritten
-// or extended: everything the log held is now durable in the chain, so
-// the log restarts empty at the new (epoch, chain position). Requires
-// txn_mu_. A failed reset marks the log broken — durability is unaffected
-// (the chain already has it all), the next Commit reports it, and
-// EnableWal recovers — so the fold's success is not retracted.
-void Database::ResetWalAfterFoldLocked(const std::string& path) const {
-  if (wal_ == nullptr || wal_base_ != path) return;
-  uint64_t epoch = 0;
-  uint64_t chain_pos = 0;
-  {
-    base::MutexLock g(&persist_mu_);
-    if (persist_ == nullptr) return;  // checkpoint failed; stamp still valid
-    epoch = persist_->epoch;
-    chain_pos = persist_->next_seq - 1;
-  }
+uint64_t Database::SaveLocked(const std::string& path,
+                              storage::SaveStats* stats) const {
+  // Read before writing: a view published while the base streams may be
+  // missing from it, so it must keep the next Checkpoint from a kNoop.
+  storage::PersistState saved{path, 0, changes_.load(),
+                              static_cast<uint64_t>(reg_.size())};
+  // Forgotten until the new base is durable: after a failure the next
+  // Checkpoint of `path` writes again, whatever reached the disk.
+  persist_.reset();
   try {
-    wal_->Reset(epoch, chain_pos);
-  } catch (const std::exception&) {
-    // wal_->broken() is now set; surfaced by WalStatus and the next Commit.
+    saved.epoch = storage::SaveSnapshot(*this, path, stats);
+  } catch (...) {
+    // The failure may have come after the new base replaced the one a
+    // log bound to `path` is stamped for (a failed directory fsync).
+    if (wal_ != nullptr && wal_base_ == path) wal_->MarkBroken();
+    throw;
   }
-}
-
-void Database::SaveLocked(const std::string& path,
-                          storage::SaveStats* stats) const {
-  base::MutexLock g(&persist_mu_);
-  if ((persist_ != nullptr && persist_->path == path) ||
-      (wal_ != nullptr && wal_base_ == path)) {
-    // Rewriting the base a checkpoint chain (or WAL) hangs off: fold —
-    // refresh the retained state against the new base (the old deltas
-    // are removed), so the caller can re-stamp the log.
-    auto fresh = std::make_shared<storage::PersistState>();
-    persist_.reset();
-    storage::SaveSnapshot(*this, path, stats, fresh.get());
-    persist_ = std::move(fresh);
-  } else {
-    storage::SaveSnapshot(*this, path, stats);
+  persist_ = saved;
+  // Everything a log bound to `path` held is now in the base: restart it
+  // empty under the new epoch. A failed reset marks the log broken —
+  // durability is unaffected (the base has it all), the next Commit
+  // reports it, and EnableWal recovers — so the save still succeeded.
+  if (wal_ != nullptr && wal_base_ == path) {
+    try {
+      wal_->Reset(saved.epoch);
+    } catch (const std::exception&) {
+      // wal_->broken() is now set; surfaced by WalStatus and the next Commit.
+    }
   }
+  return saved.epoch;
 }
 
 storage::CheckpointInfo Database::CheckpointLocked(
     const std::string& path) const {
-  base::MutexLock g(&persist_mu_);
-  if (persist_ != nullptr && persist_->path == path &&
-      !storage::HasChangesSince(*this, *persist_)) {
-    return {storage::CheckpointInfo::kNoop, 0, 0};
+  // On kNoop a log bound to `path` is necessarily empty and correctly
+  // stamped: every commit publishes a view, which bumps changes_.
+  if (persist_.has_value() && persist_->path == path &&
+      persist_->changes == changes_.load() &&
+      persist_->attrs == static_cast<uint64_t>(reg_.size())) {
+    return {storage::CheckpointInfo::kNoop, 0};
   }
-  bool rebase = persist_ == nullptr || persist_->path != path ||
-                persist_->next_seq > storage::kMaxDeltaChain ||
-                persist_->delta_bytes * 2 > persist_->base_bytes;
-  if (!rebase) {
-    // The base on disk must still be the one this chain hangs off —
-    // another writer (a Database copy, another process) may have
-    // re-based the path, and a delta stamped with the dead epoch would
-    // be silently skipped at Open.
-    std::optional<uint64_t> disk = storage::ReadBaseEpoch(path);
-    rebase = !disk.has_value() || *disk != persist_->epoch;
-  }
-  if (rebase) {
-    auto fresh = std::make_shared<storage::PersistState>();
-    persist_.reset();
-    storage::SaveStats stats;
-    storage::SaveSnapshot(*this, path, &stats, fresh.get());
-    persist_ = std::move(fresh);
-    return {storage::CheckpointInfo::kBase, stats.bytes_written, 0};
-  }
-  try {
-    return storage::AppendCheckpoint(*this, persist_.get());
-  } catch (...) {
-    // The retained index may be half-updated: drop it so the next
-    // checkpoint writes a fresh base instead of a wrong delta.
-    persist_.reset();
-    throw;
-  }
+  storage::SaveStats stats;
+  SaveLocked(path, &stats);
+  return {storage::CheckpointInfo::kBase, stats.bytes_written};
 }
 
 }  // namespace fdb

@@ -67,13 +67,12 @@ std::string SerialiseOps(const std::vector<WalOp>& ops) {
   return payload;
 }
 
-WalHeader MakeHeader(uint64_t epoch, uint64_t chain_pos) {
+WalHeader MakeHeader(uint64_t epoch) {
   WalHeader h{};
   std::memcpy(h.magic, kWalMagic, sizeof(kWalMagic));
   h.version = kWalVersion;
   h.endian = kEndianProbe;
   h.epoch = epoch;
-  h.chain_pos = chain_pos;
   return h;
 }
 
@@ -136,14 +135,14 @@ uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
 std::string WalPath(const std::string& path) { return path + ".wal"; }
 
 std::unique_ptr<Wal> Wal::Create(const std::string& snapshot_path,
-                                 uint64_t epoch, uint64_t chain_pos) {
+                                 uint64_t epoch) {
   auto wal = std::unique_ptr<Wal>(new Wal);
   wal->path_ = WalPath(snapshot_path);
   IoEnv& io = IoEnv::Instance();
   wal->fd_ = io.Open("wal_open", wal->path_.c_str(),
                      O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (wal->fd_ < 0) WalError("cannot open", wal->path_);
-  wal->Reset(epoch, chain_pos);
+  wal->Reset(epoch);
   // A crash after Reset but before the directory entry is durable could
   // lose a *new* wal file entirely — equivalent to "no log", which
   // recovery treats as an empty committed set, so this fsync is about
@@ -156,14 +155,14 @@ Wal::~Wal() {
   if (fd_ >= 0) IoEnv::Instance().Close("wal_close", fd_);
 }
 
-void Wal::Reset(uint64_t epoch, uint64_t chain_pos) {
+void Wal::Reset(uint64_t epoch) {
   IoEnv& io = IoEnv::Instance();
   broken_ = true;  // cleared on success
   if (io.Ftruncate("wal_truncate", fd_, 0) != 0) {
     WalError("truncate of", path_);
   }
   if (::lseek(fd_, 0, SEEK_SET) < 0) WalError("seek in", path_);
-  WalHeader h = MakeHeader(epoch, chain_pos);
+  WalHeader h = MakeHeader(epoch);
   if (!WriteAll("wal_write", fd_, &h, sizeof(h))) {
     WalError("write to", path_);
   }
@@ -177,8 +176,8 @@ void Wal::Reset(uint64_t epoch, uint64_t chain_pos) {
 uint64_t Wal::Append(const std::vector<WalOp>& ops) {
   if (broken_) {
     throw std::invalid_argument("wal: " + path_ +
-                                ": log is broken after a failed reset; "
-                                "re-enable the WAL");
+                                ": log is broken after a failed reset or "
+                                "checkpoint; checkpoint or re-enable the WAL");
   }
   IoEnv& io = IoEnv::Instance();
   if (tail_dirty_) {
@@ -284,7 +283,7 @@ Value ReadCell(WalReader* in, const std::string& path) {
 }  // namespace
 
 std::optional<WalRecovery> ReadWal(const std::string& snapshot_path,
-                                   uint64_t epoch, uint64_t chain_pos) {
+                                   uint64_t epoch) {
   std::string path = WalPath(snapshot_path);
   std::string bytes;
   {
@@ -304,10 +303,10 @@ std::optional<WalRecovery> ReadWal(const std::string& snapshot_path,
       h.version != kWalVersion || h.endian != kEndianProbe) {
     return std::nullopt;
   }
-  // A log stamped for a different base epoch or chain position predates
-  // a fold (or belongs to a chain that was re-based): everything it held
-  // is already in the chain, or intentionally superseded. Skip whole.
-  if (h.epoch == 0 || h.epoch != epoch || h.chain_pos != chain_pos) {
+  // A log stamped for a different base epoch predates a checkpoint (or
+  // belongs to a base another writer replaced): everything it held is
+  // already in the base, or intentionally superseded. Skip whole.
+  if (h.epoch == 0 || h.epoch != epoch) {
     return std::nullopt;
   }
 

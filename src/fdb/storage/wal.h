@@ -13,13 +13,12 @@ namespace fdb {
 namespace storage {
 
 /// Write-ahead log for a snapshot path: `<path>.wal` sits next to the
-/// base file and its delta chain and makes committed view mutations
-/// durable between checkpoints. Layout:
+/// base file and makes committed view mutations durable between
+/// checkpoints. Layout:
 ///
 ///   WalHeader                       magic, version, endianness probe,
 ///                                   the base epoch this log applies on
-///                                   top of, and the chain position
-///                                   (delta count) when it was started
+///                                   top of
 ///   frame*                          one frame per committed group
 ///
 /// Each frame is CRC32-guarded and carries a dense 1-based commit
@@ -39,9 +38,9 @@ namespace storage {
 /// (group commit); recovery replays frames in order and truncates at
 /// the first torn or corrupt frame, so a crash mid-commit loses at most
 /// the in-flight group and never a previously acknowledged one
-/// (prefix-consistent recovery). A log whose (epoch, chain position)
-/// stamp does not match the replayed base+delta chain is ignored whole:
-/// it predates a fold that already captured everything in it.
+/// (prefix-consistent recovery). A log whose epoch stamp does not match
+/// the base is ignored whole: it predates a checkpoint that already
+/// captured everything in it.
 inline constexpr char kWalMagic[8] = {'F', 'D', 'B', 'W', 'A', 'L', '1', 0};
 inline constexpr uint32_t kWalVersion = 1;
 
@@ -49,8 +48,8 @@ struct WalHeader {
   char magic[8];
   uint32_t version;
   uint32_t endian;
-  uint64_t epoch;      ///< base epoch the log applies on top of
-  uint64_t chain_pos;  ///< deltas present when the log was started/reset
+  uint64_t epoch;     ///< base epoch the log applies on top of
+  uint64_t reserved;  ///< always 0; older builds kept a delta count here
 };
 static_assert(sizeof(WalHeader) == 32);
 
@@ -83,12 +82,12 @@ std::string WalPath(const std::string& path);
 /// Not thread-safe; the owning Database serialises commits.
 class Wal {
  public:
-  /// Creates (or resets) `<snapshot_path>.wal`, stamps it with
-  /// (epoch, chain_pos) and makes the header durable before returning —
-  /// so a later torn header always means "no committed group was lost".
-  /// Throws std::invalid_argument on I/O failure.
+  /// Creates (or resets) `<snapshot_path>.wal`, stamps it with the base
+  /// `epoch` and makes the header durable before returning — so a later
+  /// torn header always means "no committed group was lost". Throws
+  /// std::invalid_argument on I/O failure.
   static std::unique_ptr<Wal> Create(const std::string& snapshot_path,
-                                     uint64_t epoch, uint64_t chain_pos);
+                                     uint64_t epoch);
 
   ~Wal();
   Wal(const Wal&) = delete;
@@ -101,12 +100,19 @@ class Wal {
   /// failure the group is NOT durable (recovery drops its torn frame).
   uint64_t Append(const std::vector<WalOp>& ops);
 
-  /// Truncates the log back to a bare header stamped with the new
-  /// (epoch, chain_pos) — called after a checkpoint folded every logged
-  /// group into the chain. Throws std::invalid_argument on I/O failure;
-  /// the log is then `broken()` and must be re-created (durability is
-  /// unaffected: the chain already holds everything).
-  void Reset(uint64_t epoch, uint64_t chain_pos);
+  /// Truncates the log back to a bare header stamped with the new base
+  /// `epoch` — called after a checkpoint wrote every logged group into a
+  /// new base. Throws std::invalid_argument on I/O failure; the log is
+  /// then `broken()` and must be re-created (durability is unaffected:
+  /// the base already holds everything).
+  void Reset(uint64_t epoch);
+
+  /// Refuses every Append until the next successful Reset. For a base
+  /// write of this log's snapshot that failed: the failure may have come
+  /// after the new base replaced the one this log is stamped for, and
+  /// Open skips such a log, so a commit logged now could be acknowledged
+  /// and then lost.
+  void MarkBroken() { broken_ = true; }
 
   /// Serialised size of `ops` as a frame payload (status reporting).
   static uint64_t PayloadBytes(const std::vector<WalOp>& ops);
@@ -124,7 +130,7 @@ class Wal {
   uint64_t durable_bytes_ = 0;  ///< valid prefix length on disk
   uint64_t last_seq_ = 0;
   bool tail_dirty_ = false;  ///< a failed append may have left torn bytes
-  bool broken_ = false;      ///< Reset failed; log must be re-created
+  bool broken_ = false;      ///< refuses appends until a Reset succeeds
 };
 
 /// A point-in-time report of a Database's transaction/WAL state
@@ -132,7 +138,8 @@ class Wal {
 struct WalStatus {
   bool enabled = false;  ///< a log is bound (EnableWal)
   bool in_txn = false;   ///< a Begin() is open
-  bool broken = false;   ///< the log failed a reset; re-enable to recover
+  bool broken = false;   ///< a reset or base write failed; checkpoint
+                         ///< or re-enable to recover
   std::string path;      ///< the log file, when enabled
   uint64_t committed_groups = 0;  ///< frames durable since the last fold
   uint64_t pending_ops = 0;       ///< buffered ops of the open transaction
@@ -147,15 +154,15 @@ struct WalRecovery {
   bool truncated_tail = false;  ///< torn/corrupt bytes were ignored
 };
 
-/// Reads `<snapshot_path>.wal` and validates it against the replayed
-/// chain. Returns nullopt when there is no log, the header is torn, or
-/// the (epoch, chain_pos) stamp does not match — in every such case the
-/// chain already contains everything the log ever held. Torn or corrupt
+/// Reads `<snapshot_path>.wal` and validates it against the base's
+/// `epoch`. Returns nullopt when there is no log, the header is torn, or
+/// the epoch stamp does not match — in every such case the base already
+/// contains everything the log ever held. Torn or corrupt
 /// trailing frames are dropped (prefix-consistent). Throws
 /// std::invalid_argument (with path + byte offset) only on damage a CRC
 /// cannot explain: a CRC-valid frame whose payload does not decode.
 std::optional<WalRecovery> ReadWal(const std::string& snapshot_path,
-                                   uint64_t epoch, uint64_t chain_pos);
+                                   uint64_t epoch);
 
 }  // namespace storage
 }  // namespace fdb

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -74,13 +75,13 @@ TEST(CheckTest, CleanSnapshotChainValidates) {
   Database db = MakeSmallDb(60);
   db.EnableWal(path);  // checkpoints a base and binds the log
   db.Insert("V", testing::Row({100, 1000}));
-  db.Checkpoint(path);  // appends a delta
+  db.Checkpoint(path);  // writes a new base and resets the log
   db.Insert("V", testing::Row({101, 1001}));  // leaves a live WAL group
 
   check::Report r = check::ValidateDatabase(db);
   EXPECT_TRUE(r.ok()) << r.ToString();
-  // Base + delta envelopes were both opened and CRC-verified.
-  EXPECT_GE(r.files_checked, 2u);
+  // The base envelope was opened and CRC-verified.
+  EXPECT_EQ(r.files_checked, 1u);
   EXPECT_NO_THROW(check::ValidateDatabaseOrThrow(db));
 }
 
@@ -189,51 +190,33 @@ TEST(CheckTest, DetectsDictRankRangeAndDuplicate) {
   EXPECT_TRUE(HasIssue(r2, "dict-rank-duplicate")) << r2.ToString();
 }
 
-// --- seeded corruption class 5: stale delta stamp -------------------------
+// --- seeded corruption class 5: WAL stamped for another base -------------
 
-TEST(CheckTest, DetectsStaleDeltaStamp) {
-  std::string path = TempPath("check_stale.fdbs");
+TEST(CheckTest, DetectsWalStampedForAnotherBase) {
+  std::string path = TempPath("check_walstamp.fdbs");
   Database db = MakeSmallDb(60);
-  db.Checkpoint(path);  // base
+  db.EnableWal(path);
   db.Insert("V", testing::Row({100, 1000}));
-  storage::CheckpointInfo info = db.Checkpoint(path);  // delta
-  ASSERT_EQ(info.kind, storage::CheckpointInfo::kDelta);
+  check::Report clean;
+  check::CheckChainFiles(path, &clean);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
 
-  // Binary-patch the delta's manifest epoch — the on-disk signature of a
-  // delta left over from a previous, since-folded chain — re-stamping
-  // the section CRC so only the chain check can object.
-  std::string dp = storage::DeltaPath(path, info.seq);
-  std::ifstream in(dp, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  storage::FileHeader h;
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  bool patched = false;
-  for (uint64_t s = 0; s < h.section_count; ++s) {
-    size_t at = sizeof(storage::FileHeader) +
-                s * sizeof(storage::SectionEntry);
-    storage::SectionEntry e;
-    std::memcpy(&e, bytes.data() + at, sizeof(e));
-    if (e.kind != storage::kSectionDeltaManifest) continue;
-    uint64_t epoch;
-    std::memcpy(&epoch, bytes.data() + e.offset, sizeof(epoch));
-    epoch += 7;
-    std::memcpy(bytes.data() + e.offset, &epoch, sizeof(epoch));
-    e.crc32 = storage::Crc32(bytes.data() + e.offset, e.size);
-    std::memcpy(bytes.data() + at, &e, sizeof(e));
-    patched = true;
-  }
-  ASSERT_TRUE(patched);
-  std::ofstream out(dp, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  // Re-stamp the log's epoch: Open would now discard its committed group.
+  std::fstream f(storage::WalPath(path),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  uint64_t epoch = 0;
+  f.seekg(offsetof(storage::WalHeader, epoch));
+  f.read(reinterpret_cast<char*>(&epoch), sizeof(epoch));
+  epoch += 7;
+  f.seekp(offsetof(storage::WalHeader, epoch));
+  f.write(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
+  f.close();
 
-  check::Report r = check::ValidateDatabase(db);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(HasIssue(r, "delta-chain-stamp")) << r.ToString();
-  EXPECT_FALSE(HasIssue(r, "section-crc")) << "CRC was re-stamped: "
-                                           << r.ToString();
+  check::Report r;
+  check::CheckChainFiles(path, &r);
+  EXPECT_TRUE(HasIssue(r, "wal-chain-stamp")) << r.ToString();
+  db.DisableWal();
+  std::remove(path.c_str());
 }
 
 // A flipped byte without the CRC re-stamp is caught one layer earlier.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "fdb/core/build.h"
 #include "fdb/core/compress.h"
@@ -151,8 +152,6 @@ TEST(CompactTest, AdoptKeepsTheChainFlatAndDuplicateFree) {
   c->Adopt(b);
   c->Adopt(c);
   EXPECT_EQ(c->num_adopted(), 2u);
-  EXPECT_TRUE(c->KeepsAlive(a.get()));
-  EXPECT_TRUE(c->KeepsAlive(b.get()));
   EXPECT_EQ(c->chain_bytes(), a->bytes_used());
 
   auto d = std::make_shared<FactArena>();
@@ -160,10 +159,20 @@ TEST(CompactTest, AdoptKeepsTheChainFlatAndDuplicateFree) {
   d->Adopt(a);
   d->Adopt(c);  // merged into a non-empty list: a is not added twice
   EXPECT_EQ(d->num_adopted(), 3u);
-  for (const FactArena* p : {a.get(), b.get(), c.get(), d.get()}) {
-    EXPECT_TRUE(d->KeepsAlive(p));
-  }
   EXPECT_EQ(d->chain_bytes(), a->bytes_used() + d->bytes_used());
+
+  // The adopter alone keeps every adopted arena alive, and only it.
+  std::vector<std::weak_ptr<FactArena>> adopted = {a, b, c};
+  a.reset();
+  b.reset();
+  c.reset();
+  for (const std::weak_ptr<FactArena>& w : adopted) {
+    EXPECT_FALSE(w.expired());
+  }
+  d.reset();
+  for (const std::weak_ptr<FactArena>& w : adopted) {
+    EXPECT_TRUE(w.expired());
+  }
 }
 
 // Bytes a compacted copy of `f` would hold: its live size.

@@ -3,12 +3,14 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fdb/check/check.h"
 #include "fdb/core/build.h"
 #include "fdb/core/compress.h"
 #include "fdb/core/update.h"
@@ -55,9 +57,7 @@ bool Exists(const std::string& path) {
 
 /// A database with one updatable (path-shaped) view over `rows` tuples.
 /// The first attribute is grouped (100 tuples per value) so the trie
-/// branches: an insert rewrites the root union and one group's subtree,
-/// not a union the size of the database — the locality that makes
-/// incremental checkpoints O(changes).
+/// branches.
 Database MakePathDb(int64_t rows, const std::string& prefix) {
   Database db;
   AttrId a = db.Attr(prefix + "_a"), b = db.Attr(prefix + "_b");
@@ -67,10 +67,27 @@ Database MakePathDb(int64_t rows, const std::string& prefix) {
   return db;
 }
 
-int64_t CountDeltas(const std::string& path) {
-  int64_t n = 0;
-  while (Exists(storage::DeltaPath(path, n + 1))) ++n;
-  return n;
+/// The files beside the base at `path` whose names extend its own
+/// (`<path>.delta-1`, `<path>.tmp`, ...). A checkpoint leaves none.
+std::vector<std::string> FilesBeside(const std::string& path) {
+  std::filesystem::path p(path);
+  std::string prefix = p.filename().string() + ".";
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(p.parent_path())) {
+    std::string name = e.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+/// Every view of `a` flattens to the same rows in `b`.
+void ExpectSameViews(const Database& a, const Database& b) {
+  ASSERT_EQ(a.ViewNames(), b.ViewNames());
+  for (const std::string& v : a.ViewNames()) {
+    EXPECT_EQ(FlattenCsv(*a.view(v), a.registry()),
+              FlattenCsv(*b.view(v), b.registry()))
+        << v;
+  }
 }
 
 TEST(StorageCheckpointTest, FirstCheckpointWritesABase) {
@@ -79,84 +96,87 @@ TEST(StorageCheckpointTest, FirstCheckpointWritesABase) {
   storage::CheckpointInfo info = db.Checkpoint(path);
   EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
   EXPECT_GT(info.bytes, 0u);
-  EXPECT_EQ(CountDeltas(path), 0);
+  EXPECT_TRUE(FilesBeside(path).empty());
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 100);
   std::remove(path.c_str());
 }
 
-TEST(StorageCheckpointTest, DeltaIsSmallAndReplaysToMonolithicState) {
-  std::string path = TempPath("ckpt_delta.fdbs");
+TEST(StorageCheckpointTest, CheckpointAfterCommitsWritesOneBaseThatReopens) {
+  std::string path = TempPath("ckpt_commits.fdbs");
   std::string mono = TempPath("ckpt_mono.fdbs");
   Database db = MakePathDb(5000, "ckd");
-  storage::CheckpointInfo base = db.Checkpoint(path);
-  ASSERT_EQ(base.kind, storage::CheckpointInfo::kBase);
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
       InsertTuple(f, Row({0, 100000 + i}));
     }));
   }
-  storage::CheckpointInfo delta = db.Checkpoint(path);
-  EXPECT_EQ(delta.kind, storage::CheckpointInfo::kDelta);
-  EXPECT_EQ(delta.seq, 1u);
-  EXPECT_TRUE(Exists(storage::DeltaPath(path, 1)));
-  // O(changes), not O(database): the rewritten root union, one group's
-  // subtree and 20 new leaves against 5000 rows.
-  EXPECT_LT(delta.bytes * 10, base.bytes);
+  storage::CheckpointInfo info = db.Checkpoint(path);
+  EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
+  EXPECT_EQ(info.bytes,
+            static_cast<uint64_t>(std::filesystem::file_size(path)));
+  EXPECT_TRUE(FilesBeside(path).empty());
 
-  // The base + delta chain opens to exactly the state a monolithic Save
-  // of the same database produces.
+  // The checkpoint opens to exactly the state a Save of the same database
+  // produces.
   db.Save(mono);
-  Database via_delta = Database::Open(path);
+  Database via_ckpt = Database::Open(path);
   Database via_mono = Database::Open(mono);
-  ASSERT_NE(via_delta.view("U"), nullptr);
-  EXPECT_EQ(via_delta.view("U")->CountTuples(), 5020);
-  EXPECT_EQ(FlattenCsv(*via_delta.view("U"), via_delta.registry()),
-            FlattenCsv(*via_mono.view("U"), via_mono.registry()));
+  ASSERT_NE(via_ckpt.view("U"), nullptr);
+  EXPECT_EQ(via_ckpt.view("U")->CountTuples(), 5020);
+  ExpectSameViews(via_ckpt, via_mono);
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
   std::remove(mono.c_str());
 }
 
 TEST(StorageCheckpointTest, NoChangesIsANoop) {
   std::string path = TempPath("ckpt_noop.fdbs");
   Database db = MakePathDb(50, "ckn");
-  db.Checkpoint(path);
+  Relation flat = db.MakeRelation({"ckn_x"}, {{1}, {2}});
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+  std::string base = ReadFile(path);
   storage::CheckpointInfo info = db.Checkpoint(path);
   EXPECT_EQ(info.kind, storage::CheckpointInfo::kNoop);
-  EXPECT_EQ(CountDeltas(path), 0);
-  std::remove(path.c_str());
-}
+  EXPECT_EQ(info.bytes, 0u);
+  EXPECT_EQ(ReadFile(path), base);  // nothing written
+  EXPECT_TRUE(FilesBeside(path).empty());
+  ExpectSameViews(Database::Open(path), db);
 
-TEST(StorageCheckpointTest, IdleCheckpointIsANoopEvenPastFoldThreshold) {
-  // A tripped fold threshold must not turn an idle checkpoint into a
-  // full base rewrite: nothing changed, nothing is written.
-  std::string path = TempPath("ckpt_idlefold.fdbs");
-  Database db = MakePathDb(30, "ckf2");
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  // One delta far larger than half the tiny base trips the byte fold.
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    for (int64_t i = 0; i < 300; ++i) InsertTuple(f, Row({0, 10000 + i}));
-  }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  std::string base_before = ReadFile(path);
-  storage::CheckpointInfo idle = db.Checkpoint(path);
-  EXPECT_EQ(idle.kind, storage::CheckpointInfo::kNoop);
-  EXPECT_EQ(ReadFile(path), base_before);  // base untouched
-  EXPECT_EQ(CountDeltas(path), 1);
-  // The next *real* change still folds as designed.
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({1, 99999}));
-  }));
-  EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  EXPECT_EQ(CountDeltas(path), 0);
+  // A published view, a re-published relation and registry growth each
+  // make the next checkpoint write; after each, an idle one is a noop
+  // again.
+  const std::vector<std::function<void()>> changes = {
+      [&] {
+        db.UpdateView("U", [](Factorisation* f) {
+          InsertTuple(f, Row({1, 99999}));
+        });
+      },
+      [&] { db.AddRelation("Flat", flat); },
+      [&] { db.Attr("ckn_new_attr"); },
+  };
+  for (size_t i = 0; i < changes.size(); ++i) {
+    changes[i]();
+    EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase) << i;
+    EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop) << i;
+  }
+  Database fresh = Database::Open(path);
+  ExpectSameViews(fresh, db);
+  EXPECT_TRUE(fresh.relation("Flat")->BagEquals(*db.relation("Flat")));
+  EXPECT_TRUE(fresh.registry().Find("ckn_new_attr").has_value());
+
+  // A Save of the path counts as its last base too.
+  db.UpdateView("U", [](Factorisation* f) { InsertTuple(f, Row({2, 1})); });
+  db.Save(path);
+  EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop);
   std::remove(path.c_str());
 }
 
 TEST(StorageCheckpointTest, DictRegistryAndRelationGrowthRideTheDelta) {
   // New strings (out of rank order), big integers, registry names and a
-  // re-published relation all land in the delta and replay at open.
+  // re-published relation all land in the checkpoint's base and come
+  // back at open.
   std::string path = TempPath("ckpt_dict.fdbs");
   Database db;
   AttrId a = db.Attr("ckg_a"), b = db.Attr("ckg_b");
@@ -165,7 +185,7 @@ TEST(StorageCheckpointTest, DictRegistryAndRelationGrowthRideTheDelta) {
   db.AddView("U", FactoriseRelation(r, {a, b}));
   db.AddRelation("Flat", std::move(r));
   // Strings sorting before existing dictionary content force a non-
-  // identity remap on replay.
+  // identity remap on open.
   db.AddView("S", [&] {
     AttrId s = db.Attr("ckg_s");
     FTree t;
@@ -188,56 +208,22 @@ TEST(StorageCheckpointTest, DictRegistryAndRelationGrowthRideTheDelta) {
     r2.Add({Value(int64_t{1}), Value(big)});  // big int via the relation
     db.AddRelation("Flat", std::move(r2));    // re-published relation
   }
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   std::string mono = TempPath("ckpt_dict_mono.fdbs");
   db.Save(mono);
-  Database via_delta = Database::Open(path);
+  Database via_ckpt = Database::Open(path);
   Database via_mono = Database::Open(mono);
-  EXPECT_EQ(FlattenCsv(*via_delta.view("S"), via_delta.registry()),
-            FlattenCsv(*via_mono.view("S"), via_mono.registry()));
-  EXPECT_EQ(FlattenCsv(*via_delta.view("U"), via_delta.registry()),
-            FlattenCsv(*via_mono.view("U"), via_mono.registry()));
-  EXPECT_TRUE(via_delta.relation("Flat")->BagEquals(*db.relation("Flat")));
-  EXPECT_TRUE(via_delta.registry().Find("ckg_new_attr").has_value());
+  ExpectSameViews(via_ckpt, via_mono);
+  EXPECT_TRUE(via_ckpt.relation("Flat")->BagEquals(*db.relation("Flat")));
+  EXPECT_TRUE(via_ckpt.registry().Find("ckg_new_attr").has_value());
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
   std::remove(mono.c_str());
 }
 
-TEST(StorageCheckpointTest, ChainOfDeltasThenFoldIntoFreshBase) {
-  std::string path = TempPath("ckpt_chain.fdbs");
-  // Big enough that a handful of tiny deltas stays under the byte fold
-  // threshold (half the base) until the chain-length threshold trips.
-  Database db = MakePathDb(20000, "ckc");
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-
-  int64_t next = 500000;
-  bool folded = false;
-  for (uint64_t i = 0; i <= storage::kMaxDeltaChain; ++i) {
-    ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-      InsertTuple(f, Row({next, 1}));
-      ++next;
-    }));
-    storage::CheckpointInfo info = db.Checkpoint(path);
-    if (info.kind == storage::CheckpointInfo::kBase) {
-      folded = true;
-      // A fold removes the whole delta chain.
-      EXPECT_EQ(CountDeltas(path), 0);
-    }
-    // Every intermediate state opens correctly.
-    Database fresh = Database::Open(path);
-    EXPECT_EQ(fresh.view("U")->CountTuples(),
-              20000 + static_cast<int64_t>(i) + 1);
-  }
-  EXPECT_TRUE(folded);
-  std::remove(path.c_str());
-}
-
 TEST(StorageCheckpointTest, CompactedViewStillCheckpointsCorrectly) {
-  // Compaction copies every live node to fresh addresses, invalidating
-  // the retained index; the next delta must fall back to a full view
-  // re-dump (detected via the arena rebuild generation) and stay correct.
+  // Compaction copies every live node to fresh addresses; the checkpoint
+  // after it must still capture the view.
   std::string path = TempPath("ckpt_compact.fdbs");
   Database db = MakePathDb(1000, "ckp");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
@@ -246,32 +232,30 @@ TEST(StorageCheckpointTest, CompactedViewStillCheckpointsCorrectly) {
     f->Compact();
   }));
   storage::CheckpointInfo info = db.Checkpoint(path);
-  EXPECT_EQ(info.kind, storage::CheckpointInfo::kDelta);
+  EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 1001);
   EXPECT_TRUE(ContainsTuple(*fresh.view("U"), Row({99991, 1})));
+  ExpectSameViews(fresh, db);
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
 }
 
 TEST(StorageCheckpointTest, RebaseByAnotherWriterForcesRebaseNotOrphanedDelta) {
   // A second writer (here: a Database copy, which deliberately does not
-  // share checkpoint state) re-bases the path, removing the first
-  // writer's deltas. The first writer's next checkpoint must notice the
-  // epoch change on disk and rebase too — appending a delta stamped
-  // with the dead epoch would report success while the changes were
-  // silently unrecoverable at open.
+  // share checkpoint state) replaces the base. The first writer's next
+  // checkpoint after a change writes its own base, which reopens to its
+  // state.
   std::string path = TempPath("ckpt_twowriters.fdbs");
   Database a = MakePathDb(150, "ckw");
   ASSERT_EQ(a.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   ASSERT_TRUE(a.UpdateView("U", [&](Factorisation* f) {
     InsertTuple(f, Row({70001, 1}));
   }));
-  ASSERT_EQ(a.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
+  ASSERT_EQ(a.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
-  Database b = a;          // fresh chain identity
-  b.Checkpoint(path);      // re-bases: new epoch, a's delta removed
-  EXPECT_EQ(CountDeltas(path), 0);
+  Database b = a;  // no checkpoint state of its own
+  EXPECT_EQ(b.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+  EXPECT_TRUE(FilesBeside(path).empty());
 
   ASSERT_TRUE(a.UpdateView("U", [&](Factorisation* f) {
     InsertTuple(f, Row({70002, 1}));
@@ -281,14 +265,13 @@ TEST(StorageCheckpointTest, RebaseByAnotherWriterForcesRebaseNotOrphanedDelta) {
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 152);
   EXPECT_TRUE(ContainsTuple(*fresh.view("U"), Row({70002, 1})));
+  ExpectSameViews(fresh, a);
   std::remove(path.c_str());
 }
 
 TEST(StorageCheckpointTest, PathAliasSpellingsShareOneChain) {
-  // Save through an alias spelling of the checkpointed path must fold
-  // the chain (same canonical file), not orphan it — otherwise the next
-  // delta would be stamped with the dead base's epoch and its changes
-  // silently lost at open.
+  // A Save through an alias spelling of the checkpointed path writes the
+  // same canonical file, so it counts as that path's last base.
   std::string path = TempPath("ckpt_alias.fdbs");
   std::string alias = ::testing::TempDir() + "/./ckpt_alias.fdbs";
   Database db = MakePathDb(120, "cka");
@@ -296,26 +279,23 @@ TEST(StorageCheckpointTest, PathAliasSpellingsShareOneChain) {
   ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
     InsertTuple(f, Row({60001, 1}));
   }));
-  db.Save(alias);  // fold via the alias spelling
-  EXPECT_EQ(CountDeltas(path), 0);
+  db.Save(alias);
+  EXPECT_TRUE(FilesBeside(path).empty());
+  EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop);
   ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
     InsertTuple(f, Row({60002, 1}));
   }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
+  ASSERT_EQ(db.Checkpoint(alias).kind, storage::CheckpointInfo::kBase);
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 122);
   EXPECT_TRUE(ContainsTuple(*fresh.view("U"), Row({60002, 1})));
+  ExpectSameViews(fresh, db);
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
 }
 
 TEST(StorageCheckpointTest, RepublishedFromScratchViewFallsBackToFullDump) {
   // AddView of a factorisation rebuilt from scratch (same f-tree, fresh
-  // arenas that never adopted the persisted ones) invalidates the
-  // retained node index: none of its nodes were persisted, and the old
-  // nodes' addresses may be recycled. The checkpoint must detect the
-  // broken arena chain and re-dump the view rather than emit an
-  // incremental delta against dangling identities.
+  // arenas) and updates after it both reach the next checkpoint.
   std::string path = TempPath("ckpt_republish.fdbs");
   Database db = MakePathDb(400, "ckr");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
@@ -326,26 +306,19 @@ TEST(StorageCheckpointTest, RepublishedFromScratchViewFallsBackToFullDump) {
     for (int64_t x = 0; x < 430; ++x) r.Add({Value(x / 100), Value(x)});
     db.AddView("U", FactoriseRelation(r, {a, b}));  // from-scratch rebuild
   }
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  // Churn allocations so recycled addresses would surface if the index
-  // had been kept, then checkpoint again. (The full re-dump above is
-  // nearly base-sized, so this one may fold into a fresh base — both
-  // outcomes must replay to the correct state.)
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
     for (int64_t i = 0; i < 50; ++i) InsertTuple(f, Row({9, 100000 + i}));
   }));
-  ASSERT_NE(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop);
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   std::string mono = TempPath("ckpt_republish_mono.fdbs");
   db.Save(mono);
-  Database via_delta = Database::Open(path);
+  Database via_ckpt = Database::Open(path);
   Database via_mono = Database::Open(mono);
-  EXPECT_EQ(via_delta.view("U")->CountTuples(), 480);
-  EXPECT_EQ(FlattenCsv(*via_delta.view("U"), via_delta.registry()),
-            FlattenCsv(*via_mono.view("U"), via_mono.registry()));
+  EXPECT_EQ(via_ckpt.view("U")->CountTuples(), 480);
+  ExpectSameViews(via_ckpt, via_mono);
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
-  std::remove(storage::DeltaPath(path, 2).c_str());
   std::remove(mono.c_str());
 }
 
@@ -383,75 +356,47 @@ TEST(StorageCheckpointTest, FailedSaveLeavesPriorSnapshotIntact) {
   std::remove(path.c_str());
 }
 
-TEST(StorageCheckpointTest, StaleDeltaFromAnOlderBaseIsIgnored) {
-  // A crash between a fold's rename and its delta cleanup leaves deltas
-  // of the *previous* base next to the new one. The epoch stamp makes
-  // the reader skip them instead of misapplying.
-  std::string path = TempPath("ckpt_stale.fdbs");
+TEST(StorageCheckpointTest, LeftoverDeltaOfAnOlderBuildIsRefused) {
+  // Older builds appended checkpoint deltas beside the base and stamped
+  // the WAL to follow them. Opening the base alone would silently drop
+  // their changes, so Open refuses, naming the file, and the checker
+  // reports it.
+  std::string path = TempPath("ckpt_leftover.fdbs");
+  std::string leftover = path + ".delta-1";
   Database db = MakePathDb(300, "cks");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({40001, 1}));
-  }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  std::string old_delta = ReadFile(storage::DeltaPath(path, 1));
+  WriteFile(leftover, "a delta file of an older build");
 
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({40002, 1}));
-  }));
-  db.Save(path);  // fold: new epoch, deltas removed
-  EXPECT_EQ(CountDeltas(path), 0);
-  WriteFile(storage::DeltaPath(path, 1), old_delta);  // simulate leftover
+  try {
+    Database::Open(path);
+    ADD_FAILURE() << "opened a base with a leftover delta beside it";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(leftover), std::string::npos)
+        << e.what();
+  }
+  check::Report r;
+  check::CheckChainFiles(path, &r);
+  ASSERT_EQ(r.issues.size(), 1u) << r.ToString();
+  EXPECT_EQ(r.issues[0].check, "chain-envelope");
+  EXPECT_NE(r.issues[0].detail.find(leftover), std::string::npos)
+      << r.ToString();
 
-  Database fresh = Database::Open(path);
-  EXPECT_EQ(fresh.view("U")->CountTuples(), 302);
-  EXPECT_TRUE(ContainsTuple(*fresh.view("U"), Row({40002, 1})));
+  std::remove(leftover.c_str());
+  check::Report clean;
+  check::CheckChainFiles(path, &clean);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+  EXPECT_EQ(Database::Open(path).view("U")->CountTuples(), 300);
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
-}
-
-TEST(StorageCheckpointTest, CorruptDeltaIsRejected) {
-  std::string path = TempPath("ckpt_corrupt.fdbs");
-  Database db = MakePathDb(100, "ckx");
-  db.Checkpoint(path);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({50000, 1}));
-  }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  std::string dp = storage::DeltaPath(path, 1);
-  std::string bytes = ReadFile(dp);
-  WriteFile(dp, bytes.substr(0, bytes.size() / 2));  // truncate
-  EXPECT_THROW(Database::Open(path), std::invalid_argument);
-  // An intact delta whose header claims version 2 is rejected too: no
-  // header version skips the section CRCs.
-  std::string downgraded = bytes;
-  uint32_t version = 2;
-  std::memcpy(downgraded.data() + offsetof(storage::FileHeader, version),
-              &version, sizeof(version));
-  WriteFile(dp, downgraded);
-  EXPECT_THROW(Database::Open(path), std::invalid_argument);
-  WriteFile(dp, bytes);
-  EXPECT_EQ(Database::Open(path).view("U")->CountTuples(), 101);
-  std::remove(path.c_str());
-  std::remove(dp.c_str());
 }
 
 TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   // The storage_snapshot_test trio (DAG sharing, big ints, dictionary
-  // remap) through a base + two deltas instead of one monolithic file.
+  // remap) through a base and two checkpoints after changes.
   std::string path = TempPath("ckpt_mixed.fdbs");
   ValueDict::Default().Encode(Value("zz ckpt-remap"));
   ValueDict::Default().Encode(Value("aa ckpt-remap"));
   Database db;
-  // Ballast so the tiny deltas below stay under the byte-fold threshold
-  // (half the base size).
-  {
-    AttrId p = db.Attr("ckm_p"), q = db.Attr("ckm_q");
-    Relation ballast{RelSchema({p, q})};
-    for (int64_t x = 0; x < 2000; ++x) ballast.Add({Value(x), Value(x)});
-    db.AddRelation("Ballast", std::move(ballast));
-  }
-  // DAG-shared view, untouched across the chain.
+  // DAG-shared view, untouched across the checkpoints.
   {
     AttrId a = db.Attr("ckm_a"), b = db.Attr("ckm_b");
     Relation r{RelSchema({a, b})};
@@ -462,7 +407,7 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
     CompressInPlace(&f);
     db.AddView("Dag", std::move(f));
   }
-  // Mixed-type path view that the deltas will grow.
+  // Mixed-type path view that the checkpoints will grow.
   AttrId m = db.Attr("ckm_m");
   {
     FTree t;
@@ -478,30 +423,23 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
     InsertTuple(f, {Value(big)});
     InsertTuple(f, {Value("aa ckpt-remap")});
   }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   ASSERT_TRUE(db.UpdateView("Mix", [&](Factorisation* f) {
     InsertTuple(f, {Value(2.5)});
     InsertTuple(f, {Value("zz ckpt-remap")});
   }));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  ASSERT_EQ(CountDeltas(path), 2);
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+  EXPECT_TRUE(FilesBeside(path).empty());
 
   std::string mono = TempPath("ckpt_mixed_mono.fdbs");
   db.Save(mono);
-  Database via_delta = Database::Open(path);
+  Database via_ckpt = Database::Open(path);
   Database via_mono = Database::Open(mono);
-  for (const char* v : {"Dag", "Mix"}) {
-    ASSERT_NE(via_delta.view(v), nullptr) << v;
-    EXPECT_EQ(FlattenCsv(*via_delta.view(v), via_delta.registry()),
-              FlattenCsv(*via_mono.view(v), via_mono.registry()))
-        << v;
-  }
-  // DAG sharing preserved through the chain.
-  EXPECT_EQ(via_delta.view("Dag")->roots()[0]->child(0, 1, 0),
-            via_delta.view("Dag")->roots()[0]->child(1, 1, 0));
+  ExpectSameViews(via_ckpt, via_mono);
+  // DAG sharing preserved through the checkpoints.
+  EXPECT_EQ(via_ckpt.view("Dag")->roots()[0]->child(0, 1, 0),
+            via_ckpt.view("Dag")->roots()[0]->child(1, 1, 0));
   std::remove(path.c_str());
-  std::remove(storage::DeltaPath(path, 1).c_str());
-  std::remove(storage::DeltaPath(path, 2).c_str());
   std::remove(mono.c_str());
 }
 

@@ -1,6 +1,6 @@
 // Failure-injection tests for the persistence write path: an fsync,
 // rename or torn write in the middle of a Save/Checkpoint must leave the
-// previous snapshot + delta chain intact and reopenable — the atomic
+// previous snapshot intact and reopenable — the atomic
 // temp-write/rename publish means a failed attempt is invisible.
 
 #include <gtest/gtest.h>
@@ -89,8 +89,8 @@ TEST_F(FailpointTest, FailedSaveKeepsThePreviousSnapshot) {
   }
 }
 
-// A failed delta append leaves the chain (base + prior deltas) exactly
-// as it was, and the next Checkpoint recovers with a fresh base.
+// A failed checkpoint or Save leaves the last base exactly as it was,
+// and the next Checkpoint writes a base that captures everything.
 TEST_F(FailpointTest, FailedCheckpointKeepsTheChainReopenable) {
   const char* points[] = {"snapshot_fsync:1", "snapshot_rename:1",
                           "snapshot_write:1:short"};
@@ -102,48 +102,33 @@ TEST_F(FailpointTest, FailedCheckpointKeepsTheChainReopenable) {
     db.UpdateView("U", [](Factorisation* f) {
       InsertTuple(f, Row({500, 5000}));
     });
-    ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
+    ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
     std::string before = FlattenCsv(*db.view("U"), db.registry());
 
     db.UpdateView("U", [](Factorisation* f) {
       InsertTuple(f, Row({600, 6000}));
     });
-    io_.SetFailpoints(point);
-    EXPECT_THROW(db.Checkpoint(path), std::invalid_argument) << point;
-    io_.ClearFailpoints();
+    for (bool save : {false, true}) {
+      io_.SetFailpoints(point);
+      if (save) {
+        EXPECT_THROW(db.Save(path), std::invalid_argument) << point;
+      } else {
+        EXPECT_THROW(db.Checkpoint(path), std::invalid_argument) << point;
+      }
+      io_.ClearFailpoints();
 
-    // The chain replays to the pre-failure state.
-    Database re = Database::Open(path);
-    EXPECT_EQ(FlattenCsv(*re.view("U"), re.registry()), before) << point;
+      // The last base reopens to the pre-failure state.
+      Database re = Database::Open(path);
+      EXPECT_EQ(FlattenCsv(*re.view("U"), re.registry()), before)
+          << point << " save=" << save;
+      EXPECT_FALSE(Exists(path + ".tmp")) << point;
+    }
 
-    // The retained index was dropped: the next checkpoint re-bases and
-    // captures everything.
     EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase)
         << point;
     Database re2 = Database::Open(path);
     EXPECT_TRUE(ContainsTuple(*re2.view("U"), Row({600, 6000}))) << point;
   }
-}
-
-// A fold (Save over a chain) that dies must not orphan the chain: the
-// old base + deltas keep replaying.
-TEST_F(FailpointTest, FailedFoldKeepsBaseAndDeltas) {
-  std::string path = TempPath("fp_fold.fdbs");
-  Database db = MakePathDb(100, "fpf");
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  db.UpdateView("U", [](Factorisation* f) {
-    InsertTuple(f, Row({700, 7000}));
-  });
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  std::string before = FlattenCsv(*db.view("U"), db.registry());
-
-  io_.SetFailpoints("snapshot_rename:1");
-  EXPECT_THROW(db.Save(path), std::invalid_argument);
-  io_.ClearFailpoints();
-
-  EXPECT_TRUE(Exists(storage::DeltaPath(path, 1)));  // chain untouched
-  Database re = Database::Open(path);
-  EXPECT_EQ(FlattenCsv(*re.view("U"), re.registry()), before);
 }
 
 TEST_F(FailpointTest, BadFailpointSpecsAreRejected) {

@@ -10,8 +10,8 @@
 // I/O call fails (or tears mid-write) and every later one fails too, so
 // nothing the process "did" after the crash point can reach disk. Kill
 // points k are drawn over the calibrated call count of the whole
-// workload, so crashes land in WAL appends, fsyncs, delta publishes,
-// base folds, renames and directory syncs alike.
+// workload, so crashes land in WAL appends, fsyncs, checkpoint base
+// writes, renames and directory syncs alike.
 
 #include <gtest/gtest.h>
 
@@ -185,9 +185,7 @@ void RunOneCrash(const std::string& dir, int iter, uint64_t kill_point,
   // Cleanup so 200+ iterations do not fill the temp dir.
   std::remove(storage::WalPath(path).c_str());
   std::remove(path.c_str());
-  for (uint64_t seq = 1; seq <= 2 * storage::kMaxDeltaChain + 2; ++seq) {
-    std::remove(storage::DeltaPath(path, seq).c_str());
-  }
+  std::remove((path + ".tmp").c_str());
 }
 
 // Calibrates the workload's total shimmed-call count with no faults.

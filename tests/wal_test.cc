@@ -165,11 +165,17 @@ TEST(WalTest, CheckpointFoldsAndResetsTheLog) {
             static_cast<int64_t>(sizeof(storage::WalHeader)));
 
   storage::CheckpointInfo info = db.Checkpoint(path);
-  EXPECT_EQ(info.kind, storage::CheckpointInfo::kDelta);
-  // Folded: the log is back to a bare header...
+  EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
+  // Folded: the log is back to a bare header, stamped with the new
+  // base's epoch alone...
   EXPECT_EQ(FileSize(storage::WalPath(path)),
             static_cast<int64_t>(sizeof(storage::WalHeader)));
-  // ...and replay comes from the chain alone.
+  storage::WalHeader h;
+  std::memcpy(&h, ReadFile(storage::WalPath(path)).data(), sizeof(h));
+  ASSERT_TRUE(db.PersistSnapshot().has_value());
+  EXPECT_EQ(h.epoch, db.PersistSnapshot()->epoch);
+  EXPECT_EQ(h.reserved, 0u);
+  // ...and replay comes from the base alone.
   Database re = Database::Open(path);
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({700, 7000})));
   EXPECT_EQ(re.view("V")->CountTuples(), 51);
@@ -199,14 +205,33 @@ TEST(WalTest, StaleLogIsIgnoredWhole) {
   Database db = MakeWalDb(path, 50, "wg");
   db.Insert("V", Row({900, 9000}));
   std::string old_log = ReadFile(storage::WalPath(path));
-  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kDelta);
-  // A crashed fold can leave the pre-fold log behind; its stamp predates
-  // the chain, so replay must skip it entirely — the delta already holds
-  // group 1, and replaying it again would be wrong for deletes.
+  ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+  // A crashed checkpoint can leave the pre-checkpoint log behind; its
+  // stamp predates the base, so replay must skip it entirely — the base
+  // already holds group 1, and replaying it again would be wrong for
+  // deletes.
   WriteFile(storage::WalPath(path), old_log);
 
   Database re = Database::Open(path);
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({900, 9000})));
+  EXPECT_EQ(re.view("V")->CountTuples(), 51);
+}
+
+TEST(WalTest, EnableWalStampsTheBaseOnDisk) {
+  // Another writer (a copy) replaced the base after this database last
+  // saved it, with nothing changed here since. EnableWal must still write
+  // a base: a log stamped with this database's old epoch would be
+  // skipped at Open, losing every commit acknowledged through it.
+  std::string path = TempPath("wal_enable_stamp.fdbs");
+  Database db = MakeWalDb(path, 50, "wes");
+  db.DisableWal();
+  Database other = db;
+  ASSERT_EQ(other.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+
+  db.EnableWal(path);
+  db.Insert("V", Row({400, 4000}));
+  Database re = Database::Open(path);
+  EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({400, 4000})));
   EXPECT_EQ(re.view("V")->CountTuples(), 51);
 }
 
@@ -254,6 +279,32 @@ TEST(WalTest, CommitFsyncFailureLeavesTxnOpenAndRetryable) {
   Database re = Database::Open(path);
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({123, 1234})));
   EXPECT_EQ(re.view("V")->CountTuples(), 51);
+}
+
+TEST(WalTest, FailedCheckpointRefusesCommitsUntilABaseIsWritten) {
+  // The directory fsync fails after the new base was renamed over the
+  // old one: the log is still stamped for the old base, so Open would
+  // skip it. A commit acknowledged now would be lost; it must be refused
+  // until a checkpoint writes a base and resets the log.
+  WalGuard guard;
+  std::string path = TempPath("wal_ckpt_fail.fdbs");
+  Database db = MakeWalDb(path, 50, "wcf");
+  db.Insert("V", Row({300, 3000}));
+  storage::IoEnv::Instance().SetFailpoints("dir_fsync:1");
+  EXPECT_THROW(db.Checkpoint(path), std::invalid_argument);
+  storage::IoEnv::Instance().ClearFailpoints();
+
+  EXPECT_TRUE(db.WalStatus().broken);
+  EXPECT_THROW(db.Insert("V", Row({301, 3001})), std::invalid_argument);
+  EXPECT_FALSE(ContainsTuple(*db.view("V"), Row({301, 3001})));
+
+  EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
+  EXPECT_FALSE(db.WalStatus().broken);
+  db.Insert("V", Row({301, 3001}));
+  Database re = Database::Open(path);
+  EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({300, 3000})));
+  EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({301, 3001})));
+  EXPECT_EQ(re.view("V")->CountTuples(), 52);
 }
 
 TEST(WalTest, OneFsyncPerCommitGroup) {
