@@ -7,6 +7,7 @@
 #include "fdb/core/fact_arena.h"
 #include "fdb/exec/cancel.h"
 #include "fdb/exec/task_pool.h"
+#include "fdb/obs/metrics.h"
 
 namespace fdb {
 namespace {
@@ -16,11 +17,136 @@ namespace {
 // sorted by the concatenated path order, so the leapfrog intersection
 // below compares raw 8-byte codes instead of boxed values.
 struct PreparedRel {
-  std::vector<std::vector<ValueRef>> cols;  // cols[step][row], sorted
+  // (*cols)[step][row], sorted; shared with the relation's memo.
+  std::shared_ptr<const Relation::SortedColumns> cols;
   std::vector<int> node_path;               // f-tree nodes, root-to-leaf
   std::vector<std::vector<int>> node_cols;  // column positions per path node
-  size_t num_rows() const { return cols.empty() ? 0 : cols[0].size(); }
+  const std::vector<ValueRef>& col(int step) const { return (*cols)[step]; }
+  size_t num_rows() const { return cols->empty() ? 0 : (*cols)[0].size(); }
 };
+
+obs::Counter& SortedInputHits() {
+  static obs::Counter& c = obs::Registry::Instance().GetCounter(
+      "build.sorted_inputs.hits", "relations",
+      "FactoriseJoin inputs served sorted from the relation's memo");
+  return c;
+}
+
+obs::Counter& SortedInputMisses() {
+  static obs::Counter& c = obs::Registry::Instance().GetCounter(
+      "build.sorted_inputs.misses", "relations",
+      "FactoriseJoin inputs sorted afresh and memoised");
+  return c;
+}
+
+// Filters `rel` to the rows whose columns agree within each path step,
+// dictionary-encodes each step's column and sorts the rows by the
+// concatenated path order (`node_cols` lists the columns of each step).
+std::shared_ptr<const Relation::SortedColumns> SortPathColumns(
+    const Relation& rel, const Relation::SortedColumnsKey& node_cols) {
+  ValueDict& dict = ValueDict::Default();
+  // Keep only rows whose columns agree within each equivalence class.
+  std::vector<const Tuple*> kept;
+  kept.reserve(rel.rows().size());
+  for (const Tuple& row : rel.rows()) {
+    bool ok = true;
+    for (const auto& cols : node_cols) {
+      for (size_t i = 1; i < cols.size() && ok; ++i) {
+        ok = row[cols[0]] == row[cols[i]];
+      }
+    }
+    if (ok) kept.push_back(&row);
+  }
+  // Bulk-intern the string cells of the path columns in sorted order so
+  // dictionary codes are assigned with (mostly) append-only ranks.
+  std::vector<std::string_view> strs;
+  for (const auto& cols : node_cols) {
+    for (const Tuple* row : kept) {
+      const Value& v = (*row)[cols[0]];
+      if (v.is_string()) strs.push_back(v.as_string());
+    }
+  }
+  if (!strs.empty()) dict.InternBulk(std::move(strs));
+  // Encode the path columns column-major, then sort by path order using
+  // packed row-major 64-bit order keys (one contiguous integer compare
+  // per column; exact ref comparison only on the rare key collision).
+  size_t steps = node_cols.size();
+  size_t nrows = kept.size();
+  std::vector<std::vector<ValueRef>> cols(steps);
+  for (size_t s = 0; s < steps; ++s) {
+    int c = node_cols[s][0];
+    cols[s].reserve(nrows);
+    for (size_t r = 0; r < nrows; ++r) {
+      cols[s].push_back(dict.Encode((*kept[r])[c]));  // may intern
+    }
+  }
+  // The rank keys and every sort consuming them run with rank shifts
+  // frozen: a concurrent out-of-order intern (e.g. InsertTuple on
+  // another view) must not move string ranks between two key reads
+  // or mid-sort. All interning for this relation happened above, and
+  // the freeze is shared — only writers are excluded.
+  auto frozen = dict.FreezeRanks();
+  std::vector<uint64_t> rowkeys(nrows * steps);
+  for (size_t s = 0; s < steps; ++s) {
+    for (size_t r = 0; r < nrows; ++r) {
+      rowkeys[r * steps + s] = cols[s][r].OrderKey();
+    }
+  }
+  // Column-at-a-time run refinement: sort contiguous (key, row) pairs
+  // by the first column, then recursively re-sort each run of equal
+  // keys by the next column. All sorts touch sequential memory.
+  std::vector<uint32_t> perm(nrows);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<std::pair<uint64_t, uint32_t>> buf(nrows);
+  struct Seg {
+    uint32_t lo, hi, col;
+  };
+  std::vector<Seg> segs;
+  if (nrows > 1 && steps > 0) segs.push_back({0, (uint32_t)nrows, 0});
+  while (!segs.empty()) {
+    Seg seg = segs.back();
+    segs.pop_back();
+    uint32_t s = seg.col;
+    for (uint32_t i = seg.lo; i < seg.hi; ++i) {
+      buf[i] = {rowkeys[perm[i] * steps + s], perm[i]};
+    }
+    std::sort(buf.begin() + seg.lo, buf.begin() + seg.hi);
+    for (uint32_t i = seg.lo; i < seg.hi; ++i) perm[i] = buf[i].second;
+    for (uint32_t i = seg.lo; i < seg.hi;) {
+      uint32_t j = i + 1;
+      while (j < seg.hi && buf[j].first == buf[i].first) ++j;
+      if (j - i > 1) {
+        // Key collisions (distinct values mapping to one key) are rare;
+        // detect them and finish such runs with the exact comparator.
+        bool collided = false;
+        for (uint32_t t = i + 1; t < j && !collided; ++t) {
+          collided = !(cols[s][perm[t]] == cols[s][perm[i]]);
+        }
+        if (collided) {
+          std::sort(perm.begin() + i, perm.begin() + j,
+                    [&cols, s, steps](uint32_t a, uint32_t b) {
+                      for (size_t t = s; t < steps; ++t) {
+                        auto cmp = cols[t][a] <=> cols[t][b];
+                        if (cmp != std::strong_ordering::equal) {
+                          return cmp == std::strong_ordering::less;
+                        }
+                      }
+                      return false;
+                    });
+        } else if (s + 1 < steps) {
+          segs.push_back({i, j, s + 1});
+        }
+      }
+      i = j;
+    }
+  }
+  auto sorted = std::make_shared<Relation::SortedColumns>(steps);
+  for (size_t s = 0; s < steps; ++s) {
+    (*sorted)[s].reserve(nrows);
+    for (uint32_t i : perm) (*sorted)[s].push_back(cols[s][i]);
+  }
+  return sorted;
+}
 
 // Per-branch cursor into one prepared relation.
 struct RelState {
@@ -125,6 +251,9 @@ class TrieBuilder {
     return total;
   }
 
+  /// How many inputs came sorted from their relation's memo.
+  int sorted_reused() const { return sorted_reused_; }
+
  private:
   std::vector<RelState> RouteInitial(int root) const {
     std::vector<RelState> routed;
@@ -137,7 +266,6 @@ class TrieBuilder {
   }
 
   void Prepare(const std::vector<const Relation*>& relations) {
-    ValueDict& dict = ValueDict::Default();
     for (const Relation* rel : relations) {
       PreparedRel p;
       // Map each attribute to its f-tree node; collect per-node columns.
@@ -169,105 +297,16 @@ class TrieBuilder {
               "path of the f-tree");
         }
       }
-      // Keep only rows whose columns agree within each equivalence class.
-      std::vector<const Tuple*> kept;
-      kept.reserve(rel->rows().size());
-      for (const Tuple& row : rel->rows()) {
-        bool ok = true;
-        for (const auto& cols : p.node_cols) {
-          for (size_t i = 1; i < cols.size() && ok; ++i) {
-            ok = row[cols[0]] == row[cols[i]];
-          }
-        }
-        if (ok) kept.push_back(&row);
-      }
-      // Bulk-intern the string cells of the path columns in sorted order so
-      // dictionary codes are assigned with (mostly) append-only ranks.
-      std::vector<std::string_view> strs;
-      for (const auto& cols : p.node_cols) {
-        for (const Tuple* row : kept) {
-          const Value& v = (*row)[cols[0]];
-          if (v.is_string()) strs.push_back(v.as_string());
-        }
-      }
-      if (!strs.empty()) dict.InternBulk(std::move(strs));
-      // Encode the path columns column-major, then sort by path order using
-      // packed row-major 64-bit order keys (one contiguous integer compare
-      // per column; exact ref comparison only on the rare key collision).
-      size_t steps = p.node_path.size();
-      size_t nrows = kept.size();
-      std::vector<std::vector<ValueRef>> cols(steps);
-      for (size_t s = 0; s < steps; ++s) {
-        int c = p.node_cols[s][0];
-        cols[s].reserve(nrows);
-        for (size_t r = 0; r < nrows; ++r) {
-          cols[s].push_back(dict.Encode((*kept[r])[c]));  // may intern
-        }
-      }
-      // The rank keys and every sort consuming them run with rank shifts
-      // frozen: a concurrent out-of-order intern (e.g. InsertTuple on
-      // another view) must not move string ranks between two key reads
-      // or mid-sort. All interning for this relation happened above, and
-      // the freeze is shared — only writers are excluded.
-      auto frozen = dict.FreezeRanks();
-      std::vector<uint64_t> rowkeys(nrows * steps);
-      for (size_t s = 0; s < steps; ++s) {
-        for (size_t r = 0; r < nrows; ++r) {
-          rowkeys[r * steps + s] = cols[s][r].OrderKey();
-        }
-      }
-      // Column-at-a-time run refinement: sort contiguous (key, row) pairs
-      // by the first column, then recursively re-sort each run of equal
-      // keys by the next column. All sorts touch sequential memory.
-      std::vector<uint32_t> perm(nrows);
-      std::iota(perm.begin(), perm.end(), 0);
-      std::vector<std::pair<uint64_t, uint32_t>> buf(nrows);
-      struct Seg {
-        uint32_t lo, hi, col;
-      };
-      std::vector<Seg> segs;
-      if (nrows > 1 && steps > 0) segs.push_back({0, (uint32_t)nrows, 0});
-      while (!segs.empty()) {
-        Seg seg = segs.back();
-        segs.pop_back();
-        uint32_t s = seg.col;
-        for (uint32_t i = seg.lo; i < seg.hi; ++i) {
-          buf[i] = {rowkeys[perm[i] * steps + s], perm[i]};
-        }
-        std::sort(buf.begin() + seg.lo, buf.begin() + seg.hi);
-        for (uint32_t i = seg.lo; i < seg.hi; ++i) perm[i] = buf[i].second;
-        for (uint32_t i = seg.lo; i < seg.hi;) {
-          uint32_t j = i + 1;
-          while (j < seg.hi && buf[j].first == buf[i].first) ++j;
-          if (j - i > 1) {
-            // Key collisions (distinct values mapping to one key) are rare;
-            // detect them and finish such runs with the exact comparator.
-            bool collided = false;
-            for (uint32_t t = i + 1; t < j && !collided; ++t) {
-              collided = !(cols[s][perm[t]] == cols[s][perm[i]]);
-            }
-            if (collided) {
-              std::sort(perm.begin() + i, perm.begin() + j,
-                        [&cols, s, steps](uint32_t a, uint32_t b) {
-                          for (size_t t = s; t < steps; ++t) {
-                            auto cmp = cols[t][a] <=> cols[t][b];
-                            if (cmp != std::strong_ordering::equal) {
-                              return cmp == std::strong_ordering::less;
-                            }
-                          }
-                          return false;
-                        });
-            } else if (s + 1 < steps) {
-              segs.push_back({i, j, s + 1});
-            }
-          }
-          i = j;
-        }
-      }
-      p.cols.resize(steps);
-      for (size_t s = 0; s < steps; ++s) {
-        p.cols[s].reserve(nrows);
-        for (uint32_t i : perm) p.cols[s].push_back(cols[s][i]);
+      // A relation is sorted once per path order: later builds over the
+      // same order reuse its memoised columns.
+      p.cols = rel->FindSortedInput(p.node_cols);
+      if (p.cols != nullptr) {
+        ++sorted_reused_;
+        SortedInputHits().Inc();
+      } else {
+        p.cols = SortPathColumns(*rel, p.node_cols);
+        rel->StoreSortedInput(p.node_cols, p.cols);
+        SortedInputMisses().Inc();
       }
       rels_.push_back(std::move(p));
     }
@@ -282,14 +321,14 @@ class TrieBuilder {
   }
 
   ValueRef ValueAt(const RelState& s, int row) const {
-    return rels_[s.rel].cols[s.step][row];
+    return rels_[s.rel].col(s.step)[row];
   }
 
   // Advances s.lo to the first row in [lo, hi) with column value >= v,
   // galloping from the current cursor (runs of equal values are short, so
   // exponential probing beats a full-range binary search).
   int LowerBound(const RelState& s, ValueRef v) const {
-    const ValueRef* col = rels_[s.rel].cols[s.step].data();
+    const ValueRef* col = rels_[s.rel].col(s.step).data();
     int lo = s.lo, hi = s.hi;
     if (lo >= hi || !(col[lo] < v)) return lo;
     int step = 1;
@@ -348,7 +387,7 @@ class TrieBuilder {
 
   // First row in [lo, hi) with column value > v, galloping from the cursor.
   int UpperBound(const RelState& s, ValueRef v) const {
-    const ValueRef* col = rels_[s.rel].cols[s.step].data();
+    const ValueRef* col = rels_[s.rel].col(s.step).data();
     int lo = s.lo, hi = s.hi;
     if (lo >= hi || v < col[lo]) return lo;
     int step = 1;
@@ -545,6 +584,7 @@ class TrieBuilder {
   const FTree& tree_;
   std::vector<int> depth_;
   std::vector<PreparedRel> rels_;
+  int sorted_reused_ = 0;
 };
 
 }  // namespace
@@ -555,9 +595,11 @@ constexpr int64_t kMinParallelBuildRows = 256;
 }  // namespace
 
 Factorisation FactoriseJoin(const FTree& tree,
-                            const std::vector<const Relation*>& relations) {
+                            const std::vector<const Relation*>& relations,
+                            int* sorted_reused) {
   auto arena = std::make_shared<FactArena>();
   TrieBuilder b(tree, relations);
+  if (sorted_reused != nullptr) *sorted_reused = b.sorted_reused();
   exec::TaskPool& pool = exec::TaskPool::Default();
   std::vector<FactPtr> roots;
   if (pool.num_threads() > 1 && b.TotalRows() >= kMinParallelBuildRows) {

@@ -20,9 +20,16 @@ namespace fdb {
 /// k-way sorted intersection of the participating relations, with empty
 /// branches pruned. Runs in time Õ(input + output singletons).
 ///
+/// Each relation is sorted once per path order: the sorted columns are
+/// memoised in the relation (Relation::FindSortedInput) and reused by
+/// later builds until the relation is mutated. If `sorted_reused` is
+/// non-null it receives how many of `relations` were served from their
+/// memo.
+///
 /// Throws std::invalid_argument if `tree` does not satisfy the requirements.
 Factorisation FactoriseJoin(const FTree& tree,
-                            const std::vector<const Relation*>& relations);
+                            const std::vector<const Relation*>& relations,
+                            int* sorted_reused = nullptr);
 
 /// Factorises a single relation over the path f-tree A₀ → A₁ → … given by
 /// `attr_order` (which must be a permutation of the relation's attributes).

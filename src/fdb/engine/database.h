@@ -54,7 +54,10 @@ struct SnapshotState;
 /// Many threads may query one Database while one or more threads update
 /// its views. Base relations and the registry are not versioned: load
 /// them before spinning up concurrent readers (AddRelation concurrent
-/// with queries on the *same relation name* is not supported).
+/// with queries on the *same relation name* is not supported). Queries
+/// over base relations share each relation's sorted-input memo
+/// (Relation::FindSortedInput), which is safe under concurrent readers;
+/// AddRelation replaces a relation together with its memo.
 class Database {
  public:
   Database() = default;

@@ -124,7 +124,8 @@ Relation FullAggregation(const Factorisation& f, const BoundQuery& q) {
 
 }  // namespace
 
-Factorisation FdbEngine::InputFactorisation(const BoundQuery& q) {
+Factorisation FdbEngine::InputFactorisation(const BoundQuery& q,
+                                            int* sorted_reused) {
   std::vector<const Relation*> rels;
   // System tables materialise fresh per query; FactoriseJoin copies their
   // data into its own arena, so the owned relations may die on return.
@@ -147,7 +148,7 @@ Factorisation FdbEngine::InputFactorisation(const BoundQuery& q) {
     rels.push_back(r);
   }
   FTree tree = ChooseFTree(rels);
-  return FactoriseJoin(tree, rels);
+  return FactoriseJoin(tree, rels, sorted_reused);
 }
 
 FdbResult FdbEngine::ExecuteSql(const std::string& sql,
@@ -249,7 +250,9 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     if (q.from.size() == 1) version = db_->ViewSnapshot(q.from[0]);
     // A view's copy is cheap: it shares all union nodes, and holding
     // `version` keeps a concurrent UpdateView from retiring them.
-    fact = version != nullptr ? *version : InputFactorisation(q);
+    int sorted_reused = 0;
+    fact = version != nullptr ? *version
+                              : InputFactorisation(q, &sorted_reused);
     if (tr != nullptr) {
       std::string from;
       for (const std::string& name : q.from) {
@@ -257,6 +260,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
         from += name;
       }
       span.NoteStr("from", from);
+      if (version == nullptr) span.NoteInt("sorted_reused", sorted_reused);
     }
   }
   if (tr != nullptr) {

@@ -99,8 +99,9 @@ class FdbEngine {
   FdbResult ExecuteImpl(const BoundQuery& q, const FdbOptions& options,
                         RowSink* sink);
   // The factorised natural join of q's base relations and system tables;
-  // ExecuteImpl reads a single view itself.
-  Factorisation InputFactorisation(const BoundQuery& q);
+  // ExecuteImpl reads a single view itself. *sorted_reused receives how
+  // many inputs came sorted from their relation's memo.
+  Factorisation InputFactorisation(const BoundQuery& q, int* sorted_reused);
 
   Database* db_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace fdb {
 
@@ -33,7 +34,65 @@ std::vector<std::pair<int, SortDir>> ResolveKeys(
   return out;
 }
 
+Relation::Relation(const Relation& o)
+    : schema_(o.schema_), rows_(o.rows_), memo_(o.CopySortedInputs()) {}
+
+Relation::Relation(Relation&& o) noexcept
+    : schema_(std::move(o.schema_)), rows_(std::move(o.rows_)) {
+  base::MutexLock l(&o.memo_mu_);
+  memo_ = std::exchange(o.memo_, {});
+}
+
+Relation& Relation::operator=(const Relation& o) {
+  return *this = Relation(o);
+}
+
+Relation& Relation::operator=(Relation&& o) noexcept {
+  if (this == &o) return *this;
+  std::vector<SortedInput> memo;
+  {
+    base::MutexLock l(&o.memo_mu_);
+    memo = std::exchange(o.memo_, {});
+  }
+  schema_ = std::move(o.schema_);
+  rows_ = std::move(o.rows_);
+  base::MutexLock l(&memo_mu_);
+  memo_ = std::move(memo);
+  return *this;
+}
+
+std::vector<Relation::SortedInput> Relation::CopySortedInputs() const {
+  base::MutexLock l(&memo_mu_);
+  return memo_;
+}
+
+std::shared_ptr<const Relation::SortedColumns> Relation::FindSortedInput(
+    const SortedColumnsKey& key) const {
+  base::MutexLock l(&memo_mu_);
+  auto it = std::find_if(memo_.begin(), memo_.end(),
+                         [&key](const SortedInput& e) { return e.key == key; });
+  if (it == memo_.end()) return nullptr;
+  std::rotate(memo_.begin(), it, it + 1);
+  return memo_.front().cols;
+}
+
+void Relation::StoreSortedInput(
+    SortedColumnsKey key, std::shared_ptr<const SortedColumns> cols) const {
+  base::MutexLock l(&memo_mu_);
+  for (const SortedInput& e : memo_) {
+    if (e.key == key) return;
+  }
+  memo_.insert(memo_.begin(), SortedInput{std::move(key), std::move(cols)});
+  if (memo_.size() > kMaxSortedInputs) memo_.pop_back();
+}
+
+size_t Relation::num_sorted_inputs() const {
+  base::MutexLock l(&memo_mu_);
+  return memo_.size();
+}
+
 void Relation::SortBy(const std::vector<SortKey>& keys) {
+  DropSortedInputs();
   auto pos = ResolveKeys(schema_, keys);
   std::stable_sort(rows_.begin(), rows_.end(),
                    [&pos](const Tuple& a, const Tuple& b) {
@@ -42,6 +101,7 @@ void Relation::SortBy(const std::vector<SortKey>& keys) {
 }
 
 void Relation::SortAndDedup() {
+  DropSortedInputs();
   std::sort(rows_.begin(), rows_.end());
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
 }

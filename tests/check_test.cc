@@ -30,7 +30,7 @@ using testing::MakePizzeria;
 using testing::Pizzeria;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 bool HasIssue(const check::Report& r, const std::string& name) {

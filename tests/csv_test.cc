@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "test_util.h"
+
 namespace fdb {
 namespace {
 
@@ -78,7 +80,7 @@ TEST(CsvTest, FileRoundTrip) {
   Database db;
   std::istringstream in("k,v\n7,seven\n8,eight\n");
   Relation r = ReadCsv(in, &db);
-  std::string path = ::testing::TempDir() + "/fdb_csv_test.csv";
+  std::string path = testing::ProcessTempDir() + "/fdb_csv_test.csv";
   SaveCsvRelation(r, db.registry(), path);
   LoadCsvRelation(&db, "loaded", path);
   ASSERT_NE(db.relation("loaded"), nullptr);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "fdb/core/build.h"
 #include "fdb/engine/rdb_engine.h"
 #include "fdb/obs/metrics.h"
@@ -502,6 +505,151 @@ TEST(PrefixCacheTest, OpEqualityIsStructural) {
   EXPECT_FALSE(FOp::Aggregate(0, {{AggFn::kSum, price}}) ==
                FOp::Aggregate(0, {{AggFn::kMax, price}}));
   EXPECT_FALSE(FOp::Rename(0, "a") == FOp::Rename(0, "b"));
+}
+
+// --- sorted-input memo ----------------------------------------------------
+
+// The §6 aggregate queries Q1-Q5 over the flat join, as the flat_join
+// workload runs them: every statement factorises its input first.
+std::vector<std::string> FlatJoinQueries() {
+  std::vector<std::string> q;
+  for (size_t i = 0; i < 5; ++i) {
+    std::string sql = AggQueries()[i];
+    sql.replace(sql.find("FROM R1"), 7, "FROM Orders, Packages, Items");
+    q.push_back(sql);
+  }
+  return q;
+}
+
+TEST(SortedInputMemoEngineTest, ExplainAnalyzeNotesReusedInputs) {
+  Pizzeria p = MakePizzeria();
+  FdbEngine fdb(p.db.get());
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT customer, sum(price) FROM Orders, Pizzas, "
+      "Items GROUP BY customer";
+  fdb.ExecuteSql(sql);
+  FdbResult r = fdb.ExecuteSql(sql);
+  ASSERT_NE(r.trace, nullptr);
+  std::string report = obs::ExplainReport(*r.trace);
+  EXPECT_NE(report.find("sorted_reused=3"), std::string::npos) << report;
+  // A view's input is never built, so its span carries no such note.
+  FdbResult v = fdb.ExecuteSql(
+      "EXPLAIN ANALYZE SELECT customer, sum(price) FROM R GROUP BY customer");
+  EXPECT_EQ(obs::ExplainReport(*v.trace).find("sorted_reused"),
+            std::string::npos);
+}
+
+TEST(SortedInputMemoEngineTest, ReplacedRelationIsSeen) {
+  MetricsOn metrics;
+  Pizzeria p = MakePizzeria();
+  const std::string sql =
+      "SELECT customer, sum(price) FROM Orders, Pizzas, Items GROUP BY "
+      "customer";
+  FdbResult before = RunAgainstRdb(p.db.get(), sql);
+  // Same name, same schema, different prices.
+  const Relation* items = p.db->relation("Items");
+  Relation doubled{items->schema()};
+  for (const Tuple& t : items->rows()) {
+    doubled.Add({t[0], Value(t[1].as_int() * 2)});
+  }
+  p.db->AddRelation("Items", std::move(doubled));
+  EXPECT_EQ(p.db->relation("Items")->num_sorted_inputs(), 0u);
+  uint64_t hits = Count("build.sorted_inputs.hits");
+  FdbResult after = RunAgainstRdb(p.db.get(), sql);
+  EXPECT_EQ(Count("build.sorted_inputs.hits") - hits, 2u);  // Orders, Pizzas
+  EXPECT_FALSE(after.flat.BagEquals(before.flat));
+}
+
+TEST(SortedInputMemoEngineTest, OutOfOrderInternBetweenBuildsKeepsAnswers) {
+  MetricsOn metrics;
+  Database db;
+  AttrId k = db.Attr("ooo_k"), v = db.Attr("ooo_v"), w = db.Attr("ooo_w");
+  Relation r{RelSchema({k, v})};
+  Relation s{RelSchema({k, w})};
+  for (int64_t i = 0; i < 20; ++i) {
+    std::string key = "ooo_key" + std::to_string(10 + 2 * i);  // even keys
+    r.Add({Value(key), Value(i)});
+    s.Add({Value(key), Value(i % 3)});
+  }
+  db.AddRelation("R", std::move(r));
+  db.AddRelation("S", std::move(s));
+  const std::string sql =
+      "SELECT ooo_k, sum(ooo_v) AS t FROM R, S GROUP BY ooo_k ORDER BY ooo_k";
+  RunAgainstRdb(&db, sql);  // sorts R and S into their memos
+  ASSERT_EQ(db.relation("R")->num_sorted_inputs(), 1u);
+
+  // An odd key sorts between R's cached values: interning it shifts the
+  // ranks of every larger cached string.
+  ValueDict& dict = ValueDict::Default();
+  uint32_t code = *dict.Find("ooo_key30");
+  uint32_t rank = dict.rank(code);
+  dict.Intern("ooo_key29");
+  ASSERT_GT(dict.rank(code), rank);
+  Relation s2 = *db.relation("S");
+  s2.Add({Value("ooo_key29"), Value(int64_t{7})});
+  s2.Add({Value("ooo_key30"), Value(int64_t{8})});
+  db.AddRelation("S", std::move(s2));
+
+  uint64_t hits = Count("build.sorted_inputs.hits");
+  FdbResult fr = RunAgainstRdb(&db, sql);  // R from its memo, S afresh
+  EXPECT_EQ(Count("build.sorted_inputs.hits") - hits, 1u);
+  EXPECT_EQ(fr.flat.size(), 20);
+}
+
+TEST(SortedInputMemoEngineTest, SystemTableLeavesNoEntry) {
+  MetricsOn metrics;
+  Pizzeria p = MakePizzeria();
+  FdbEngine fdb(p.db.get());
+  uint64_t hits = Count("build.sorted_inputs.hits");
+  uint64_t misses = Count("build.sorted_inputs.misses");
+  // fdb.statements materialises afresh per query: each build sorts it
+  // again, and the entry dies with the table.
+  for (int i = 0; i < 2; ++i) fdb.ExecuteSql("SELECT * FROM fdb.statements");
+  EXPECT_EQ(Count("build.sorted_inputs.hits") - hits, 0u);
+  EXPECT_EQ(Count("build.sorted_inputs.misses") - misses, 2u);
+  EXPECT_EQ(p.db->SystemTable("fdb.statements")->num_sorted_inputs(), 0u);
+}
+
+TEST(SortedInputMemoEngineTest, ConcurrentColdFlatJoinsMatchRdb) {
+  MetricsOn metrics;
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  const std::vector<std::string> names = {"Orders", "Packages", "Items"};
+  // InstallWorkload's view build leaves memo entries; start cold.
+  for (const std::string& name : names) {
+    Relation fresh(db.relation(name)->schema(), db.relation(name)->rows());
+    db.AddRelation(name, std::move(fresh));
+    ASSERT_EQ(db.relation(name)->num_sorted_inputs(), 0u);
+  }
+  std::vector<std::string> sqls = FlatJoinQueries();
+  std::vector<Relation> expected;
+  for (const std::string& sql : sqls) {
+    expected.push_back(RdbEngine(&db).ExecuteSql(sql).flat);
+  }
+  uint64_t hits = Count("build.sorted_inputs.hits");
+  uint64_t misses = Count("build.sorted_inputs.misses");
+  constexpr int kThreads = 4;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < sqls.size(); ++i) {
+        size_t q = (t + i) % sqls.size();
+        FdbResult fr = FdbEngine(&db).ExecuteSql(sqls[q]);
+        if (!fr.flat.BagEquals(expected[q])) ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  uint64_t h = Count("build.sorted_inputs.hits") - hits;
+  uint64_t m = Count("build.sorted_inputs.misses") - misses;
+  EXPECT_EQ(h + m, kThreads * sqls.size() * names.size());
+  EXPECT_GE(m, names.size());
+  EXPECT_GT(h, 0u);
+  for (const std::string& name : names) {
+    EXPECT_GE(db.relation(name)->num_sorted_inputs(), 1u) << name;
+  }
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ namespace {
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -52,7 +52,7 @@ void ExerciseSubsystems() {
   rdb.ExecuteSql("SELECT customer FROM R WHERE price < 5");
 
   // Storage: save, open, checkpoint, WAL commit (storage.*, wal.*, io.*).
-  std::string path = ::testing::TempDir() + "/catalogue.fdbs";
+  std::string path = testing::ProcessTempDir() + "/catalogue.fdbs";
   Database db;
   AttrId a = db.Attr("cat_a"), b = db.Attr("cat_b");
   Relation r{RelSchema({a, b})};

@@ -27,7 +27,7 @@ namespace {
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 std::string FlattenCsv(const Factorisation& f, const AttributeRegistry& reg) {
@@ -273,7 +273,7 @@ TEST(StorageCheckpointTest, PathAliasSpellingsShareOneChain) {
   // A Save through an alias spelling of the checkpointed path writes the
   // same canonical file, so it counts as that path's last base.
   std::string path = TempPath("ckpt_alias.fdbs");
-  std::string alias = ::testing::TempDir() + "/./ckpt_alias.fdbs";
+  std::string alias = testing::ProcessTempDir() + "/./ckpt_alias.fdbs";
   Database db = MakePathDb(120, "cka");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {

@@ -23,7 +23,7 @@ namespace {
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 std::string FlattenCsv(const Factorisation& f, const AttributeRegistry& reg) {

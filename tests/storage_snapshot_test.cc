@@ -23,7 +23,7 @@ using testing::Pizzeria;
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 // Byte-identical flatten comparison: enumeration order is deterministic,

@@ -2,9 +2,13 @@
 #define FDB_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fdb/core/build.h"
@@ -14,6 +18,32 @@
 
 namespace fdb {
 namespace testing {
+
+/// A directory private to this test process: created on first use under
+/// ::testing::TempDir() with a unique name (mkdtemp) and removed with its
+/// contents at exit. Tests write their files here, so files one run
+/// leaves behind (or another test binary writes concurrently) are never
+/// read by another run.
+inline const std::string& ProcessTempDir() {
+  struct Dir {
+    std::string path;
+    Dir() {
+      std::string tmpl =
+          (std::filesystem::path(::testing::TempDir()) / "fdb_test_XXXXXX")
+              .string();
+      if (mkdtemp(tmpl.data()) == nullptr) {
+        throw std::runtime_error("mkdtemp failed for " + tmpl);
+      }
+      path = std::move(tmpl);
+    }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
 
 /// The running example of the paper (Figure 1): the pizzeria database and
 /// the factorised view R = Orders ⋈ Pizzas ⋈ Items over the f-tree T1

@@ -147,6 +147,20 @@ std::pair<size_t, size_t> RunScript(Database* db, const std::string& path,
   return {acked, attempted};
 }
 
+// Arms the I/O failpoints for one scope. The destructor clears them even
+// when the script throws something RunScript does not catch, so a
+// failure stays inside its own test instead of leaving a sticky-dead
+// IoEnv to fail the next one.
+class FailpointScope {
+ public:
+  explicit FailpointScope(const std::string& spec) {
+    storage::IoEnv::Instance().SetFailpoints(spec);
+  }
+  ~FailpointScope() { storage::IoEnv::Instance().ClearFailpoints(); }
+  FailpointScope(const FailpointScope&) = delete;
+  FailpointScope& operator=(const FailpointScope&) = delete;
+};
+
 // One crashed run + recovery. Returns the recovered state's prefix index
 // via assertion: FlattenCsv must equal some shadow prefix in
 // [min_prefix, attempted].
@@ -154,14 +168,12 @@ void RunOneCrash(const std::string& dir, int iter, uint64_t kill_point,
                  const char* mode, const std::vector<Step>& script,
                  const std::vector<std::string>& shadow,
                  bool prefix_only) {
-  storage::IoEnv& io = storage::IoEnv::Instance();
   std::string path = dir + "/crash_" + std::to_string(iter) + ".fdbs";
   size_t acked = 0, attempted = 0;
   {
     Database db = MakeInitialDb(path);  // not under fault injection
-    io.SetFailpoints("any:" + std::to_string(kill_point) + ":" + mode);
+    FailpointScope armed("any:" + std::to_string(kill_point) + ":" + mode);
     std::tie(acked, attempted) = RunScript(&db, path, script);
-    io.ClearFailpoints();
   }
 
   Database re = Database::Open(path);
@@ -205,7 +217,7 @@ uint64_t Calibrate(const std::string& dir, const std::vector<Step>& script,
 }
 
 TEST(WalCrashTest, RandomizedKillPointsRecoverCommittedPrefix) {
-  const std::string dir = ::testing::TempDir();
+  const std::string& dir = testing::ProcessTempDir();
   std::vector<Step> script = MakeScript(20260808, /*with_persistence=*/true);
   std::vector<std::string> shadow = ShadowPrefixes(script);
   uint64_t total = Calibrate(dir, script, shadow);
@@ -229,7 +241,7 @@ TEST(WalCrashTest, BitFlipsNeverYieldTornState) {
   // a half-applied group. (The committed-suffix guarantee is about
   // crashes; corruption may legitimately cut earlier, so only
   // prefix-consistency is asserted.)
-  const std::string dir = ::testing::TempDir();
+  const std::string& dir = testing::ProcessTempDir();
   std::vector<Step> script = MakeScript(1123, /*with_persistence=*/false);
   std::vector<std::string> shadow = ShadowPrefixes(script);
   uint64_t total = Calibrate(dir, script, shadow);
