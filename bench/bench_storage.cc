@@ -38,7 +38,6 @@
 
 #include "bench_metrics.h"
 #include "fdb/core/build.h"
-#include "fdb/core/update.h"
 #include "fdb/engine/csv.h"
 #include "fdb/engine/database.h"
 #include "fdb/obs/metrics.h"
@@ -209,9 +208,8 @@ int main(int argc, char** argv) {
   int64_t total_inserted = 0;
   for (int64_t k : {16, 64, 256, 1024}) {
     for (int64_t i = 0; i < k; ++i) {
-      ckdb.UpdateView("U", [&](Factorisation* f) {
-        InsertTuple(f, {Value(i % 8), Value(next_b++)});
-      });
+      ckdb.Commit({storage::WalOp{storage::WalOp::kInsert, "U",
+                                  {Value(i % 8), Value(next_b++)}}});
     }
     total_inserted += k;
     storage::CheckpointInfo info;

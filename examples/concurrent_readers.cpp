@@ -1,10 +1,10 @@
 // Concurrent serving demo: many reader threads run aggregate queries
-// against a materialised view while a writer applies a stream of updates
-// through the Database's epoch-style view map — readers grab a snapshot
-// (shared_ptr) of the current version and never block, the writer builds
-// each new version off-line on shared arenas and swaps it in, and
-// generational compaction retires dead versions once the last reader
-// drops them.
+// against a materialised view while a writer commits a stream of inserts
+// (Database::Commit) through the Database's epoch-style view map —
+// readers grab a snapshot (shared_ptr) of the current version and never
+// block, each commit builds the new version off-line on shared arenas
+// and swaps it in, and generational compaction retires dead versions
+// once the last reader drops them.
 //
 // Usage: concurrent_readers [scale] [readers] [writes]   (defaults 2 4 300)
 
@@ -16,7 +16,6 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/enumerate.h"
-#include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/exec/task_pool.h"
 #include "fdb/workload/generator.h"
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
   InstallWorkload(&db, SmallParams(scale), "R1");
 
   // The updatable view: Orders as a sorted path trie (date → customer →
-  // package), the shape InsertTuple/DeleteTuple maintain incrementally.
+  // package), the shape commits maintain incrementally.
   AttributeRegistry& reg = db.registry();
   AttrId date = *reg.Find("date"), customer = *reg.Find("customer"),
          package = *reg.Find("package");
@@ -67,12 +66,10 @@ int main(int argc, char** argv) {
   }
 
   for (int64_t i = 0; i < num_writes; ++i) {
-    db.UpdateView("OrdersByDate", [&](Factorisation* f) {
-      // New synthetic order far outside the generated id ranges.
-      Tuple t{Value(int64_t{9000000} + i), Value(int64_t{1}),
-              Value(int64_t{1})};
-      InsertTuple(f, t);
-    });
+    // New synthetic order far outside the generated id ranges.
+    db.Commit({storage::WalOp{
+        storage::WalOp::kInsert, "OrdersByDate",
+        {Value(int64_t{9000000} + i), Value(int64_t{1}), Value(int64_t{1})}}});
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();

@@ -57,11 +57,11 @@ int main(int argc, char** argv) {
             << " tuples\n";
   Tuple order = {Value(int64_t{9999}), Value(int64_t{1}),
                  Value(int64_t{2})};
-  InsertTuple(&r3, order);
+  ApplyBatch(&r3, {BatchOp{true, order}});
   std::cout << "after insert: " << r3.CountTuples()
             << " tuples, contains new order: "
             << (ContainsTuple(r3, order) ? "yes" : "no") << "\n";
-  DeleteTuple(&r3, order);
+  ApplyBatch(&r3, {BatchOp{false, order}});
   std::cout << "after delete: " << r3.CountTuples() << " tuples\n";
 
   // --- clean up the snapshot: one base file -------------------------------

@@ -6,6 +6,10 @@
 #include <mutex>
 #include <shared_mutex>
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 /// Clang Thread Safety Analysis for the whole engine.
 ///
 /// Every mutex-guarded field and lock-requiring method in the codebase is
@@ -68,6 +72,13 @@ class CondVar;
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
+#if defined(__SANITIZE_THREAD__)
+  // std::mutex's destructor is trivial, so TSan never learns that this
+  // address stopped being a mutex: a later one at the same address (a
+  // Database on a reused stack slot) would inherit its lock-order edges
+  // and make up deadlock cycles.
+  ~Mutex() { __tsan_mutex_destroy(&mu_, 0); }
+#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 

@@ -81,8 +81,8 @@ std::shared_ptr<const Relation::SortedColumns> SortPathColumns(
     }
   }
   // The rank keys and every sort consuming them run with rank shifts
-  // frozen: a concurrent out-of-order intern (e.g. InsertTuple on
-  // another view) must not move string ranks between two key reads
+  // frozen: a concurrent out-of-order intern (e.g. a commit to another
+  // view) must not move string ranks between two key reads
   // or mid-sort. All interning for this relation happened above, and
   // the freeze is shared — only writers are excluded.
   auto frozen = dict.FreezeRanks();

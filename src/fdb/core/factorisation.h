@@ -90,7 +90,7 @@ class Factorisation {
   /// live size (plus fixed slack, so small views never bother), or holds
   /// more than kMaxChainArenas arenas. The chain, not just the attached
   /// arena, is what counts: a published view is updated on a copy
-  /// (Database::UpdateView), so every commit writes into a fresh arena
+  /// (Database commits), so every commit writes into a fresh arena
   /// that adopts all earlier ones. The first call on a factorisation
   /// with no watermark yet (scratch-backed) records the current size as
   /// the baseline. Returns true if it compacted. Called by the update

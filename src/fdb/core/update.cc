@@ -15,9 +15,9 @@ namespace {
 // to thread a counter through the recursion.
 thread_local int64_t g_unions_rebuilt = 0;
 
-// Updates are persistent: each insert/delete copies the root-to-leaf path
-// unions into the factorisation's write arena and the previous versions
-// become unreachable garbage. Generational compaction keeps that garbage
+// Updates are persistent: each batch copies the root-to-leaf path unions
+// it touches into the factorisation's write arena and the previous
+// versions become unreachable garbage. Generational compaction keeps that garbage
 // bounded: after every mutation, Factorisation::MaybeCompact copies the
 // live roots into a fresh generation once the arena chain has grown past
 // 4x the live size or too many arenas long, so sustained update chains —
@@ -77,68 +77,6 @@ std::optional<std::vector<ValueRef>> TryEncodeTuple(const ValueDict& dict,
   return key;
 }
 
-// Returns the updated node; returns `n` itself when the tuple was already
-// present (nothing to copy).
-FactPtr InsertRec(const FactNode* n, const std::vector<ValueRef>& key,
-                  size_t depth, FactArena& arena) {
-  bool leaf = depth + 1 == key.size();
-  ValueRef v = key[depth];
-  int pos = n != nullptr ? FindValue(*n, v) : -1;
-  FactBuilder out;
-  if (pos >= 0) {
-    if (leaf) return n;  // tuple already present
-    FactPtr updated = InsertRec(n->children[pos], key, depth + 1, arena);
-    if (updated == n->children[pos]) return n;  // present below
-    out.values.assign(n->values.begin(), n->values.end());
-    out.children.assign(n->children.begin(), n->children.end());
-    out.children[pos] = updated;
-    return out.Finish(arena);
-  }
-  if (n != nullptr) {
-    out.values.assign(n->values.begin(), n->values.end());
-    out.children.assign(n->children.begin(), n->children.end());
-  }
-  auto it = std::lower_bound(out.values.begin(), out.values.end(), v);
-  size_t idx = static_cast<size_t>(it - out.values.begin());
-  out.values.insert(it, v);
-  if (!leaf) {
-    out.children.insert(out.children.begin() + idx,
-                        InsertRec(nullptr, key, depth + 1, arena));
-  }
-  return out.Finish(arena);
-}
-
-// Returns the updated node, or nullptr when the union became empty.
-FactPtr DeleteRec(const FactNode& n, const std::vector<ValueRef>& key,
-                  size_t depth, bool* found, FactArena& arena) {
-  bool leaf = depth + 1 == key.size();
-  int pos = FindValue(n, key[depth]);
-  if (pos < 0) {
-    *found = false;
-    return nullptr;
-  }
-  FactBuilder out;
-  out.values.assign(n.values.begin(), n.values.end());
-  out.children.assign(n.children.begin(), n.children.end());
-  if (leaf) {
-    *found = true;
-    out.values.erase(out.values.begin() + pos);
-  } else {
-    FactPtr updated =
-        DeleteRec(*n.children[pos], key, depth + 1, found, arena);
-    if (!*found) return nullptr;
-    if (updated == nullptr) {
-      // The branch below emptied: drop this entry too.
-      out.values.erase(out.values.begin() + pos);
-      out.children.erase(out.children.begin() + pos);
-    } else {
-      out.children[pos] = updated;
-    }
-  }
-  if (out.values.empty()) return nullptr;
-  return out.Finish(arena);
-}
-
 // --- batch apply ----------------------------------------------------------
 //
 // A batch is reduced to its final membership first: ordered application of
@@ -147,7 +85,7 @@ FactPtr DeleteRec(const FactNode& n, const std::vector<ValueRef>& key,
 // the trie unions use), are then merged against the existing trie in one
 // recursive pass, so a union crossed by k keys is copied once instead of
 // k times. Subtrees no batch key reaches are returned by pointer,
-// preserving node identity for the incremental checkpointer.
+// preserving node identity (shared with the previous version).
 
 // One resolved batch key: final membership `insert` for `*key`.
 struct BatchEntry {
@@ -301,34 +239,6 @@ void ApplyBatch(Factorisation* f, const std::vector<BatchOp>& ops) {
   f->mutable_roots()[0] =
       updated == nullptr ? FactArena::EmptyNode() : updated;
   AfterMutation(f);
-}
-
-void InsertTuple(Factorisation* f, const Tuple& tuple) {
-  PathChain(f->tree(), tuple.size());  // shape validation
-  std::vector<ValueRef> key;
-  key.reserve(tuple.size());
-  ValueDict& dict = f->dict();
-  for (const Value& v : tuple) key.push_back(dict.Encode(v));
-  const FactNode* root =
-      f->empty() ? nullptr : f->roots().empty() ? nullptr : f->roots()[0];
-  f->mutable_roots()[0] = InsertRec(root, key, 0, f->ArenaForWrite());
-  AfterMutation(f);
-}
-
-bool DeleteTuple(Factorisation* f, const Tuple& tuple) {
-  PathChain(f->tree(), tuple.size());
-  if (f->empty()) return false;
-  std::optional<std::vector<ValueRef>> key =
-      TryEncodeTuple(f->dict(), tuple);
-  if (!key.has_value()) return false;  // contains a value never stored
-  bool found = false;
-  FactPtr updated =
-      DeleteRec(*f->roots()[0], *key, 0, &found, f->ArenaForWrite());
-  if (!found) return false;
-  f->mutable_roots()[0] =
-      updated == nullptr ? FactArena::EmptyNode() : updated;
-  AfterMutation(f);
-  return true;
 }
 
 bool ContainsTuple(const Factorisation& f, const Tuple& tuple) {

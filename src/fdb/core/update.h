@@ -7,24 +7,17 @@ namespace fdb {
 
 /// Incremental maintenance of *single-relation* factorised views (sorted
 /// tries built by FactoriseRelation, e.g. the materialised orders R2/R3 of
-/// Experiment 4). Insertion and deletion walk the root-to-leaf path of the
-/// tuple, rebuilding only the unions along it (O(depth · union size) with
-/// path copying; all untouched siblings stay shared).
+/// Experiment 4). ApplyBatch is the one update algorithm: a batch of
+/// inserts and deletes walks the root-to-leaf paths of its tuples,
+/// rebuilding only the unions along them (path copying; all untouched
+/// siblings stay shared). Database commits run it on a copy of each
+/// affected view's current version; a one-op batch is a single-tuple
+/// insert or delete.
 ///
 /// The view's f-tree must be a single path of atomic single-attribute
 /// nodes — the shape FactoriseRelation produces. Joins of several
 /// relations need re-factorisation (incremental maintenance of factorised
 /// join views is future work beyond the paper).
-
-/// Inserts `tuple` (given over `f`'s OutputSchema order, i.e. the path
-/// order). Idempotent: inserting an existing tuple is a no-op.
-/// Throws std::invalid_argument if the tree is not a single path or the
-/// tuple has the wrong arity.
-void InsertTuple(Factorisation* f, const Tuple& tuple);
-
-/// Deletes `tuple`; returns false (and leaves `f` unchanged) if absent.
-/// Emptied unions are pruned up the path, keeping the invariants.
-bool DeleteTuple(Factorisation* f, const Tuple& tuple);
 
 /// True if the view contains the tuple (O(depth · log union size)).
 bool ContainsTuple(const Factorisation& f, const Tuple& tuple);
@@ -35,14 +28,16 @@ struct BatchOp {
   Tuple tuple;
 };
 
-/// Applies `ops` with sequential semantics — the result is exactly what
-/// calling InsertTuple/DeleteTuple in order would produce — but rebuilds
-/// each affected union once per batch instead of once per op: the final
-/// membership of every key is resolved first (last op wins), then one
-/// sorted merge walks the trie alongside the sorted batch. A commit group
-/// of k tuples sharing a root prefix copies that prefix once, not k
-/// times, and untouched subtrees keep their node identity (so the
-/// incremental checkpointer sees a coalesced diff).
+/// Applies `ops` (tuples over `f`'s OutputSchema order, i.e. the path
+/// order) with sequential semantics — the result is exactly what applying
+/// them one at a time would produce: inserting a present tuple or
+/// deleting an absent one is a no-op, and emptied unions are pruned up
+/// the path. Rebuilds each affected union once per batch instead of once
+/// per op: the final membership of every key is resolved first (last op
+/// wins), then one sorted merge walks the trie alongside the sorted
+/// batch. A commit group of k tuples sharing a root prefix copies that
+/// prefix once, not k times, and untouched subtrees keep their node
+/// identity (shared with the previous version).
 /// Throws std::invalid_argument on shape/arity mismatch, in which case
 /// the view is unchanged (validation happens before any mutation).
 void ApplyBatch(Factorisation* f, const std::vector<BatchOp>& ops);

@@ -182,9 +182,7 @@ void Database::PublishView(const std::string& name,
 
 void Database::AddView(const std::string& name, Factorisation f) {
   auto fp = std::make_shared<const Factorisation>(std::move(f));
-  // Serialised with UpdateView: a direct AddView must not land inside
-  // another writer's read-modify-publish window and get overwritten.
-  base::MutexLock wg(&writer_mu_);
+  base::MutexLock t(&txn_mu_);
   PublishView(name, std::move(fp));
 }
 
@@ -222,20 +220,6 @@ const Factorisation* Database::view(const std::string& name) const {
 std::shared_ptr<const Factorisation> Database::ViewSnapshot(
     const std::string& name) const {
   return FindOrAdmit(name);
-}
-
-bool Database::UpdateView(const std::string& name,
-                          const std::function<void(Factorisation*)>& mutate) {
-  base::MutexLock wg(&writer_mu_);
-  std::shared_ptr<const Factorisation> cur = FindOrAdmit(name);
-  if (cur == nullptr) return false;
-  // Build off-line on a private copy: the copy shares the current arenas,
-  // so mutators allocating through ArenaForWrite land in a fresh arena
-  // that adopts them — concurrent readers of `cur` are never touched.
-  Factorisation next = *cur;
-  mutate(&next);
-  PublishView(name, std::make_shared<const Factorisation>(std::move(next)));
-  return true;
 }
 
 // --- transactions / write-ahead logging -----------------------------------
@@ -391,18 +375,32 @@ uint64_t Database::CommitGroupLocked(std::vector<storage::WalOp>* ops) {
       }
     }
   }
-  // Apply, one batch per affected view: each union along the touched
-  // paths is rebuilt once per group, not once per tuple.
+  // Every op was validated, so each view exists.
+  ApplyOpsLocked(std::move(*ops));
+  ops->clear();
+  return seq;
+}
+
+std::optional<std::string> Database::ApplyOpsLocked(
+    std::vector<storage::WalOp> ops) {
+  // One batch per affected view: each union along the touched paths is
+  // rebuilt once per group, not once per tuple.
   std::map<std::string, std::vector<BatchOp>> per_view;
-  for (storage::WalOp& op : *ops) {
+  for (storage::WalOp& op : ops) {
     per_view[op.view].push_back(
         BatchOp{op.kind == storage::WalOp::kInsert, std::move(op.tuple)});
   }
-  for (auto& [name, batch] : per_view) {
-    UpdateView(name, [&batch](Factorisation* f) { ApplyBatch(f, batch); });
+  for (const auto& [name, batch] : per_view) {
+    std::shared_ptr<const Factorisation> cur = FindOrAdmit(name);
+    if (cur == nullptr) return name;
+    // Built off-line on a private copy: the copy shares the current
+    // arenas, and ApplyBatch allocates through ArenaForWrite into a fresh
+    // one that adopts them — readers of `cur` are never touched.
+    Factorisation next = *cur;
+    ApplyBatch(&next, batch);
+    PublishView(name, std::make_shared<const Factorisation>(std::move(next)));
   }
-  ops->clear();
-  return seq;
+  return std::nullopt;
 }
 
 void Database::StartMetricsSampler(int64_t interval_ms) {

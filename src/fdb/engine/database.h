@@ -2,7 +2,6 @@
 #define FDB_ENGINE_DATABASE_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,11 +45,15 @@ struct SnapshotState;
 /// immutable std::map published through a shared_ptr; readers grab the
 /// current epoch (ViewSnapshot / view) with one brief pointer-copy lock
 /// and then never block, no matter how long they enumerate. Writers
-/// (AddView, UpdateView) build the new factorisation off-line, copy the
-/// map, and swap the pointer — queries running against older epochs keep
-/// their Factorisation (and, through its arena chain, every node they
-/// can reach) alive until they drop it, so updates and generational
-/// compaction proceed without ever invalidating an in-flight reader.
+/// (AddView, and commits through Commit) build the new factorisation
+/// off-line, copy the map, and swap the pointer. Commits apply their
+/// group with ApplyBatch to a copy of each affected view's current
+/// version; they and AddView take turns on the transaction lock, so a
+/// commit never overwrites a concurrent AddView or vice versa. Queries
+/// running against older epochs keep their Factorisation (and, through
+/// its arena chain, every node they can reach) alive until they drop
+/// it, so updates and generational compaction proceed without ever
+/// invalidating an in-flight reader.
 /// Many threads may query one Database while one or more threads update
 /// its views. Base relations and the registry are not versioned: load
 /// them before spinning up concurrent readers (AddRelation concurrent
@@ -89,13 +92,15 @@ class Database {
   const Relation* relation(const std::string& name) const;
 
   /// Publishes `f` as the new version of view `name` (a new epoch of the
-  /// view map). Readers holding the previous version keep it alive.
-  void AddView(const std::string& name, Factorisation f);
+  /// view map). Readers holding the previous version keep it alive. Not
+  /// logged: checkpoint after it on a database with a WAL. Takes the
+  /// transaction lock, so it waits for a running commit or Save.
+  void AddView(const std::string& name, Factorisation f) EXCLUDES(txn_mu_);
   /// The named factorised view, or nullptr. On a database opened from a
   /// snapshot this materialises the view on first access (one fix-up pass
   /// over the mapped segment; value data is served from the mapping).
-  /// The pointer stays valid until this name is re-published (AddView /
-  /// UpdateView) — concurrent readers should hold a ViewSnapshot instead.
+  /// The pointer stays valid until this name is re-published (AddView or
+  /// a commit) — concurrent readers should hold a ViewSnapshot instead.
   const Factorisation* view(const std::string& name) const;
 
   /// The current version of view `name` as a shared snapshot (nullptr if
@@ -104,15 +109,6 @@ class Database {
   /// across any number of subsequent updates, swaps and compactions.
   std::shared_ptr<const Factorisation> ViewSnapshot(
       const std::string& name) const;
-
-  /// Read-copy-update on one view: copies the current version (cheap —
-  /// arenas are shared; mutators allocate into a fresh arena via
-  /// ArenaForWrite), applies `mutate` to the private copy off-line, then
-  /// publishes it. Writers are serialised among themselves; readers are
-  /// never blocked and keep whichever version they hold. Returns false
-  /// (without calling `mutate`) if the view does not exist.
-  bool UpdateView(const std::string& name,
-                  const std::function<void(Factorisation*)>& mutate);
 
   /// The factorisations FdbEngine reached after f-plan prefixes over the
   /// current view versions (see PrefixCache). Publishing a view version
@@ -170,25 +166,33 @@ class Database {
   /// Transaction/log state (pending ops, durable groups, log size).
   storage::WalStatus WalStatus() const;
 
+  /// Commits a caller-owned list of ops as one group — the write path
+  /// of serve sessions. Validates every op (throws std::invalid_argument
+  /// if a view does not exist or a tuple does not fit its shape; nothing
+  /// applied), makes the group durable (one WAL frame, one fsync), then
+  /// applies it — each affected view updated in a single batch.
+  /// Independent of the Begin/Commit() transaction below: it neither
+  /// joins nor disturbs one that is open. Returns the group's log
+  /// sequence number (0 when `ops` is empty or no WAL is bound); on a log
+  /// I/O failure throws, nothing applied.
+  uint64_t Commit(std::vector<storage::WalOp> ops);
+
+  // Legacy transaction seam: Begin / Insert / Delete / Commit() /
+  // Rollback buffer ops into one group that ends in the same log-then-
+  // apply step as Commit(ops). It exists for the e2e benchmark's write
+  // replay (ReplayTxn in bench/e2e/fdb_bench.cc), which the benchmark
+  // must run unchanged; the shell's local mode and some tests use it
+  // too. New code should call Commit(ops).
+
   /// Opens a transaction: subsequent Insert/Delete calls buffer into one
   /// commit group. Throws if one is already open (no nesting).
   void Begin();
-  /// Makes the buffered group durable (one WAL frame, one fsync), then
-  /// applies it — each affected view updated in a single batch. Returns
-  /// the group's log sequence number (0 when nothing was pending or no
-  /// WAL is bound). On a log I/O failure throws and leaves the
-  /// transaction open, nothing applied: retry Commit() or Rollback().
+  /// Commits the buffered group like Commit(ops). On a log I/O failure
+  /// throws and leaves the transaction open, nothing applied: retry
+  /// Commit() or Rollback().
   uint64_t Commit();
   /// Discards the buffered group.
   void Rollback();
-
-  /// Commits a caller-owned list of ops as one group: validates every op
-  /// as Insert/Delete do (throws std::invalid_argument, nothing applied),
-  /// then logs and applies them like Commit(). Independent of the
-  /// Begin/Commit transaction: it neither joins nor disturbs one that is
-  /// open. Returns the group's log sequence number (0 when `ops` is empty
-  /// or no WAL is bound); on a log I/O failure throws, nothing applied.
-  uint64_t Commit(std::vector<storage::WalOp> ops);
 
   /// Inserts `tuple` into view `view` — buffered if a transaction is
   /// open, otherwise an autocommitted single-op group. Validates
@@ -254,15 +258,23 @@ class Database {
 
   // Finds the current version, lazily admitting snapshot views
   // (materialised outside mu_, published under it); shared by view(),
-  // ViewSnapshot() and UpdateView().
+  // ViewSnapshot() and ApplyOpsLocked().
   std::shared_ptr<const Factorisation> FindOrAdmit(
       const std::string& name) const;
 
   // Swaps `fp` in as the new epoch's version of `name`, counts the change
-  // and retires the prefix-cache entries of the older ones. Callers must
-  // hold writer_mu_ (AddView takes it; UpdateView already holds it).
+  // and retires the prefix-cache entries of the older ones. txn_mu_ keeps
+  // writers from publishing over each other's read-modify-publish.
   void PublishView(const std::string& name,
-                   std::shared_ptr<const Factorisation> fp);
+                   std::shared_ptr<const Factorisation> fp)
+      REQUIRES(txn_mu_);
+  // Applies `ops` as one group: one ApplyBatch per affected view, on a
+  // copy of its current version, then publishes each copy. Returns the
+  // name of the first view that does not exist (views before it are
+  // already published), or nullopt. CommitGroupLocked runs it after the
+  // log append, Open's WAL replay for every logged group.
+  std::optional<std::string> ApplyOpsLocked(std::vector<storage::WalOp> ops)
+      REQUIRES(txn_mu_);
 
   // Throws std::invalid_argument unless `op`'s view exists and its tuple
   // fits the view's shape.
@@ -271,14 +283,14 @@ class Database {
   // autocommits it as a one-op group.
   void BufferOpLocked(storage::WalOp op) REQUIRES(txn_mu_);
   // Appends `ops` as one WAL frame (when a log is bound) and applies
-  // them, one ApplyBatch per affected view; clears `ops`. Throws without
-  // applying if the log append fails.
+  // them with ApplyOpsLocked; clears `ops`. Throws without applying if
+  // the log append fails.
   uint64_t CommitGroupLocked(std::vector<storage::WalOp>* ops)
       REQUIRES(txn_mu_);
   // Save/Checkpoint internals, callable with txn_mu_ already held
   // (EnableWal and DisableWal write under it). SaveLocked writes the base,
   // records it in persist_, re-stamps a WAL bound to `path` and returns
-  // the new epoch. Lock order: txn_mu_ → writer_mu_.
+  // the new epoch.
   uint64_t SaveLocked(const std::string& path,
                       storage::SaveStats* stats = nullptr) const
       REQUIRES(txn_mu_);
@@ -296,9 +308,7 @@ class Database {
   std::atomic<uint64_t> changes_{0};
   // Guards the views_ pointer (epoch swaps, snapshot admissions). Held
   // only for pointer copies and map clones — never across query work.
-  mutable base::Mutex mu_ ACQUIRED_AFTER(writer_mu_);
-  // Serialises UpdateView writers (their off-line build phases).
-  base::Mutex writer_mu_;
+  mutable base::Mutex mu_ ACQUIRED_AFTER(txn_mu_);
   // Current epoch; mutable so view() can lazily admit snapshot views.
   mutable std::shared_ptr<const ViewMap> views_ GUARDED_BY(mu_) =
       std::make_shared<const ViewMap>();
@@ -308,14 +318,16 @@ class Database {
   // versions. Not shared with copies: entries are a cache, and each
   // Database publishes its own versions.
   PrefixCache prefix_cache_;
-  // Transaction/WAL state. txn_mu_ serialises Begin/Commit/Rollback,
-  // autocommits, EnableWal/DisableWal and the public Save/Checkpoint (a
-  // base must not interleave with a commit's log append). The log itself
+  // Transaction/WAL state. txn_mu_ serialises every writer of views_ —
+  // AddView and commits (Commit(ops), Begin/Commit/Rollback,
+  // autocommits) — with EnableWal/DisableWal and the public
+  // Save/Checkpoint (a base must not interleave with a commit's log
+  // append). Lock order: txn_mu_ → mu_. The log itself
   // is mutable because a (const) Save/Checkpoint re-stamps it — like
   // persist_, it is durability bookkeeping, not logical state. Not
   // copied (two databases appending to one log would corrupt it); moves
   // transfer it.
-  mutable base::Mutex txn_mu_ ACQUIRED_BEFORE(writer_mu_);
+  mutable base::Mutex txn_mu_;
   // The last base Save/Checkpoint wrote. Not shared with copies: each
   // Database tracks its own saves.
   mutable std::optional<storage::PersistState> persist_ GUARDED_BY(txn_mu_);

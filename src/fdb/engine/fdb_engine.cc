@@ -249,7 +249,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     obs::SpanScope span(tr, "input");
     if (q.from.size() == 1) version = db_->ViewSnapshot(q.from[0]);
     // A view's copy is cheap: it shares all union nodes, and holding
-    // `version` keeps a concurrent UpdateView from retiring them.
+    // `version` keeps a concurrent commit from retiring them.
     int sorted_reused = 0;
     fact = version != nullptr ? *version
                               : InputFactorisation(q, &sorted_reused);

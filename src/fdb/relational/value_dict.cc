@@ -120,10 +120,9 @@ uint32_t ValueDict::InternInOrder(std::string_view s) {
   rank_.emplace_back(0u);
   uint32_t gen = rank_gen_.load(std::memory_order_relaxed);
   rank_gen_.store(gen + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = p; i < by_rank_.size(); ++i) {
     rank_[by_rank_[i]].store(static_cast<uint32_t>(i),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   }
   rank_gen_.store(gen + 2, std::memory_order_release);
   return code;
@@ -157,10 +156,9 @@ void ValueDict::InternBulk(std::vector<std::string_view> strs) {
   by_rank_ = std::move(merged);
   uint32_t gen = rank_gen_.load(std::memory_order_relaxed);
   rank_gen_.store(gen + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = 0; i < by_rank_.size(); ++i) {
     rank_[by_rank_[i]].store(static_cast<uint32_t>(i),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   }
   rank_gen_.store(gen + 2, std::memory_order_release);
 }

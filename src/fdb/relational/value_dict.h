@@ -157,7 +157,7 @@ bool EvalCmpRef(const ValueRef& a, CmpOp op, const ValueRef& b);
 /// Decode(), Compare() and every ValueRef comparison — are lock-free:
 /// strings and pool slots live in append-only stable storage, and rank
 /// entries are atomics. An *out-of-order* intern (a new string that is
-/// not last in sort order — e.g. an InsertTuple racing readers) shifts
+/// not last in sort order — e.g. a commit racing readers) shifts
 /// the ranks of larger strings; pairwise string comparisons stay correct
 /// through a seqlock (CompareStringRanks retries while a shift is in
 /// flight), so concurrent queries never observe a misordering. Only the
@@ -262,9 +262,11 @@ inline std::strong_ordering ValueDict::CompareStringRanks(uint32_t a,
   for (int spin = 0; spin < 64; ++spin) {
     uint32_t g1 = rank_gen_.load(std::memory_order_acquire);
     if (g1 & 1u) continue;  // shift in flight
-    uint32_t ra = rank_[a].load(std::memory_order_relaxed);
-    uint32_t rb = rank_[b].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads keep the generation re-read below after them, and a
+    // rank a shift stored (release) brings that shift's odd generation
+    // with it — so a torn pair never passes the re-check.
+    uint32_t ra = rank_[a].load(std::memory_order_acquire);
+    uint32_t rb = rank_[b].load(std::memory_order_acquire);
     if (rank_gen_.load(std::memory_order_relaxed) == g1) return ra <=> rb;
   }
   // A shift writer persists (e.g. preempted mid-rebuild): wait it out on

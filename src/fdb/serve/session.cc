@@ -16,56 +16,42 @@ namespace fdb {
 namespace serve {
 namespace {
 
-obs::Counter& QueriesCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.queries", "stmts", "statements executed over the wire");
-  return c;
-}
+// The serve layer's metrics, registered together on first use.
+struct ServeMetrics {
+  obs::Counter& queries;
+  obs::Counter& errors;
+  obs::Counter& killed;
+  obs::Counter& rows_sent;
+  obs::Counter& writes;
+  obs::Counter& bytes_sent;
+  obs::Counter& bytes_received;
+  obs::Histogram& query_ns;
+};
 
-obs::Counter& ErrorsCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.query_errors", "stmts",
-      "served statements that returned an error frame");
-  return c;
-}
-
-obs::Counter& KilledCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.queries_killed", "stmts",
-      "served queries stopped at their wall-time or memory limit");
-  return c;
-}
-
-obs::Counter& RowsSentCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.rows_sent", "rows", "result rows streamed to clients");
-  return c;
-}
-
-obs::Counter& WritesCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.writes", "tuples",
-      "inserts + deletes applied through serve sessions");
-  return c;
-}
-
-obs::Counter& BytesSentCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.bytes_sent", "bytes", "wire bytes written to clients");
-  return c;
-}
-
-obs::Counter& BytesReceivedCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "serve.bytes_received", "bytes", "wire bytes read from clients");
-  return c;
-}
-
-obs::Histogram& ServeQueryNs() {
-  static obs::Histogram& h = obs::Registry::Instance().GetHistogram(
-      "serve.query_ns", "ns",
-      "served statement latency, admission wait included");
-  return h;
+const ServeMetrics& Metrics() {
+  static const ServeMetrics m = [] {
+    obs::Registry& r = obs::Registry::Instance();
+    return ServeMetrics{
+        r.GetCounter("serve.queries", "stmts",
+                     "statements executed over the wire"),
+        r.GetCounter("serve.query_errors", "stmts",
+                     "served statements that returned an error frame"),
+        r.GetCounter(
+            "serve.queries_killed", "stmts",
+            "served queries stopped at their wall-time or memory limit"),
+        r.GetCounter("serve.rows_sent", "rows",
+                     "result rows streamed to clients"),
+        r.GetCounter("serve.writes", "tuples",
+                     "inserts + deletes applied through serve sessions"),
+        r.GetCounter("serve.bytes_sent", "bytes",
+                     "wire bytes written to clients"),
+        r.GetCounter("serve.bytes_received", "bytes",
+                     "wire bytes read from clients"),
+        r.GetHistogram("serve.query_ns", "ns",
+                       "served statement latency, admission wait included"),
+    };
+  }();
+  return m;
 }
 
 // Flush threshold for result streaming: a statement's response leaves in
@@ -119,7 +105,7 @@ void Session::Kill() {
 void Session::AppendError(std::vector<uint8_t>* out, uint8_t code,
                           const std::string& message) {
   stats_->errors.fetch_add(1, std::memory_order_relaxed);
-  ErrorsCounter().Inc();
+  Metrics().errors.Inc();
   std::vector<uint8_t> payload = EncodeError({code, message});
   AppendFrame(out, FrameType::kError, payload.data(), payload.size());
 }
@@ -182,7 +168,7 @@ void Session::HandleStatement(const std::string& text,
                               std::vector<uint8_t>* out) {
   stats_->queries.fetch_add(1, std::memory_order_relaxed);
   stats_->active.store(true, std::memory_order_relaxed);
-  QueriesCounter().Inc();
+  Metrics().queries.Inc();
   try {
     int64_t parse_t0 = obs::NowNs();
     ParsedQuery pq = ParseSql(text);
@@ -280,7 +266,7 @@ bool Session::CommitOps(std::vector<storage::WalOp> ops,
     return false;
   }
   stats_->writes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-  WritesCounter().Inc(n);
+  Metrics().writes.Inc(n);
   DoneStats d;
   d.rows = n;
   AppendDone(out, d);
@@ -310,13 +296,13 @@ void Session::RunQuery(const ParsedQuery& pq, int64_t parse_t0,
     d.queue_wait_ns = queue_wait_ns;
     d.mem_charged = static_cast<uint64_t>(token_.memory_used());
     AppendDone(out, d);
-    ServeQueryNs().Record(d.elapsed_ns + d.queue_wait_ns);
-    RowsSentCounter().Inc(rows);
+    Metrics().query_ns.Record(d.elapsed_ns + d.queue_wait_ns);
+    Metrics().rows_sent.Inc(rows);
     stats_->rows_sent.fetch_add(static_cast<int64_t>(rows),
                                 std::memory_order_relaxed);
   } catch (const exec::QueryCancelled& e) {
     stats_->killed.fetch_add(1, std::memory_order_relaxed);
-    KilledCounter().Inc();
+    Metrics().killed.Inc();
     uint8_t code = kErrShutdown;
     if (e.reason() == exec::CancelReason::kTimeout) code = kErrTimeout;
     if (e.reason() == exec::CancelReason::kMemory) code = kErrMemory;
@@ -341,7 +327,7 @@ bool Session::WriteAll(const uint8_t* data, size_t n) {
     }
     off += static_cast<size_t>(w);
   }
-  BytesSentCounter().Inc(n);
+  Metrics().bytes_sent.Inc(n);
   return true;
 }
 
@@ -353,7 +339,7 @@ void Session::Run() {
   while (alive) {
     ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n <= 0) break;  // peer closed, error, or drain (SHUT_RD)
-    BytesReceivedCounter().Inc(static_cast<uint64_t>(n));
+    Metrics().bytes_received.Inc(static_cast<uint64_t>(n));
     dec.Feed(buf, static_cast<size_t>(n));
     try {
       Frame f;

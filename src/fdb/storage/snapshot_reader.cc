@@ -1,7 +1,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_set>
@@ -9,7 +8,6 @@
 
 #include "fdb/check/check.h"
 #include "fdb/core/factorisation.h"
-#include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/obs/log.h"
 #include "fdb/obs/metrics.h"
@@ -589,23 +587,16 @@ Database Database::Open(const std::string& path) {
   uint64_t my_groups = 0;
   if (rec.has_value()) {
     my_groups = rec->groups.size();
-    for (const std::vector<storage::WalOp>& group : rec->groups) {
+    base::MutexLock t(&db.txn_mu_);
+    for (std::vector<storage::WalOp>& group : rec->groups) {
       wal_groups_replayed.Inc();
-      std::map<std::string, std::vector<BatchOp>> per_view;
-      for (const storage::WalOp& op : group) {
-        per_view[op.view].push_back(
-            BatchOp{op.kind == storage::WalOp::kInsert, op.tuple});
-      }
-      for (auto& [name, batch] : per_view) {
-        if (!db.UpdateView(name, [&batch](Factorisation* f) {
-              ApplyBatch(f, batch);
-            })) {
-          // Commits only ever log existing views, and EnableWal wrote
-          // them into the base — a missing one is damage.
-          throw std::invalid_argument("wal: " + storage::WalPath(path) +
-                                      ": log references unknown view '" +
-                                      name + "'");
-        }
+      if (std::optional<std::string> missing =
+              db.ApplyOpsLocked(std::move(group))) {
+        // Commits only ever log existing views, and EnableWal wrote them
+        // into the base — a missing one is damage.
+        throw std::invalid_argument("wal: " + storage::WalPath(path) +
+                                    ": log references unknown view '" +
+                                    *missing + "'");
       }
     }
   }

@@ -16,6 +16,8 @@
 namespace fdb {
 namespace {
 
+using testing::DeleteOne;
+using testing::InsertOne;
 using testing::Row;
 
 Factorisation MakePathView(Database* db, const std::string& prefix,
@@ -32,8 +34,8 @@ TEST(CompactTest, CompactPreservesDataAndDropsGarbage) {
   Relation before = f.Flatten();
   // Persistent updates leave dead path copies behind.
   for (int64_t i = 0; i < 50; ++i) {
-    InsertTuple(&f, Row({500 + i, 1}));
-    DeleteTuple(&f, Row({500 + i, 1}));
+    InsertOne(&f, Row({500 + i, 1}));
+    DeleteOne(&f, Row({500 + i, 1}));
   }
   int64_t dirty = f.arena()->bytes_used();
   f.Compact();
@@ -73,7 +75,7 @@ TEST(CompactTest, SharedArenasStayIntactAcrossCompaction) {
   Database db;
   Factorisation f = MakePathView(&db, "csh", 20);
   Factorisation copy = f;  // shares the arena
-  InsertTuple(&f, Row({999, 999}));
+  InsertOne(&f, Row({999, 999}));
   f.Compact();
   // The copy still reads the original arena (kept alive by its own ref).
   EXPECT_EQ(copy.CountTuples(), 20);
@@ -95,8 +97,8 @@ TEST(CompactTest, EnumerationSurvivesCompactionMidStream) {
   // Mutate hard enough that MaybeCompact fires at least once, then force
   // one more compaction explicitly.
   for (int64_t i = 0; i < 3000; ++i) {
-    InsertTuple(&f, Row({5000 + (i % 40), i}));
-    DeleteTuple(&f, Row({5000 + (i % 40), i}));
+    InsertOne(&f, Row({5000 + (i % 40), i}));
+    DeleteOne(&f, Row({5000 + (i % 40), i}));
   }
   f.Compact();
   int64_t produced = 1;
@@ -111,10 +113,10 @@ TEST(CompactTest, EnumerationSurvivesCompactionMidStream) {
   // already swapped the roots: the enumerator captured the roots at
   // construction, so it still walks (and keeps alive) that version.
   Enumerator e2(f);
-  InsertTuple(&f, Row({123456, 1}));
+  InsertOne(&f, Row({123456, 1}));
   for (int64_t i = 0; i < 3000; ++i) {
-    InsertTuple(&f, Row({7000 + (i % 40), i}));
-    DeleteTuple(&f, Row({7000 + (i % 40), i}));
+    InsertOne(&f, Row({7000 + (i % 40), i}));
+    DeleteOne(&f, Row({7000 + (i % 40), i}));
   }
   f.Compact();
   int64_t produced2 = 0;
@@ -133,8 +135,8 @@ TEST(CompactTest, SustainedUpdatesRunInBoundedMemory) {
   Database db;
   Factorisation f = MakePathView(&db, "csu", 100);
   for (int64_t i = 0; i < 20000; ++i) {
-    InsertTuple(&f, Row({100000 + (i % 50), i}));
-    DeleteTuple(&f, Row({100000 + (i % 50), i}));
+    InsertOne(&f, Row({100000 + (i % 50), i}));
+    DeleteOne(&f, Row({100000 + (i % 50), i}));
   }
   EXPECT_EQ(f.CountTuples(), 100);
   EXPECT_LT(f.arena()->bytes_used(), int64_t{2} << 20);

@@ -1,13 +1,16 @@
 // Concurrency stress tests for the execution runtime: the enumerator's
 // pinned-arena guarantee under concurrent updates driving generational
 // compaction, and the Database's epoch-style versioned view map (readers
-// on shared snapshots, writers building off-line and swapping). All of
+// on shared snapshots, writers — commits and AddView — building off-line
+// and swapping under one lock). All of
 // these must run clean under TSan (see the ci tsan job).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,10 @@
 namespace fdb {
 namespace {
 
+using testing::DeleteOne;
+using testing::DeleteOp;
+using testing::InsertOne;
+using testing::InsertOp;
 using testing::Row;
 
 Factorisation MakePathView(Database* db, const std::string& prefix,
@@ -47,8 +54,8 @@ TEST(ConcurrentDbTest, EnumerationPinsArenaAcrossConcurrentCompaction) {
     // Persistent insert/delete churn; the 4x watermark fires MaybeCompact
     // inside the update path, retiring arenas the enumerator must outlive.
     for (int64_t i = 0; i < 1500; ++i) {
-      InsertTuple(&f, Row({100000 + i, 1}));
-      DeleteTuple(&f, Row({100000 + i, 1}));
+      InsertOne(&f, Row({100000 + i, 1}));
+      DeleteOne(&f, Row({100000 + i, 1}));
     }
   });
 
@@ -101,9 +108,7 @@ TEST(ConcurrentDbTest, EpochReadersNeverBlockOnWriters) {
     std::this_thread::yield();
   }
   for (int64_t i = 0; i < kWrites; ++i) {
-    ASSERT_TRUE(db.UpdateView("V", [&](Factorisation* f) {
-      InsertTuple(f, Row({500000 + i, 7}));
-    }));
+    db.Commit({InsertOp("V", Row({500000 + i, 7}))});
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
@@ -120,10 +125,8 @@ TEST(ConcurrentDbTest, SnapshotOutlivesSwapsAndCompaction) {
 
   // Replace the view version many times; force compactions on the way.
   for (int64_t i = 0; i < 300; ++i) {
-    db.UpdateView("V", [&](Factorisation* f) {
-      InsertTuple(f, Row({700000 + i, 1}));
-      DeleteTuple(f, Row({700000 + i, 1}));
-    });
+    db.Commit({InsertOp("V", Row({700000 + i, 1}))});
+    db.Commit({DeleteOp("V", Row({700000 + i, 1}))});
   }
   db.AddView("W", MakePathView(&db, "cc_new", 10));
 
@@ -198,9 +201,10 @@ TEST(ConcurrentDbTest, QueryTimeBuildRacesOutOfOrderInterns) {
   writer.join();
 }
 
-TEST(ConcurrentDbTest, UpdateViewMissingReturnsFalse) {
+TEST(ConcurrentDbTest, CommitToUnknownViewThrows) {
   Database db;
-  EXPECT_FALSE(db.UpdateView("nope", [](Factorisation*) { FAIL(); }));
+  EXPECT_THROW(db.Commit({InsertOp("nope", Row({1}))}),
+               std::invalid_argument);
 }
 
 TEST(ConcurrentDbTest, ConcurrentQueriesOnSharedView) {
@@ -216,9 +220,7 @@ TEST(ConcurrentDbTest, ConcurrentQueriesOnSharedView) {
   std::thread writer([&] {
     int64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      db.UpdateView("W", [&](Factorisation* f) {
-        InsertTuple(f, Row({900000 + i, 1}));
-      });
+      db.Commit({InsertOp("W", Row({900000 + i, 1}))});
       ++i;
     }
   });
@@ -239,6 +241,85 @@ TEST(ConcurrentDbTest, ConcurrentQueriesOnSharedView) {
   EXPECT_TRUE(ok.load());
 }
 
+TEST(ConcurrentDbTest, CommitsAndAddViewShareOneWriterLock) {
+  // Writers of every kind take the transaction lock: concurrent commits
+  // of disjoint groups to one view must all land (none published over
+  // another's read-modify-publish), while AddView re-publishes a second
+  // view and readers hold snapshots across all of it.
+  constexpr int kCommitters = 4;
+  constexpr int64_t kGroups = 40;
+  Database db;
+  db.AddView("V", MakePathView(&db, "cc_fold", 200));
+  AttrId a = db.Attr("cc_fold_a"), b = db.Attr("cc_fold_b");
+  const Factorisation w_small = MakePathView(&db, "cc_fold_w", 10);
+  const Factorisation w_large = MakePathView(&db, "cc_fold_w", 20);
+  db.AddView("W", w_small);
+
+  // Each committer owns keys [1000000 * (t + 1), +20): groups never
+  // overlap, so the final view is the base plus every thread's model.
+  std::vector<std::set<Tuple>> models(kCommitters);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> committers;
+  for (int t = 0; t < kCommitters; ++t) {
+    committers.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<uint64_t>(t) + 99);
+      int64_t key_base = int64_t{1000000} * (t + 1);
+      for (int64_t g = 0; g < kGroups; ++g) {
+        std::vector<storage::WalOp> ops;
+        int n = g % 2 == 0 ? 1 : 16;
+        for (int j = 0; j < n; ++j) {
+          Tuple row = Row({key_base + static_cast<int64_t>(rng() % 20),
+                           static_cast<int64_t>(rng() % 3)});
+          if (rng() % 3 == 0) {
+            models[t].erase(row);
+            ops.push_back(DeleteOp("V", std::move(row)));
+          } else {
+            models[t].insert(row);
+            ops.push_back(InsertOp("V", std::move(row)));
+          }
+        }
+        db.Commit(std::move(ops));
+      }
+    });
+  }
+  std::thread publisher([&] {
+    for (int64_t i = 0; i < 2 || !stop.load(std::memory_order_relaxed);
+         ++i) {
+      db.AddView("W", i % 2 == 0 ? w_large : w_small);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      // Held from the start: no later commit or compaction may touch it.
+      std::shared_ptr<const Factorisation> first = db.ViewSnapshot("V");
+      Relation before = first->Flatten();
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::shared_ptr<const Factorisation> v = db.ViewSnapshot("V");
+        std::shared_ptr<const Factorisation> w = db.ViewSnapshot("W");
+        if (!v->Validate() || v->CountTuples() < 200) ok.store(false);
+        int64_t nw = w->CountTuples();
+        if (nw != 10 && nw != 20) ok.store(false);
+      }
+      if (!first->Flatten().BagEquals(before)) ok.store(false);
+    });
+  }
+  for (std::thread& t : committers) t.join();
+  stop.store(true);
+  publisher.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_TRUE(ok.load());
+
+  Relation expected{RelSchema({a, b})};
+  for (int64_t x = 0; x < 200; ++x) expected.Add(Row({x, x * 2}));
+  for (const std::set<Tuple>& m : models) {
+    for (const Tuple& row : m) expected.Add(row);
+  }
+  std::shared_ptr<const Factorisation> v = db.ViewSnapshot("V");
+  ASSERT_TRUE(v->Validate());
+  EXPECT_TRUE(testing::SameBag(v->Flatten(), expected, db.registry()));
+}
 
 TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
   // Readers resume a restructuring plan from the prefix cache while a
@@ -249,7 +330,7 @@ TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
   const std::string sql =
       "SELECT cq_b, sum(cq_a), count(*) FROM V GROUP BY cq_b";
   auto insert = [](int64_t i) {
-    return [i](Factorisation* f) { InsertTuple(f, Row({100000 + i, i % 7})); };
+    return std::vector<storage::WalOp>{InsertOp("V", Row({100000 + i, i % 7}))};
   };
   Database db;
   {
@@ -267,7 +348,7 @@ TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
     for (int64_t i = 0; i <= kVersions; ++i) {
       expected.push_back(rdb.ExecuteSql(sql).flat);
       if (i < kVersions) {
-        ASSERT_TRUE(ahead.UpdateView("V", insert(i)));
+        ahead.Commit(insert(i));
       }
     }
   }
@@ -309,7 +390,7 @@ TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
-    ASSERT_TRUE(db.UpdateView("V", insert(i)));
+    db.Commit(insert(i));
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();

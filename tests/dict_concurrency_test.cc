@@ -110,7 +110,7 @@ TEST(DictConcurrencyTest, LockFreeReadsDuringAppendOnlyInterning) {
 TEST(DictConcurrencyTest, ComparisonsConsistentDuringOutOfOrderInterns) {
   // Out-of-order interns shift the ranks of all larger strings; the
   // seqlock in CompareStringRanks must keep every concurrent pairwise
-  // comparison correct throughout (the InsertTuple-vs-readers race).
+  // comparison correct throughout (the commit-vs-readers race).
   ValueDict dict;
   uint32_t lo = dict.Intern("aaa");
   uint32_t hi = dict.Intern("zzz");

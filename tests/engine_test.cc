@@ -412,7 +412,7 @@ TEST(PrefixCacheTest, PublishingAVersionMissesAndReadsTheNewContents) {
   Factorisation next = FactoriseJoin(
       db.view("R1")->tree(),
       {&half, db.relation("Packages"), db.relation("Items")});
-  ASSERT_TRUE(db.UpdateView("R1", [&](Factorisation* f) { *f = next; }));
+  db.AddView("R1", std::move(next));
   EXPECT_EQ(db.prefix_cache().size(), 0u);  // the old version's entries
 
   uint64_t misses = Count("engine.prefix_cache.misses");

@@ -24,6 +24,7 @@
 namespace fdb {
 namespace {
 
+using testing::InsertOp;
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
@@ -109,9 +110,7 @@ TEST(StorageCheckpointTest, CheckpointAfterCommitsWritesOneBaseThatReopens) {
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   for (int64_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-      InsertTuple(f, Row({0, 100000 + i}));
-    }));
+    db.Commit({InsertOp("U", Row({0, 100000 + i}))});
   }
   storage::CheckpointInfo info = db.Checkpoint(path);
   EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
@@ -148,11 +147,7 @@ TEST(StorageCheckpointTest, NoChangesIsANoop) {
   // make the next checkpoint write; after each, an idle one is a noop
   // again.
   const std::vector<std::function<void()>> changes = {
-      [&] {
-        db.UpdateView("U", [](Factorisation* f) {
-          InsertTuple(f, Row({1, 99999}));
-        });
-      },
+      [&] { db.Commit({InsertOp("U", Row({1, 99999}))}); },
       [&] { db.AddRelation("Flat", flat); },
       [&] { db.Attr("ckn_new_attr"); },
   };
@@ -167,7 +162,7 @@ TEST(StorageCheckpointTest, NoChangesIsANoop) {
   EXPECT_TRUE(fresh.registry().Find("ckn_new_attr").has_value());
 
   // A Save of the path counts as its last base too.
-  db.UpdateView("U", [](Factorisation* f) { InsertTuple(f, Row({2, 1})); });
+  db.Commit({InsertOp("U", Row({2, 1}))});
   db.Save(path);
   EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop);
   std::remove(path.c_str());
@@ -195,13 +190,9 @@ TEST(StorageCheckpointTest, DictRegistryAndRelationGrowthRideTheDelta) {
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   int64_t big = (int64_t{1} << 52) + 99;
-  ASSERT_TRUE(db.UpdateView("S", [&](Factorisation* f) {
-    InsertTuple(f, {Value("aa ckpt")});   // new string, rank-shifting
-    InsertTuple(f, {Value("zz ckpt")});   // new string, appending
-  }));
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({7777, 1}));
-  }));
+  db.Commit({InsertOp("S", {Value("aa ckpt")}),    // new string, rank-shifting
+             InsertOp("S", {Value("zz ckpt")})});   // new string, appending
+  db.Commit({InsertOp("U", Row({7777, 1}))});
   db.Attr("ckg_new_attr");  // registry growth
   {
     Relation r2{RelSchema({a, b})};
@@ -227,10 +218,10 @@ TEST(StorageCheckpointTest, CompactedViewStillCheckpointsCorrectly) {
   std::string path = TempPath("ckpt_compact.fdbs");
   Database db = MakePathDb(1000, "ckp");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({99991, 1}));
-    f->Compact();
-  }));
+  Factorisation next = *db.ViewSnapshot("U");
+  testing::InsertOne(&next, Row({99991, 1}));
+  next.Compact();
+  db.AddView("U", std::move(next));
   storage::CheckpointInfo info = db.Checkpoint(path);
   EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
   Database fresh = Database::Open(path);
@@ -248,18 +239,14 @@ TEST(StorageCheckpointTest, RebaseByAnotherWriterForcesRebaseNotOrphanedDelta) {
   std::string path = TempPath("ckpt_twowriters.fdbs");
   Database a = MakePathDb(150, "ckw");
   ASSERT_EQ(a.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(a.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({70001, 1}));
-  }));
+  a.Commit({InsertOp("U", Row({70001, 1}))});
   ASSERT_EQ(a.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   Database b = a;  // no checkpoint state of its own
   EXPECT_EQ(b.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   EXPECT_TRUE(FilesBeside(path).empty());
 
-  ASSERT_TRUE(a.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({70002, 1}));
-  }));
+  a.Commit({InsertOp("U", Row({70002, 1}))});
   storage::CheckpointInfo info = a.Checkpoint(path);
   EXPECT_EQ(info.kind, storage::CheckpointInfo::kBase);
   Database fresh = Database::Open(path);
@@ -276,15 +263,11 @@ TEST(StorageCheckpointTest, PathAliasSpellingsShareOneChain) {
   std::string alias = testing::ProcessTempDir() + "/./ckpt_alias.fdbs";
   Database db = MakePathDb(120, "cka");
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({60001, 1}));
-  }));
+  db.Commit({InsertOp("U", Row({60001, 1}))});
   db.Save(alias);
   EXPECT_TRUE(FilesBeside(path).empty());
   EXPECT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kNoop);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({60002, 1}));
-  }));
+  db.Commit({InsertOp("U", Row({60002, 1}))});
   ASSERT_EQ(db.Checkpoint(alias).kind, storage::CheckpointInfo::kBase);
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 122);
@@ -307,9 +290,11 @@ TEST(StorageCheckpointTest, RepublishedFromScratchViewFallsBackToFullDump) {
     db.AddView("U", FactoriseRelation(r, {a, b}));  // from-scratch rebuild
   }
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    for (int64_t i = 0; i < 50; ++i) InsertTuple(f, Row({9, 100000 + i}));
-  }));
+  std::vector<storage::WalOp> ops;
+  for (int64_t i = 0; i < 50; ++i) {
+    ops.push_back(InsertOp("U", Row({9, 100000 + i})));
+  }
+  db.Commit(std::move(ops));
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   std::string mono = TempPath("ckpt_republish_mono.fdbs");
@@ -333,9 +318,7 @@ TEST(StorageCheckpointTest, StrayTmpNeverShadowsAndIsReplacedBySave) {
   Database fresh = Database::Open(path);
   EXPECT_EQ(fresh.view("U")->CountTuples(), 60);
 
-  ASSERT_TRUE(db.UpdateView("U", [&](Factorisation* f) {
-    InsertTuple(f, Row({1000, 1}));
-  }));
+  db.Commit({InsertOp("U", Row({1000, 1}))});
   db.Save(path);
   EXPECT_FALSE(Exists(path + ".tmp"));
   Database fresh2 = Database::Open(path);
@@ -419,15 +402,11 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
 
   int64_t big = (int64_t{1} << 51) + 13;
-  ASSERT_TRUE(db.UpdateView("Mix", [&](Factorisation* f) {
-    InsertTuple(f, {Value(big)});
-    InsertTuple(f, {Value("aa ckpt-remap")});
-  }));
+  db.Commit({InsertOp("Mix", {Value(big)}),
+             InsertOp("Mix", {Value("aa ckpt-remap")})});
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-  ASSERT_TRUE(db.UpdateView("Mix", [&](Factorisation* f) {
-    InsertTuple(f, {Value(2.5)});
-    InsertTuple(f, {Value("zz ckpt-remap")});
-  }));
+  db.Commit({InsertOp("Mix", {Value(2.5)}),
+             InsertOp("Mix", {Value("zz ckpt-remap")})});
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   EXPECT_TRUE(FilesBeside(path).empty());
 

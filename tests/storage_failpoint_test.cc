@@ -20,6 +20,7 @@
 namespace fdb {
 namespace {
 
+using testing::InsertOp;
 using testing::Row;
 
 std::string TempPath(const std::string& name) {
@@ -67,8 +68,7 @@ TEST_F(FailpointTest, FailedSaveKeepsThePreviousSnapshot) {
     db.Save(path);
     std::string before = FlattenCsv(*db.view("U"), db.registry());
 
-    InsertTuple(
-        const_cast<Factorisation*>(db.view("U")), Row({999, 9999}));
+    db.Commit({InsertOp("U", Row({999, 9999}))});
     io_.SetFailpoints(point);
     EXPECT_THROW(db.Save(path), std::invalid_argument) << point;
     io_.ClearFailpoints();
@@ -99,15 +99,11 @@ TEST_F(FailpointTest, FailedCheckpointKeepsTheChainReopenable) {
     std::string path = TempPath("fp_ckpt_" + std::to_string(idx++) + ".fdbs");
     Database db = MakePathDb(100, "fpc");
     ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
-    db.UpdateView("U", [](Factorisation* f) {
-      InsertTuple(f, Row({500, 5000}));
-    });
+    db.Commit({InsertOp("U", Row({500, 5000}))});
     ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
     std::string before = FlattenCsv(*db.view("U"), db.registry());
 
-    db.UpdateView("U", [](Factorisation* f) {
-      InsertTuple(f, Row({600, 6000}));
-    });
+    db.Commit({InsertOp("U", Row({600, 6000}))});
     for (bool save : {false, true}) {
       io_.SetFailpoints(point);
       if (save) {

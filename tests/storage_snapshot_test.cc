@@ -197,7 +197,7 @@ TEST(StorageSnapshotTest, OpsOnMappedViewsOutliveTheDatabase) {
     Factorisation copy = *opened.view("P");  // shares the mapped arena
     // The copy's arena is shared with the database's view, so the update
     // writes into a fresh arena that adopts the mapped one.
-    InsertTuple(&copy, testing::Row({7, 777}));
+    testing::InsertOne(&copy, testing::Row({7, 777}));
     derived = std::move(copy);
   }  // Database destroyed; mapping kept alive only via the adopt chain
   EXPECT_EQ(derived.CountTuples(), 51);
@@ -218,8 +218,9 @@ TEST(StorageSnapshotTest, UpdatesOnOpenedViewWork) {
   }
   Database opened = Database::Open(path);
   Factorisation v = *opened.view("P");
-  EXPECT_TRUE(DeleteTuple(&v, testing::Row({3, 3})));
-  InsertTuple(&v, testing::Row({100, 100}));
+  EXPECT_TRUE(ContainsTuple(v, testing::Row({3, 3})));
+  testing::DeleteOne(&v, testing::Row({3, 3}));
+  testing::InsertOne(&v, testing::Row({100, 100}));
   EXPECT_EQ(v.CountTuples(), 10);
   EXPECT_FALSE(ContainsTuple(v, testing::Row({3, 3})));
   // The database's own copy of the view is untouched (persistent data).
@@ -264,7 +265,7 @@ TEST(StorageSnapshotTest, SaveOverOpenSnapshotLeavesMappingIntact) {
   ASSERT_EQ(opened.view("P")->CountTuples(), 30);
 
   Factorisation grown = *opened.view("P");
-  InsertTuple(&grown, testing::Row({100, 100}));
+  testing::InsertOne(&grown, testing::Row({100, 100}));
   Database next;
   next.Attr("atom_a");
   next.Attr("atom_b");
@@ -289,8 +290,8 @@ TEST(StorageSnapshotTest, SaveWritesCompactedSegments) {
   for (int64_t x = 0; x < 40; ++x) r.Add({Value(x), Value(x)});
   Factorisation f = FactoriseRelation(r, {a, b});
   for (int64_t i = 0; i < 200; ++i) {
-    InsertTuple(&f, testing::Row({1000 + i, 1}));
-    DeleteTuple(&f, testing::Row({1000 + i, 1}));
+    testing::InsertOne(&f, testing::Row({1000 + i, 1}));
+    testing::DeleteOne(&f, testing::Row({1000 + i, 1}));
   }
   int64_t dirty_bytes = f.arena()->bytes_used();
   db.AddView("P", std::move(f));

@@ -13,6 +13,7 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/factorisation.h"
+#include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/relational/rdb_ops.h"
 
@@ -139,6 +140,26 @@ inline Tuple Row(std::vector<int64_t> vals) {
   Tuple t;
   for (int64_t v : vals) t.push_back(Value(v));
   return t;
+}
+
+/// Inserts `tuple` into an unpublished path view as a one-op ApplyBatch.
+inline void InsertOne(Factorisation* f, const Tuple& tuple) {
+  ApplyBatch(f, {BatchOp{true, tuple}});
+}
+
+/// Deletes `tuple` from an unpublished path view as a one-op ApplyBatch.
+inline void DeleteOne(Factorisation* f, const Tuple& tuple) {
+  ApplyBatch(f, {BatchOp{false, tuple}});
+}
+
+/// A commit op inserting `tuple` into view `view`.
+inline storage::WalOp InsertOp(const std::string& view, Tuple tuple) {
+  return storage::WalOp{storage::WalOp::kInsert, view, std::move(tuple)};
+}
+
+/// A commit op deleting `tuple` from view `view`.
+inline storage::WalOp DeleteOp(const std::string& view, Tuple tuple) {
+  return storage::WalOp{storage::WalOp::kDelete, view, std::move(tuple)};
 }
 
 }  // namespace testing

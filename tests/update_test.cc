@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "fdb/core/build.h"
 #include "test_util.h"
@@ -10,8 +11,30 @@
 namespace fdb {
 namespace {
 
+using testing::DeleteOne;
+using testing::InsertOne;
 using testing::Row;
 using testing::SameSet;
+
+// The flat oracle the trie updates are checked against: the view's tuples
+// as a std::set, updated op by op.
+using Model = std::set<Tuple>;
+
+void ApplyToModel(Model* m, const std::vector<BatchOp>& ops) {
+  for (const BatchOp& op : ops) {
+    if (op.insert) {
+      m->insert(op.tuple);
+    } else {
+      m->erase(op.tuple);
+    }
+  }
+}
+
+Relation ModelRelation(const Model& m, const std::vector<AttrId>& attrs) {
+  Relation r{RelSchema(attrs)};
+  for (const Tuple& t : m) r.Add(t);
+  return r;
+}
 
 class UpdateTest : public ::testing::Test {
  protected:
@@ -40,7 +63,7 @@ TEST_F(UpdateTest, ContainsTuple) {
 }
 
 TEST_F(UpdateTest, InsertNewBranch) {
-  InsertTuple(&view_, Row({3, 30, 300}));
+  InsertOne(&view_, Row({3, 30, 300}));
   EXPECT_TRUE(view_.Validate());
   EXPECT_TRUE(ContainsTuple(view_, Row({3, 30, 300})));
   EXPECT_EQ(view_.CountTuples(), 4);
@@ -49,7 +72,7 @@ TEST_F(UpdateTest, InsertNewBranch) {
 }
 
 TEST_F(UpdateTest, InsertIntoExistingPrefix) {
-  InsertTuple(&view_, Row({1, 10, 999}));
+  InsertOne(&view_, Row({1, 10, 999}));
   EXPECT_TRUE(view_.Validate());
   EXPECT_EQ(view_.CountTuples(), 4);
   // The prefix is reused: still one union entry for a=1, b=10.
@@ -57,7 +80,7 @@ TEST_F(UpdateTest, InsertIntoExistingPrefix) {
 }
 
 TEST_F(UpdateTest, InsertIsIdempotent) {
-  InsertTuple(&view_, Row({1, 10, 100}));
+  InsertOne(&view_, Row({1, 10, 100}));
   EXPECT_TRUE(view_.Validate());
   EXPECT_EQ(view_.CountTuples(), 3);
 }
@@ -66,7 +89,7 @@ TEST_F(UpdateTest, InsertIntoEmptyView) {
   Relation empty{RelSchema({a_, b_, c_})};
   Factorisation v = FactoriseRelation(empty, {a_, b_, c_});
   ASSERT_TRUE(v.empty());
-  InsertTuple(&v, Row({5, 50, 500}));
+  InsertOne(&v, Row({5, 50, 500}));
   EXPECT_FALSE(v.empty());
   EXPECT_TRUE(v.Validate());
   EXPECT_EQ(v.CountTuples(), 1);
@@ -74,13 +97,14 @@ TEST_F(UpdateTest, InsertIntoEmptyView) {
 
 TEST_F(UpdateTest, InsertSharesUntouchedBranches) {
   const FactNode* before = view_.roots()[0]->child(1, 1, 0);  // a=2
-  InsertTuple(&view_, Row({1, 30, 300}));
+  InsertOne(&view_, Row({1, 30, 300}));
   const FactNode* after = view_.roots()[0]->child(1, 1, 0);
   EXPECT_EQ(before, after) << "untouched branch was copied";
 }
 
 TEST_F(UpdateTest, DeleteLeafValue) {
-  EXPECT_TRUE(DeleteTuple(&view_, Row({1, 10, 100})));
+  EXPECT_TRUE(ContainsTuple(view_, Row({1, 10, 100})));
+  DeleteOne(&view_, Row({1, 10, 100}));
   EXPECT_TRUE(view_.Validate());
   EXPECT_FALSE(ContainsTuple(view_, Row({1, 10, 100})));
   EXPECT_EQ(view_.CountTuples(), 2);
@@ -88,27 +112,34 @@ TEST_F(UpdateTest, DeleteLeafValue) {
 
 TEST_F(UpdateTest, DeletePrunesEmptiedBranches) {
   // Removing the only tuple under a=2 must prune the whole branch.
-  EXPECT_TRUE(DeleteTuple(&view_, Row({2, 10, 200})));
+  EXPECT_TRUE(ContainsTuple(view_, Row({2, 10, 200})));
+  DeleteOne(&view_, Row({2, 10, 200}));
+  EXPECT_FALSE(ContainsTuple(view_, Row({2, 10, 200})));
   EXPECT_TRUE(view_.Validate());
   EXPECT_EQ(view_.roots()[0]->size(), 1);  // only a=1 left
 }
 
-TEST_F(UpdateTest, DeleteAbsentTupleReturnsFalse) {
-  EXPECT_FALSE(DeleteTuple(&view_, Row({9, 9, 9})));
+TEST_F(UpdateTest, DeleteAbsentTupleIsNoOp) {
+  EXPECT_FALSE(ContainsTuple(view_, Row({9, 9, 9})));
+  DeleteOne(&view_, Row({9, 9, 9}));
+  EXPECT_FALSE(ContainsTuple(view_, Row({9, 9, 9})));
   EXPECT_EQ(view_.CountTuples(), 3);
 }
 
 TEST_F(UpdateTest, DeleteToEmptyAndReinsert) {
-  EXPECT_TRUE(DeleteTuple(&view_, Row({1, 10, 100})));
-  EXPECT_TRUE(DeleteTuple(&view_, Row({1, 20, 100})));
-  EXPECT_TRUE(DeleteTuple(&view_, Row({2, 10, 200})));
+  for (const Tuple& t :
+       {Row({1, 10, 100}), Row({1, 20, 100}), Row({2, 10, 200})}) {
+    EXPECT_TRUE(ContainsTuple(view_, t));
+    DeleteOne(&view_, t);
+    EXPECT_FALSE(ContainsTuple(view_, t));
+  }
   EXPECT_TRUE(view_.empty());
-  InsertTuple(&view_, Row({7, 70, 700}));
+  InsertOne(&view_, Row({7, 70, 700}));
   EXPECT_EQ(view_.CountTuples(), 1);
 }
 
 TEST_F(UpdateTest, WrongArityThrows) {
-  EXPECT_THROW(InsertTuple(&view_, Row({1, 2})), std::invalid_argument);
+  EXPECT_THROW(InsertOne(&view_, Row({1, 2})), std::invalid_argument);
   EXPECT_THROW(ContainsTuple(view_, Row({1})), std::invalid_argument);
 }
 
@@ -120,7 +151,7 @@ TEST_F(UpdateTest, NonPathViewThrows) {
   t.AddNode({c_}, root);
   Factorisation f(
       t, {MakeNode({Value(1)}, {MakeLeaf({Value(2)}), MakeLeaf({Value(3)})})});
-  EXPECT_THROW(InsertTuple(&f, Row({1, 2, 3})), std::invalid_argument);
+  EXPECT_THROW(InsertOne(&f, Row({1, 2, 3})), std::invalid_argument);
 }
 
 // Property: a random interleaving of inserts and deletes keeps the view
@@ -140,11 +171,13 @@ TEST_P(UpdateProperty, RandomInsertDeleteMatchesOracle) {
     int64_t x = static_cast<int64_t>(rng() % 5);
     int64_t y = static_cast<int64_t>(rng() % 5);
     if (rng() % 2 == 0) {
-      InsertTuple(&view, Row({x, y}));
+      InsertOne(&view, Row({x, y}));
       oracle.emplace(x, y);
     } else {
-      bool removed = DeleteTuple(&view, Row({x, y}));
-      EXPECT_EQ(removed, oracle.erase({x, y}) > 0) << "step " << step;
+      bool present = ContainsTuple(view, Row({x, y}));
+      DeleteOne(&view, Row({x, y}));
+      EXPECT_FALSE(ContainsTuple(view, Row({x, y}))) << "step " << step;
+      EXPECT_EQ(present, oracle.erase({x, y}) > 0) << "step " << step;
     }
     ASSERT_TRUE(view.Validate()) << "step " << step;
     ASSERT_EQ(view.CountTuples(), static_cast<int64_t>(oracle.size()));
@@ -168,16 +201,15 @@ TEST_F(UpdateTest, ApplyBatchMatchesSequentialApplication) {
       {false, Row({2, 10, 200})}, {true, Row({1, 20, 150})},
       {false, Row({9, 9, 9})},  // delete of absent tuple: no-op
   };
+  Model model(base_.rows().begin(), base_.rows().end());
+  ApplyToModel(&model, ops);
   Factorisation seq = view_;
-  for (const BatchOp& op : ops) {
-    if (op.insert) {
-      InsertTuple(&seq, op.tuple);
-    } else {
-      DeleteTuple(&seq, op.tuple);
-    }
-  }
+  for (const BatchOp& op : ops) ApplyBatch(&seq, {op});
   ApplyBatch(&view_, ops);
   ASSERT_TRUE(view_.Validate());
+  EXPECT_EQ(view_.CountTuples(), static_cast<int64_t>(model.size()));
+  EXPECT_TRUE(SameSet(view_.Flatten(), ModelRelation(model, {a_, b_, c_}),
+                      {a_, b_, c_}, reg_));
   EXPECT_EQ(view_.CountTuples(), seq.CountTuples());
   EXPECT_TRUE(SameSet(view_.Flatten(), seq.Flatten(), {a_, b_, c_}, reg_));
 }
@@ -197,8 +229,8 @@ TEST_F(UpdateTest, ApplyBatchLastOpWinsPerKey) {
 
 TEST_F(UpdateTest, ApplyBatchPreservesUntouchedSubtreeIdentity) {
   // The root union is rebuilt, but children under keys the batch never
-  // touches must keep their node pointers (the incremental checkpointer
-  // relies on this to skip unchanged segments).
+  // touches must keep their node pointers (shared with the previous
+  // version).
   ASSERT_FALSE(view_.roots().empty());
   const FactNode* root = view_.roots()[0];
   ASSERT_NE(root, nullptr);
@@ -254,6 +286,7 @@ TEST_P(BatchProperty, RandomBatchesMatchSequentialReplay) {
   Relation empty{RelSchema({a, b})};
   Factorisation batched = FactoriseRelation(empty, {a, b});
   Factorisation seq = FactoriseRelation(empty, {a, b});
+  Model model;
 
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) + 4242);
   for (int round = 0; round < 25; ++round) {
@@ -267,20 +300,20 @@ TEST_P(BatchProperty, RandomBatchesMatchSequentialReplay) {
       ops.push_back(std::move(op));
     }
     ApplyBatch(&batched, ops);
-    for (const BatchOp& op : ops) {
-      if (op.insert) {
-        InsertTuple(&seq, op.tuple);
-      } else {
-        DeleteTuple(&seq, op.tuple);
-      }
-    }
+    for (const BatchOp& op : ops) ApplyBatch(&seq, {op});
+    ApplyToModel(&model, ops);
     ASSERT_TRUE(batched.Validate()) << "round " << round;
+    ASSERT_EQ(batched.CountTuples(), static_cast<int64_t>(model.size()))
+        << "round " << round;
     ASSERT_EQ(batched.CountTuples(), seq.CountTuples()) << "round " << round;
   }
-  if (!seq.empty()) {
+  if (!model.empty()) {
+    EXPECT_TRUE(
+        SameSet(batched.Flatten(), ModelRelation(model, {a, b}), {a, b}, reg));
     EXPECT_TRUE(SameSet(batched.Flatten(), seq.Flatten(), {a, b}, reg));
   } else {
     EXPECT_TRUE(batched.empty());
+    EXPECT_TRUE(seq.empty());
   }
 }
 

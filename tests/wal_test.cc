@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -423,6 +424,32 @@ TEST(WalTest, CorruptPayloadInValidFrameNamesPathAndOffset) {
     std::string msg = e.what();
     EXPECT_NE(msg.find(storage::WalPath(path)), std::string::npos) << msg;
     EXPECT_NE(msg.find("at byte"), std::string::npos) << msg;
+  }
+}
+
+TEST(WalTest, GroupNamingAViewAbsentFromTheBaseIsRefused) {
+  // Commits only log views that exist, and EnableWal wrote them into the
+  // base: a CRC-valid group stamped for this base that names another view
+  // is damage, and Open must say which log and which view.
+  std::string path = TempPath("wal_unknown_view.fdbs");
+  uint64_t epoch = 0;
+  {
+    Database db = MakeWalDb(path, 10, "wuv");
+    ASSERT_TRUE(db.PersistSnapshot().has_value());
+    epoch = db.PersistSnapshot()->epoch;
+  }
+  {
+    std::unique_ptr<storage::Wal> wal = storage::Wal::Create(path, epoch);
+    wal->Append({testing::InsertOp("V", Row({1, 2})),
+                 testing::InsertOp("Ghost", Row({3, 4}))});
+  }
+  try {
+    Database::Open(path);
+    FAIL() << "a group naming an unknown view must throw";
+  } catch (const std::invalid_argument& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find(storage::WalPath(path)), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown view 'Ghost'"), std::string::npos) << msg;
   }
 }
 
