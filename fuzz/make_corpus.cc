@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() / "fdb_make_corpus";
   std::filesystem::create_directories(tmp);
 
-  // --- fuzz_wire: one valid frame of every type -------------------------
+  // --- fuzz_wire: one valid frame of every type, and a response ----------
   using namespace fdb::serve;
   Put(root / "fuzz_wire", "hello.bin",
       OneFrame(FrameType::kHello, EncodeHello()));
@@ -93,6 +93,19 @@ int main(int argc, char** argv) {
       OneFrame(FrameType::kError, EncodeError(ErrorInfo{kErrParse, "p"})));
   Put(root / "fuzz_wire", "retry.bin",
       OneFrame(FrameType::kRetry, EncodeRetry(RetryInfo{99, "later"})));
+  {
+    // A whole multi-row response, the stream a client decodes in place.
+    std::vector<uint8_t> resp =
+        OneFrame(FrameType::kSchema, EncodeSchema({"a", "b", "c", "d"}));
+    for (int64_t i = 0; i < 3; ++i) {
+      AppendRowFrame(&resp, {fdb::Value(i), fdb::Value(0.5 * i),
+                             fdb::Value(std::string(i, 's')), fdb::Value()});
+    }
+    std::vector<uint8_t> done =
+        OneFrame(FrameType::kDone, EncodeDone(DoneStats{3, 6, 7, 8}));
+    resp.insert(resp.end(), done.begin(), done.end());
+    Put(root / "fuzz_wire", "response.bin", resp);
+  }
   {
     std::string q = "SELECT a FROM V";
     Put(root / "fuzz_wire", "query.bin",

@@ -13,17 +13,30 @@
 
 namespace fdb {
 namespace serve {
+namespace {
+
+// The receive buffer: one recv takes up to about 1,300 five-int Row frames.
+constexpr size_t kRecvBytes = 64 * 1024;
+
+std::vector<uint8_t> Payload(const FrameView& f) {
+  return std::vector<uint8_t>(f.data, f.data + f.size);
+}
+
+}  // namespace
 
 Client::~Client() { Close(); }
 
 Client::Client(Client&& o) noexcept
-    : fd_(std::exchange(o.fd_, -1)), dec_(std::move(o.dec_)) {}
+    : fd_(std::exchange(o.fd_, -1)),
+      dec_(std::move(o.dec_)),
+      recv_buf_(std::move(o.recv_buf_)) {}
 
 Client& Client::operator=(Client&& o) noexcept {
   if (this != &o) {
     Close();
     fd_ = std::exchange(o.fd_, -1);
     dec_ = std::move(o.dec_);
+    recv_buf_ = std::move(o.recv_buf_);
   }
   return *this;
 }
@@ -57,11 +70,12 @@ void Client::Connect(const std::string& host, int port) {
   }
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  recv_buf_.resize(kRecvBytes);
   WriteFrame(FrameType::kHello, EncodeHello());
-  Frame f;
+  FrameView f;
   ReadFrame(&f);
   if (f.type == FrameType::kRetry) {
-    RetryInfo info = DecodeRetry(f.payload);
+    RetryInfo info = DecodeRetry(Payload(f));
     Close();
     throw std::runtime_error("server refused session: " + info.message);
   }
@@ -69,7 +83,7 @@ void Client::Connect(const std::string& host, int port) {
     Close();
     throw WireError("handshake: expected Hello, got another frame");
   }
-  DecodeHello(f.payload);
+  DecodeHello(Payload(f));
 }
 
 void Client::WriteFrame(FrameType type, const std::vector<uint8_t>& payload) {
@@ -88,10 +102,9 @@ void Client::WriteFrame(FrameType type, const std::vector<uint8_t>& payload) {
   }
 }
 
-void Client::ReadFrame(Frame* f) {
-  uint8_t buf[16 * 1024];
-  while (!dec_.Next(f)) {
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+void Client::ReadFrame(FrameView* f) {
+  while (!dec_.NextView(f)) {
+    ssize_t n = ::recv(fd_, recv_buf_.data(), recv_buf_.size(), 0);
     if (n == 0) {
       Close();
       throw std::runtime_error("server closed the connection");
@@ -102,7 +115,7 @@ void Client::ReadFrame(Frame* f) {
       Close();
       throw std::runtime_error("recv: " + err);
     }
-    dec_.Feed(buf, static_cast<size_t>(n));
+    dec_.Feed(recv_buf_.data(), static_cast<size_t>(n));
   }
 }
 
@@ -111,33 +124,33 @@ Client::Result Client::Query(const std::string& statement) {
   WriteFrame(FrameType::kQuery, std::vector<uint8_t>(statement.begin(),
                                                      statement.end()));
   Result res;
-  // One frame for the whole response: each Row payload reuses the last
-  // one's buffer.
-  Frame f;
+  // Row frames, nearly all of a large response, are decoded in place; the
+  // once-per-statement frames are copied out for their decoders.
+  FrameView f;
   for (;;) {
     ReadFrame(&f);
     switch (f.type) {
       case FrameType::kSchema:
-        res.columns = DecodeSchema(f.payload);
+        res.columns = DecodeSchema(Payload(f));
         break;
       case FrameType::kRow:
         res.rows.push_back(
-            DecodeRow(f.payload, static_cast<int>(res.columns.size())));
+            DecodeRow(f.data, f.size, static_cast<int>(res.columns.size())));
         break;
       case FrameType::kDone:
         res.ok = true;
-        res.stats = DecodeDone(f.payload);
+        res.stats = DecodeDone(Payload(f));
         return res;
       case FrameType::kError:
         // Rows streamed before an Error are not a result.
         res.rows.clear();
-        res.error = DecodeError(f.payload);
+        res.error = DecodeError(Payload(f));
         // A protocol error means the server is dropping us.
         if (res.error.code == kErrProtocol) Close();
         return res;
       case FrameType::kRetry:
         res.retry = true;
-        res.retry_info = DecodeRetry(f.payload);
+        res.retry_info = DecodeRetry(Payload(f));
         return res;
       default:
         Close();

@@ -14,6 +14,9 @@ namespace serve {
 /// A blocking wire-protocol client: one connection, one statement in
 /// flight. Used by the shell's \connect mode, the serve tests, and the
 /// bench driver; deliberately synchronous (clients model one user each).
+/// It reads through its own 64 KiB receive buffer and decodes each Row
+/// frame straight from the frame decoder's buffer, without copying the
+/// payload first.
 class Client {
  public:
   Client() = default;
@@ -52,11 +55,12 @@ class Client {
 
  private:
   void WriteFrame(FrameType type, const std::vector<uint8_t>& payload);
-  /// Reads the next frame into *f, reusing its payload buffer.
-  void ReadFrame(Frame* f);
+  /// Reads the next frame into *f; it stays valid until the next call.
+  void ReadFrame(FrameView* f);
 
   int fd_ = -1;
   FrameDecoder dec_;
+  std::vector<uint8_t> recv_buf_;  // sized on Connect
 };
 
 }  // namespace serve

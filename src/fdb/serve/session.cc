@@ -26,6 +26,7 @@ struct ServeMetrics {
   obs::Counter& bytes_sent;
   obs::Counter& bytes_received;
   obs::Histogram& query_ns;
+  obs::Histogram& send_ns;
 };
 
 const ServeMetrics& Metrics() {
@@ -49,6 +50,8 @@ const ServeMetrics& Metrics() {
                      "wire bytes read from clients"),
         r.GetHistogram("serve.query_ns", "ns",
                        "served statement latency, admission wait included"),
+        r.GetHistogram("serve.send_ns", "ns",
+                       "time one flush of a response spent sending it"),
     };
   }();
   return m;
@@ -318,6 +321,8 @@ void Session::RunQuery(const ParsedQuery& pq, int64_t parse_t0,
 }
 
 bool Session::WriteAll(const uint8_t* data, size_t n) {
+  // Long sends mean the client, not the engine, paces the statement.
+  obs::ScopedLatency send(Metrics().send_ns);
   size_t off = 0;
   while (off < n) {
     ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);

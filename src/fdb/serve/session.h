@@ -30,11 +30,13 @@ struct ServeContext {
 /// admission slot. A SELECT runs in the engine with this session's
 /// cancellation token armed and streams typed result frames back: the
 /// engine enumerates each result row straight into a Row frame in the
-/// outbound buffer, which is flushed to the socket while enumeration
-/// continues. The session owns its transaction: BEGIN opens a list of
-/// ops, INSERT/DELETE append to it (or, outside a transaction, commit a
-/// one-op list at once), COMMIT hands the list to Database::Commit as one
-/// WAL commit group (one fsync), ROLLBACK drops it.
+/// outbound buffer (AppendRowFrame sizes the frame, grows the buffer once
+/// and stores the values in place), which is flushed to the socket while
+/// enumeration continues. Each flush's send time goes to `serve.send_ns`.
+/// The session owns its transaction: BEGIN opens a list of ops,
+/// INSERT/DELETE append to it (or, outside a transaction, commit a one-op
+/// list at once), COMMIT hands the list to Database::Commit as one WAL
+/// commit group (one fsync), ROLLBACK drops it.
 ///
 /// Reads pin view snapshots for exactly one statement: the engine takes
 /// `ViewSnapshot`s when a query starts and drops them when it finishes,
@@ -84,6 +86,8 @@ class Session {
   void AppendError(std::vector<uint8_t>* out, uint8_t code,
                    const std::string& message);
   void AppendDone(std::vector<uint8_t>* out, const DoneStats& stats);
+  /// Sends all `n` bytes; false if the peer is gone. Timed into
+  /// `serve.send_ns`.
   bool WriteAll(const uint8_t* data, size_t n);
   /// Sends and clears `out` once it crosses the flush threshold. A failed
   /// send means the client is gone: it trips the token, so the statement

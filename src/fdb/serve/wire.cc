@@ -135,17 +135,21 @@ void AppendFrame(std::vector<uint8_t>* out, FrameType type,
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {
-  // Compact once the consumed prefix dominates, so the buffer stays
+  // Views popped so far point into buf_, so it is reset or compacted only
+  // here. Compact once the consumed prefix dominates, so the buffer stays
   // proportional to the unconsumed bytes however long the stream runs.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+  if (pos_ == buf_.size()) {
+    buf_.clear();
+    pos_ = 0;
+  } else if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
     pos_ = 0;
   }
   buf_.insert(buf_.end(), data, data + n);
 }
 
-bool FrameDecoder::Next(Frame* out) {
-  if (buffered() < 5) return false;
+bool FrameDecoder::NextView(FrameView* out) {
+  if (buffered() < kFrameHeaderBytes) return false;
   const uint8_t* p = buf_.data() + pos_;
   uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= uint32_t(p[i]) << (8 * i);
@@ -156,16 +160,23 @@ bool FrameDecoder::Next(Frame* out) {
                     std::to_string(kMaxFrameBytes) + "-byte cap");
   }
   if (!IsKnownFrameType(p[4])) {
-    throw WireError("unknown frame type 0x" + std::to_string(p[4]));
+    static const char kHex[] = "0123456789abcdef";
+    throw WireError(std::string("unknown frame type 0x") + kHex[p[4] >> 4] +
+                    kHex[p[4] & 0xF]);
   }
-  if (buffered() < size_t{5} + len) return false;
+  if (buffered() < kFrameHeaderBytes + len) return false;
   out->type = static_cast<FrameType>(p[4]);
-  out->payload.assign(p + 5, p + 5 + len);
-  pos_ += size_t{5} + len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
+  out->data = p + kFrameHeaderBytes;
+  out->size = len;
+  pos_ += kFrameHeaderBytes + len;
+  return true;
+}
+
+bool FrameDecoder::Next(Frame* out) {
+  FrameView v;
+  if (!NextView(&v)) return false;
+  out->type = v.type;
+  out->payload.assign(v.data, v.data + v.size);
   return true;
 }
 
@@ -239,20 +250,61 @@ std::vector<std::string> DecodeSchema(const std::vector<uint8_t>& payload) {
   return cols;
 }
 
+namespace {
+
+// Little-endian stores into bytes already sized for them.
+uint8_t* StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = uint8_t(v >> (8 * i));
+  return p + 4;
+}
+
+uint8_t* StoreU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = uint8_t(v >> (8 * i));
+  return p + 8;
+}
+
+}  // namespace
+
 void AppendRowFrame(std::vector<uint8_t>* out, const std::vector<Value>& row) {
-  size_t start = out->size();
-  WireWriter w(out);
-  w.U32(0);  // length, patched below
-  w.U8(static_cast<uint8_t>(FrameType::kRow));
-  for (const Value& v : row) EncodeValue(&w, v);
-  size_t n = out->size() - start - kFrameHeaderBytes;
+  // Size the payload first: the cap is checked before `out` changes, and
+  // `out` grows once instead of once per byte.
+  size_t n = row.size();  // one tag per value
+  for (const Value& v : row) {
+    if (v.is_string()) {
+      n += 4 + v.as_string().size();
+    } else if (!v.is_null()) {
+      n += 8;
+    }
+  }
   if (n > kMaxFrameBytes) {
-    out->resize(start);
     throw WireError("row payload of " + std::to_string(n) +
                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
                     "-byte cap");
   }
-  for (int i = 0; i < 4; ++i) (*out)[start + i] = uint8_t(n >> (8 * i));
+  size_t start = out->size();
+  out->resize(start + kFrameHeaderBytes + n);
+  uint8_t* p = StoreU32(out->data() + start, static_cast<uint32_t>(n));
+  *p++ = static_cast<uint8_t>(FrameType::kRow);
+  for (const Value& v : row) {
+    if (v.is_null()) {
+      *p++ = 0;
+    } else if (v.is_int()) {
+      *p++ = 1;
+      p = StoreU64(p, static_cast<uint64_t>(v.as_int()));
+    } else if (v.is_double()) {
+      double d = v.as_double();
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      *p++ = 2;
+      p = StoreU64(p, bits);
+    } else {
+      const std::string& s = v.as_string();
+      *p++ = 3;
+      p = StoreU32(p, static_cast<uint32_t>(s.size()));
+      std::memcpy(p, s.data(), s.size());
+      p += s.size();
+    }
+  }
 }
 
 std::vector<uint8_t> EncodeRow(const std::vector<Value>& row) {
@@ -263,7 +315,11 @@ std::vector<uint8_t> EncodeRow(const std::vector<Value>& row) {
 }
 
 std::vector<Value> DecodeRow(const std::vector<uint8_t>& payload, int arity) {
-  WireReader r(payload);
+  return DecodeRow(payload.data(), payload.size(), arity);
+}
+
+std::vector<Value> DecodeRow(const uint8_t* data, size_t n, int arity) {
+  WireReader r(data, n);
   std::vector<Value> row;
   row.reserve(static_cast<size_t>(std::max(arity, 0)));
   for (int i = 0; i < arity; ++i) row.push_back(DecodeValue(&r));

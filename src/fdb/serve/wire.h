@@ -92,6 +92,14 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+/// One decoded frame whose payload still lies in the FrameDecoder's
+/// buffer: valid until the decoder's next Feed.
+struct FrameView {
+  FrameType type = FrameType::kHello;
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
 /// Little-endian payload builder. It appends to its own buffer, or to a
 /// caller's (then bytes()/Take() refer to that buffer).
 class WireWriter {
@@ -158,10 +166,14 @@ void AppendFrame(std::vector<uint8_t>* out, FrameType type,
 /// must be dropped.
 class FrameDecoder {
  public:
+  /// Appends bytes; invalidates every FrameView popped so far.
   void Feed(const uint8_t* data, size_t n);
-  /// Pops the next complete frame into *out; false if more bytes are
-  /// needed first.
+  /// Pops the next complete frame into *out, copying its payload; false
+  /// if more bytes are needed first.
   bool Next(Frame* out);
+  /// Pops the next complete frame without copying it: *out points into
+  /// the decoder's buffer until the next Feed. Same checks as Next.
+  bool NextView(FrameView* out);
   size_t buffered() const { return buf_.size() - pos_; }
 
  private:
@@ -182,15 +194,18 @@ void DecodeHello(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeSchema(const std::vector<std::string>& cols);
 std::vector<std::string> DecodeSchema(const std::vector<uint8_t>& payload);
 
-/// Appends one whole Row frame for `row` to `out`, encoding the values in
-/// place. Throws WireError, leaving `out` unchanged, if the payload
-/// exceeds kMaxFrameBytes.
+/// Appends one whole Row frame for `row` to `out` in one pass: it sizes
+/// the payload, grows `out` once and stores the header and values in
+/// place, byte for byte what EncodeValue would write. Throws WireError,
+/// leaving `out` unchanged, if the payload exceeds kMaxFrameBytes.
 void AppendRowFrame(std::vector<uint8_t>* out, const std::vector<Value>& row);
 
 /// Row payload: one tagged value per schema column (AppendRowFrame's
 /// payload, so the same cap applies).
 std::vector<uint8_t> EncodeRow(const std::vector<Value>& row);
 std::vector<Value> DecodeRow(const std::vector<uint8_t>& payload, int arity);
+/// The same decode and checks over a payload in place (a FrameView's).
+std::vector<Value> DecodeRow(const uint8_t* data, size_t n, int arity);
 
 /// Done payload: the per-statement metrics frame.
 struct DoneStats {

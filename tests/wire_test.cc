@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 // Wire-codec tests: round-trips for every typed payload, the incremental
@@ -77,12 +80,31 @@ TEST(WireTest, OversizedLengthPrefixRejectedBeforePayloadArrives) {
   EXPECT_THROW(dec.Next(&f), WireError);
 }
 
+// Both pops run one header check, and it names the type in hex.
 TEST(WireTest, UnknownFrameTypeRejected) {
-  uint8_t header[5] = {0, 0, 0, 0, 'z'};
-  FrameDecoder dec;
-  dec.Feed(header, sizeof(header));
-  Frame f;
-  EXPECT_THROW(dec.Next(&f), WireError);
+  for (uint8_t type : {uint8_t{'z'}, uint8_t{0x00}, uint8_t{0xAB}}) {
+    uint8_t header[5] = {0, 0, 0, 0, type};
+    char want[32];
+    std::snprintf(want, sizeof(want), "unknown frame type 0x%02x", type);
+    FrameDecoder copying;
+    copying.Feed(header, sizeof(header));
+    Frame f;
+    try {
+      copying.Next(&f);
+      ADD_FAILURE() << "Next accepted type " << int(type);
+    } catch (const WireError& e) {
+      EXPECT_STREQ(e.what(), want);
+    }
+    FrameDecoder viewing;
+    viewing.Feed(header, sizeof(header));
+    FrameView v;
+    try {
+      viewing.NextView(&v);
+      ADD_FAILURE() << "NextView accepted type " << int(type);
+    } catch (const WireError& e) {
+      EXPECT_STREQ(e.what(), want);
+    }
+  }
 }
 
 TEST(WireTest, SenderEnforcesTheFrameCapToo) {
@@ -92,31 +114,37 @@ TEST(WireTest, SenderEnforcesTheFrameCapToo) {
                WireError);
 }
 
-// AppendRowFrame encodes in place exactly what framing an encoded row
-// produces, for every value tag, appended after whatever `out` held.
+// AppendRowFrame's single pass writes byte for byte what framing the
+// values encoded through WireWriter (EncodeValue) writes, for every value
+// tag and edge value, appended after whatever `out` held.
 TEST(WireTest, AppendRowFrameMatchesAFramedEncodeRow) {
+  const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<Value>> rows = {
       {Value()},
       {Value(static_cast<int64_t>(-42))},
+      {Value(std::numeric_limits<int64_t>::min())},
+      {Value(std::numeric_limits<int64_t>::max())},
       {Value(3.25)},
+      {Value(-0.0)},
+      {Value(std::numeric_limits<double>::quiet_NaN())},
+      {Value(inf), Value(-inf)},
       {Value("str")},
       {Value(std::string())},
+      {Value(std::string(64 * 1024, 'q'))},
       {Value(), Value(static_cast<int64_t>(1)), Value(0.5), Value("ab"),
        Value(std::string())},
       {},
   };
   for (const std::vector<Value>& row : rows) {
-    std::vector<uint8_t> want = {9, 9};
-    std::vector<uint8_t> payload = EncodeRow(row);
-    AppendFrame(&want, FrameType::kRow, payload.data(), payload.size());
-
     WireWriter w;
     for (const Value& v : row) EncodeValue(&w, v);
-    EXPECT_EQ(payload, w.bytes());
+    std::vector<uint8_t> want = {9, 9};
+    AppendFrame(&want, FrameType::kRow, w);
 
     std::vector<uint8_t> got = {9, 9};
     AppendRowFrame(&got, row);
     EXPECT_EQ(got, want);
+    EXPECT_EQ(EncodeRow(row), w.bytes());
   }
 }
 
@@ -227,6 +255,85 @@ TEST(WireTest, HostileSchemaCountCannotPreallocate) {
   w2.U32(1);
   w2.U32(0x7FFFFFFFu);  // column-name length with no bytes following
   EXPECT_THROW((void)DecodeSchema(w2.Take()), WireError);
+}
+
+// A Schema/Row/Done response split into two reads at every byte: the
+// copy-free pop plus the span DecodeRow must yield exactly the frames and
+// values that Next plus DecodeRow(vector) yield.
+TEST(WireTest, ViewDecodeMatchesCopyingDecodeAtEverySplit) {
+  std::vector<std::vector<Value>> rows = {
+      {Value(static_cast<int64_t>(1)), Value(2.5), Value("x")},
+      {Value(), Value(std::numeric_limits<double>::quiet_NaN()), Value("")},
+      {Value(static_cast<int64_t>(-7)), Value(-0.0), Value("longer string")},
+  };
+  std::vector<uint8_t> bytes =
+      OneFrame(FrameType::kSchema, EncodeSchema({"a", "b", "c"}));
+  for (const std::vector<Value>& row : rows) AppendRowFrame(&bytes, row);
+  std::vector<uint8_t> done = OneFrame(FrameType::kDone,
+                                       EncodeDone(DoneStats{3, 4, 5, 6}));
+  bytes.insert(bytes.end(), done.begin(), done.end());
+
+  std::vector<Frame> want;
+  {
+    FrameDecoder dec;
+    dec.Feed(bytes.data(), bytes.size());
+    Frame f;
+    while (dec.Next(&f)) want.push_back(f);
+  }
+  ASSERT_EQ(want.size(), rows.size() + 2);
+
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    FrameDecoder dec;
+    std::vector<Frame> got;
+    std::vector<std::vector<Value>> got_rows;
+    for (auto [from, to] : {std::pair{size_t{0}, split},
+                            std::pair{split, bytes.size()}}) {
+      dec.Feed(bytes.data() + from, to - from);
+      FrameView v;
+      // Each view is consumed before the next Feed, as Client does.
+      while (dec.NextView(&v)) {
+        got.push_back({v.type, std::vector<uint8_t>(v.data, v.data + v.size)});
+        if (v.type == FrameType::kRow) {
+          got_rows.push_back(DecodeRow(v.data, v.size, 3));
+        }
+      }
+    }
+    ASSERT_EQ(got.size(), want.size()) << "split=" << split;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << "split=" << split;
+      EXPECT_EQ(got[i].payload, want[i].payload) << "split=" << split;
+    }
+    ASSERT_EQ(got_rows.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      // Re-encoding compares bit patterns, so -0.0 and NaN count too.
+      EXPECT_EQ(EncodeRow(got_rows[i]),
+                EncodeRow(DecodeRow(want[i + 1].payload, 3)))
+          << "split=" << split << " row=" << i;
+    }
+    EXPECT_EQ(dec.buffered(), 0u);
+  }
+}
+
+TEST(WireTest, SpanDecodeRowRejectsWhatTheVectorDecodeRejects) {
+  std::vector<uint8_t> good =
+      EncodeRow({Value(static_cast<int64_t>(1)), Value("xyz")});
+  std::vector<std::vector<uint8_t>> bad;
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    bad.emplace_back(good.begin(), good.begin() + cut);  // truncated
+  }
+  bad.push_back(good);
+  bad.back().push_back(0);  // trailing byte
+  bad.push_back(good);
+  bad.back()[0] = 4;  // bad tag
+  for (const std::vector<uint8_t>& p : bad) {
+    EXPECT_THROW((void)DecodeRow(p, 2), WireError) << p.size();
+    EXPECT_THROW((void)DecodeRow(p.data(), p.size(), 2), WireError)
+        << p.size();
+  }
+  std::vector<Value> row = DecodeRow(good.data(), good.size(), 2);
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row[0].as_int(), 1);
+  EXPECT_EQ(row[1].as_string(), "xyz");
 }
 
 TEST(WireTest, TrailingGarbageAfterPayloadRejected) {
