@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "fdb/core/compress.h"
 #include "fdb/relational/rdb_ops.h"
 #include "fdb/core/enumerate.h"
 #include "fdb/core/order.h"
@@ -170,22 +169,6 @@ void BuildFlatJoin(benchmark::State& state) {
   state.counters["tuples"] = static_cast<double>(tuples);
 }
 
-// (e) Subexpression sharing (the §8 extension): compression time and the
-// stored-singleton ratio on the workload view.
-void CompressView(benchmark::State& state) {
-  BenchDb& b = GetBenchDb(kScale);
-  int64_t logical = 0, stored = 0;
-  for (auto _ : state) {
-    Factorisation f = *b.db->view("R1");
-    CompressInPlace(&f);
-    logical = f.CountSingletons();
-    stored = CountStoredSingletons(f);
-    benchmark::DoNotOptimize(f);
-  }
-  state.counters["logical_singletons"] = static_cast<double>(logical);
-  state.counters["stored_singletons"] = static_cast<double>(stored);
-}
-
 void RegisterAll() {
   benchmark::RegisterBenchmark("ablation/partial_aggregation:on",
                                PartialAggregationOn)
@@ -211,8 +194,6 @@ void RegisterAll() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("ablation/materialise:flat_join",
                                BuildFlatJoin)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("ablation/compress_view", CompressView)
       ->Unit(benchmark::kMillisecond);
 }
 

@@ -33,6 +33,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,15 +128,15 @@ int main(int argc, char** argv) {
   // End-to-end (Open + lazy view materialisation) from the bench's own
   // registry histogram; the file-parse share comes from the engine's
   // storage.open_ns histogram recorded inside Database::Open.
-  Database opened;
+  std::optional<Database> opened;
   const Factorisation* view = nullptr;
   int64_t opened_tuples = -1;
   double open_parse_seconds = 0;
   double open_seconds = TimedIntoRegistry("storage_cold_open", [&] {
     open_parse_seconds = SubsystemSeconds("storage.open_ns", [&] {
-      opened = Database::Open(snap_path);
+      opened.emplace(Database::Open(snap_path));
     });
-    view = opened.view("R1");  // lazy materialisation
+    view = opened->view("R1");  // lazy materialisation
     opened_tuples = view == nullptr ? -1 : view->CountTuples();
   });
 
@@ -321,11 +322,11 @@ int main(int argc, char** argv) {
       obs::Registry::Instance().GetHistogram("io.fsync_ns").Snapshot();
 
   // Replay cost: a cold open re-reads base + the whole log.
-  Database wre;
+  std::optional<Database> wre;
   int64_t replayed_tuples = 0;
   double replay_seconds = TimedIntoRegistry("wal_replay", [&] {
-    wre = Database::Open(wal_path);
-    replayed_tuples = wre.view("W")->CountTuples();
+    wre.emplace(Database::Open(wal_path));
+    replayed_tuples = wre->view("W")->CountTuples();
   });
 
   double single_tput = kSingles / single_seconds;

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "fdb/core/build.h"
@@ -111,34 +112,36 @@ int main(int argc, char** argv) {
     obs::SetLogEnabled(true);
   }
 
-  Database db;
+  std::unique_ptr<Database> db;
   try {
     if (!db_path.empty() && ::access(db_path.c_str(), F_OK) == 0) {
-      db = Database::Open(db_path);
+      db = std::make_unique<Database>(Database::Open(db_path));
       std::cerr << "opened " << db_path << "\n";
     } else {
       // The shell's workload: factorised view R1 plus its flat baseline.
-      int64_t singletons = InstallWorkload(&db, SmallParams(demo_scale), "R1");
-      db.AddRelation("R1flat", db.view("R1")->Flatten());
+      db = std::make_unique<Database>();
+      int64_t singletons =
+          InstallWorkload(db.get(), SmallParams(demo_scale), "R1");
+      db->AddRelation("R1flat", db->view("R1")->Flatten());
       // A small path-shaped view so INSERT/DELETE work over the wire out
       // of the box (R1's f-tree is not a path, so it rejects updates).
-      AttrId ka = db.Attr("k"), va = db.Attr("v");
+      AttrId ka = db->Attr("k"), va = db->Attr("v");
       Relation kv{RelSchema({ka, va})};
       for (int64_t x = 0; x < 16; ++x) kv.Add({Value(x), Value(x * x)});
-      db.AddView("KV", FactoriseRelation(kv, {ka, va}));
+      db->AddView("KV", FactoriseRelation(kv, {ka, va}));
       std::cerr << "demo database, scale " << demo_scale << " ("
                 << singletons << " singletons; updatable view KV)\n";
       if (!db_path.empty()) {
-        db.Save(db_path);
+        db->Save(db_path);
         std::cerr << "saved to " << db_path << "\n";
       }
     }
-    if (!db_path.empty()) db.EnableWal(db_path);
+    if (!db_path.empty()) db->EnableWal(db_path);
   } catch (const std::exception& e) {
     std::cerr << "failed to open database: " << e.what() << "\n";
     return 1;
   }
-  db.StartMetricsSampler();
+  db->StartMetricsSampler();
 
   if (::pipe(g_signal_pipe) != 0) {
     std::cerr << "pipe: " << std::strerror(errno) << "\n";
@@ -152,7 +155,7 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &sa, nullptr);
   signal(SIGPIPE, SIG_IGN);
 
-  serve::Server server(&db, cfg);
+  serve::Server server(db.get(), cfg);
   try {
     server.Start();
   } catch (const std::exception& e) {
@@ -169,10 +172,10 @@ int main(int argc, char** argv) {
   }
   std::cerr << "shutting down: draining sessions...\n";
   server.Shutdown();
-  db.StopMetricsSampler();
+  db->StopMetricsSampler();
   if (!db_path.empty()) {
     try {
-      storage::CheckpointInfo info = db.Checkpoint(db_path);
+      storage::CheckpointInfo info = db->Checkpoint(db_path);
       std::cerr << "checkpointed " << db_path
                 << (info.kind == storage::CheckpointInfo::kNoop ? " (no-op)"
                                                                 : "")

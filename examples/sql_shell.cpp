@@ -170,17 +170,16 @@ int main(int argc, char** argv) {
     obs::SetLogEnabled(true);
   }
   int scale = argc > 1 ? std::atoi(argv[1]) : 2;
-  Database db;
-  int64_t singletons = InstallWorkload(&db, SmallParams(scale), "R1");
-  db.AddRelation("R1flat", db.view("R1")->Flatten());
+  // Held by pointer so \open can replace it with an opened database.
+  auto db = std::make_unique<Database>();
+  int64_t singletons = InstallWorkload(db.get(), SmallParams(scale), "R1");
+  db->AddRelation("R1flat", db->view("R1")->Flatten());
 
   std::cout << "FDB shell — factorised view R1 (" << singletons
             << " singletons), relations Orders/Packages/Items/R1flat\n"
             << "example: SELECT customer, sum(price) AS revenue FROM R1 "
                "GROUP BY customer ORDER BY revenue DESC LIMIT 5;\n";
 
-  FdbEngine fdb_engine(&db);
-  RdbEngine rdb_engine(&db);
   bool use_rdb = false;
   bool show_plan = false;
   bool timing = false;
@@ -360,16 +359,16 @@ int main(int argc, char** argv) {
           int64_t n = std::atoll(arg.c_str() + 6);
           if (n >= 1) ms = n;
         }
-        db.StartMetricsSampler(ms);
+        db->StartMetricsSampler(ms);
         std::cout << "metrics sampler started (every " << ms << " ms)\n";
         continue;
       }
       if (arg == "stop") {
-        db.StopMetricsSampler();
+        db->StopMetricsSampler();
         std::cout << "metrics sampler stopped\n";
         continue;
       }
-      std::shared_ptr<obs::MetricsSampler> sampler = db.metrics_sampler();
+      std::shared_ptr<obs::MetricsSampler> sampler = db->metrics_sampler();
       if (sampler == nullptr) {
         std::cout << "sampler not running (usage: \\history [start [ms] | "
                      "stop]; query with SELECT ... FROM fdb.metrics_history)"
@@ -430,9 +429,9 @@ int main(int argc, char** argv) {
     }
     if (line == "\\stats") {
       // After \open the database may lack a view named R1.
-      const Factorisation* r1 = db.view("R1");
+      const Factorisation* r1 = db->view("R1");
       if (r1 != nullptr) {
-        std::cout << FactStatsToString(*r1, db.registry());
+        std::cout << FactStatsToString(*r1, db->registry());
       } else {
         std::cout << "error: no view R1 in the current database\n";
       }
@@ -440,7 +439,7 @@ int main(int argc, char** argv) {
     }
     if (line == "\\check") {
       try {
-        std::cout << check::ValidateDatabase(db).ToString();
+        std::cout << check::ValidateDatabase(*db).ToString();
       } catch (const std::exception& e) {
         std::cout << "error: " << e.what() << "\n";
       }
@@ -449,7 +448,7 @@ int main(int argc, char** argv) {
     if (line.rfind("\\checkpoint ", 0) == 0) {
       std::string path = line.substr(12);
       try {
-        storage::CheckpointInfo info = db.Checkpoint(path);
+        storage::CheckpointInfo info = db->Checkpoint(path);
         if (info.kind == storage::CheckpointInfo::kBase) {
           std::cout << "checkpoint: wrote base " << path << " ("
                     << info.bytes << " bytes)\n";
@@ -463,15 +462,15 @@ int main(int argc, char** argv) {
     }
     if (line.rfind("\\wal ", 0) == 0) {
       try {
-        db.EnableWal(line.substr(5));
-        std::cout << "wal: logging to " << db.WalStatus().path << "\n";
+        db->EnableWal(line.substr(5));
+        std::cout << "wal: logging to " << db->WalStatus().path << "\n";
       } catch (const std::exception& e) {
         std::cout << "error: " << e.what() << "\n";
       }
       continue;
     }
     if (line == "\\wal-status") {
-      storage::WalStatus st = db.WalStatus();
+      storage::WalStatus st = db->WalStatus();
       if (!st.enabled) {
         std::cout << "wal: disabled (use \\wal <path>)\n";
       } else {
@@ -488,14 +487,17 @@ int main(int argc, char** argv) {
       std::string path = line.substr(6);
       try {
         if (line[1] == 's') {
-          db.Save(path);
+          db->Save(path);
           std::cout << "saved to " << path << "\n";
         } else {
-          db = Database::Open(path);
+          // Replaced only once Open succeeds: a failed \open keeps db.
+          db = std::make_unique<Database>(Database::Open(path));
           std::cout << "opened " << path << " — views:";
-          for (const std::string& v : db.ViewNames()) std::cout << " " << v;
+          for (const std::string& v : db->ViewNames()) {
+            std::cout << " " << v;
+          }
           std::cout << "; relations:";
-          for (const std::string& r : db.RelationNames()) {
+          for (const std::string& r : db->RelationNames()) {
             std::cout << " " << r;
           }
           std::cout << "\n";
@@ -509,31 +511,31 @@ int main(int argc, char** argv) {
       int64_t t0 = obs::NowNs();
       ParsedQuery pq = ParseSql(line);
       if (pq.kind != StmtKind::kSelect) {
-        std::cout << ApplyLocally(&db, pq) << "\n";
+        std::cout << ApplyLocally(db.get(), pq) << "\n";
         continue;
       }
       int64_t rows = 0;
       if (use_rdb) {
-        RdbResult r = rdb_engine.ExecuteSql(line);
+        RdbResult r = RdbEngine(db.get()).ExecuteSql(line);
         rows = r.flat.size();
         if (r.trace != nullptr) {
           last_trace = r.trace;
           std::cout << obs::ExplainReport(*r.trace);
         }
-        std::cout << r.flat.ToString(db.registry(), 25)
+        std::cout << r.flat.ToString(db->registry(), 25)
                   << "(" << r.seconds * 1e3 << " ms)\n";
       } else {
-        FdbResult r = fdb_engine.ExecuteSql(line);
+        FdbResult r = FdbEngine(db.get()).ExecuteSql(line);
         rows = r.flat.size();
         if (show_plan) {
-          std::cout << "plan: " << PlanToString(r.plan, db.registry())
+          std::cout << "plan: " << PlanToString(r.plan, db->registry())
                     << "\n";
         }
         if (r.trace != nullptr) {
           last_trace = r.trace;
           std::cout << obs::ExplainReport(*r.trace);
         }
-        std::cout << r.flat.ToString(db.registry(), 25) << "("
+        std::cout << r.flat.ToString(db->registry(), 25) << "("
                   << (r.plan_seconds + r.exec_seconds + r.enum_seconds) *
                          1e3
                   << " ms)\n";
@@ -552,7 +554,7 @@ int main(int argc, char** argv) {
   // so no buffered events are lost.
   if (g_interrupted) std::cout << "\n";
   client.Close();
-  db.StopMetricsSampler();
+  db->StopMetricsSampler();
   obs::EventLog::Instance().SetSinkPath("");
   std::cout << "bye\n";
   return 0;

@@ -323,7 +323,7 @@ Report ValidateDatabase(const Database& db) {
     if (f == nullptr) continue;
     CheckView(name, *f, &report);
   }
-  CheckDictionary(db.dict(), &report);
+  CheckDictionary(ValueDict::Default(), &report);
   if (std::optional<storage::PersistState> ps = db.PersistSnapshot();
       ps.has_value()) {
     // A log whose reset failed after a base was written keeps its old

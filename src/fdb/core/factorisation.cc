@@ -75,7 +75,8 @@ void Factorisation::Compact() {
   for (FactPtr& r : roots_) {
     if (r != nullptr) r = CopyInto(r, *fresh, &copied);
   }
-  ReplaceArena(std::move(fresh));
+  compacted_bytes_ = fresh->chain_bytes();
+  arena_ = std::move(fresh);
 }
 
 bool Factorisation::MaybeCompact() {

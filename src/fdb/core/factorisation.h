@@ -68,22 +68,14 @@ class Factorisation {
   /// keeps the old one alive, so views never accumulate per-query garbage.
   FactArena& ArenaForWrite();
 
-  /// Replaces the attached arena wholesale. Only valid when every root
-  /// points into `arena` (e.g. after a full rebuild such as compression or
-  /// compaction). Records the arena's size as the live-data watermark that
-  /// MaybeCompact() measures garbage against.
-  void ReplaceArena(std::shared_ptr<FactArena> arena) {
-    arena_ = std::move(arena);
-    compacted_bytes_ = arena_ == nullptr ? 0 : arena_->chain_bytes();
-  }
-
   /// Generational compaction: copies every node reachable from the roots
   /// into a fresh arena and drops the old one (and, transitively, every
   /// arena it kept alive), so dead node versions left behind by persistent
   /// updates and op chains stop pinning memory. DAG sharing is preserved
   /// (shared subexpressions are copied once); the represented relation is
   /// unchanged. Copies of this factorisation that share the old arena keep
-  /// it alive and are unaffected.
+  /// it alive and are unaffected. Records the fresh arena's size as the
+  /// live-data watermark that MaybeCompact() measures garbage against.
   void Compact();
 
   /// Compacts when the whole arena chain has grown past 4x the last known
@@ -102,9 +94,6 @@ class Factorisation {
   /// fresh arena, so this bounds per-commit adopt work and the lists'
   /// memory even when commits are too small to trip the byte trigger.
   static constexpr size_t kMaxChainArenas = 256;
-
-  /// The value dictionary used by this factorisation's ValueRefs.
-  ValueDict& dict() const { return ValueDict::Default(); }
 
   /// True if this factorisation represents the empty relation.
   bool empty() const;

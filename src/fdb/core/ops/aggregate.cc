@@ -616,7 +616,7 @@ std::vector<int> ApplyAggregate(Factorisation* f, AttributeRegistry* reg,
     for (FactPtr& r : f->mutable_roots()) r = FactArena::EmptyNode();
   } else {
     FactArena& arena = f->ArenaForWrite();
-    ValueDict& dict = f->dict();
+    ValueDict& dict = ValueDict::Default();
     auto eval_all = [&](const FactNode& sub) {
       std::vector<FactPtr> leaves;
       for (size_t t = 0; t < tasks.size(); ++t) {

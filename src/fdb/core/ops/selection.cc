@@ -189,7 +189,7 @@ void ApplySelectConst(Factorisation* f, int node, CmpOp op, const Value& c) {
   int k = static_cast<int>(tree.children(node).size());
   // Interning the constant (rather than a lookup) keeps inequality
   // comparisons exact for strings the dictionary has not seen yet.
-  ValueRef cref = f->dict().Encode(c);
+  ValueRef cref = ValueDict::Default().Encode(c);
   FactArena& arena = f->ArenaForWrite();
   RewriteInFactorisation(f, node, [&](const FactNode& n) {
     FactBuilder out;

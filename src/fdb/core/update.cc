@@ -186,7 +186,7 @@ void ApplyBatch(Factorisation* f, const std::vector<BatchOp>& ops) {
   if (ops.empty()) return;
   std::vector<int> chain = PathChain(f->tree(), ops.front().tuple.size());
   size_t arity = chain.size();
-  ValueDict& dict = f->dict();
+  ValueDict& dict = ValueDict::Default();
   // Resolve final membership per key, processing in order: a delete of a
   // value only interned by an earlier insert in the same batch must see
   // that encoding (sequential semantics).
@@ -244,7 +244,8 @@ void ApplyBatch(Factorisation* f, const std::vector<BatchOp>& ops) {
 bool ContainsTuple(const Factorisation& f, const Tuple& tuple) {
   PathChain(f.tree(), tuple.size());
   if (f.empty()) return false;
-  std::optional<std::vector<ValueRef>> key = TryEncodeTuple(f.dict(), tuple);
+  std::optional<std::vector<ValueRef>> key =
+      TryEncodeTuple(ValueDict::Default(), tuple);
   if (!key.has_value()) return false;
   const FactNode* n = f.roots()[0];
   for (size_t depth = 0; depth < key->size(); ++depth) {

@@ -11,6 +11,7 @@
 #include "fdb/obs/log.h"
 #include "fdb/obs/metrics.h"
 #include "fdb/obs/sampler.h"
+#include "fdb/relational/value_dict.h"
 #include "fdb/storage/snapshot.h"
 #include "fdb/storage/wal.h"
 
@@ -21,7 +22,6 @@ namespace fdb {
 // on its first Checkpoint and logs nothing until EnableWal.
 Database::Database(const Database& other)
     : reg_(other.reg_),
-      dict_(other.dict_),
       relations_(other.relations_),
       changes_(other.changes_.load()),
       snapshot_(other.snapshot_),
@@ -30,47 +30,8 @@ Database::Database(const Database& other)
   views_ = other.views_;
 }
 
-Database& Database::operator=(const Database& other) {
-  if (this == &other) return *this;
-  reg_ = other.reg_;
-  dict_ = other.dict_;
-  relations_ = other.relations_;
-  changes_ = other.changes_.load();
-  {
-    // The old logical state is being replaced wholesale: a log bound to
-    // it must not keep recording on behalf of the new one.
-    base::MutexLock g(&txn_mu_);
-    persist_.reset();
-    wal_.reset();
-    wal_base_.clear();
-    in_txn_ = false;
-    pending_.clear();
-  }
-  snapshot_ = other.snapshot_;
-  prefix_cache_.Clear();
-  std::shared_ptr<const ViewMap> v;
-  {
-    base::MutexLock g(&other.mu_);
-    v = other.views_;
-  }
-  base::MutexLock g(&mu_);
-  views_ = std::move(v);
-  return *this;
-}
-
-namespace {
-
-// The member default: a non-owning alias of the process dictionary.
-// Moved-from databases are restored to it so they stay valid.
-std::shared_ptr<ValueDict> DefaultDictAlias() {
-  return {std::shared_ptr<ValueDict>(), &ValueDict::Default()};
-}
-
-}  // namespace
-
 Database::Database(Database&& other) noexcept
     : reg_(std::move(other.reg_)),
-      dict_(std::exchange(other.dict_, DefaultDictAlias())),
       relations_(std::move(other.relations_)),
       changes_(other.changes_.load()),
       snapshot_(std::move(other.snapshot_)),
@@ -94,58 +55,6 @@ Database::Database(Database&& other) noexcept
                          std::make_shared<const ViewMap>());
 }
 
-Database& Database::operator=(Database&& other) noexcept {
-  if (this == &other) return *this;
-  reg_ = std::move(other.reg_);
-  dict_ = std::exchange(other.dict_, DefaultDictAlias());
-  relations_ = std::move(other.relations_);
-  changes_ = other.changes_.load();
-  {
-    std::optional<storage::PersistState> p;
-    std::unique_ptr<storage::Wal> w;
-    std::string base;
-    bool in_txn = false;
-    std::vector<storage::WalOp> pending;
-    {
-      base::MutexLock g(&other.txn_mu_);
-      p = std::exchange(other.persist_, std::nullopt);
-      w = std::move(other.wal_);
-      base = std::exchange(other.wal_base_, {});
-      in_txn = std::exchange(other.in_txn_, false);
-      pending = std::move(other.pending_);
-      other.pending_.clear();
-    }
-    base::MutexLock g(&txn_mu_);
-    persist_ = std::move(p);
-    wal_ = std::move(w);
-    wal_base_ = std::move(base);
-    in_txn_ = in_txn;
-    pending_ = std::move(pending);
-  }
-  snapshot_ = std::move(other.snapshot_);
-  prefix_cache_.Clear();
-  other.prefix_cache_.Clear();
-  {
-    std::shared_ptr<obs::MetricsSampler> s;
-    {
-      base::MutexLock g(&other.sampler_mu_);
-      s = std::move(other.sampler_);
-    }
-    base::MutexLock g(&sampler_mu_);
-    sampler_ = std::move(s);
-  }
-  std::shared_ptr<const ViewMap> v;
-  {
-    base::MutexLock g(&other.mu_);
-    // Leave the moved-from database as a valid empty one (views_ is
-    // dereferenced unconditionally by every accessor).
-    v = std::exchange(other.views_, std::make_shared<const ViewMap>());
-  }
-  base::MutexLock g(&mu_);
-  views_ = std::move(v);
-  return *this;
-}
-
 void Database::AddRelation(const std::string& name, Relation rel) {
   // Bulk-intern incoming string cells in sorted order so dictionary codes
   // stay (mostly) rank-append-only when views are factorised later.
@@ -155,7 +64,7 @@ void Database::AddRelation(const std::string& name, Relation rel) {
       if (v.is_string()) strs.push_back(v.as_string());
     }
   }
-  if (!strs.empty()) dict_->InternBulk(std::move(strs));
+  if (!strs.empty()) ValueDict::Default().InternBulk(std::move(strs));
   relations_.insert_or_assign(name, std::move(rel));
   ++changes_;
 }
@@ -452,21 +361,6 @@ std::vector<std::string> Database::ViewNames() const {
     std::sort(out.begin(), out.end());
   }
   return out;
-}
-
-Relation Database::MakeRelation(
-    const std::vector<std::string>& attrs,
-    const std::vector<std::vector<int64_t>>& rows) {
-  std::vector<AttrId> ids;
-  for (const std::string& a : attrs) ids.push_back(reg_.Intern(a));
-  Relation rel{RelSchema(std::move(ids))};
-  for (const auto& row : rows) {
-    Tuple t;
-    t.reserve(row.size());
-    for (int64_t v : row) t.push_back(Value(v));
-    rel.Add(std::move(t));
-  }
-  return rel;
 }
 
 namespace {

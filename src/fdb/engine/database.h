@@ -12,7 +12,6 @@
 #include "fdb/core/factorisation.h"
 #include "fdb/engine/prefix_cache.h"
 #include "fdb/relational/relation.h"
-#include "fdb/relational/value_dict.h"
 #include "fdb/storage/snapshot.h"
 #include "fdb/storage/wal.h"
 
@@ -33,13 +32,14 @@ struct SnapshotState;
 ///
 /// Databases persist as single-file binary snapshots (storage/): Save()
 /// writes the whole database, Open() mmaps a snapshot and materialises
-/// views lazily and zero-copy on first access. Copying a Database is
-/// cheap-ish and safe: factorisations share their arenas and an opened
-/// database's copies share the snapshot mapping (each copy materialises
-/// views independently). A view opened from a snapshot keeps the mapping
-/// alive through its arena, and operators that derive new factorisations
-/// from it adopt that arena — so results of ops on mapped views stay
-/// valid after the Database (and the last mapped view) are gone.
+/// views lazily and zero-copy on first access. A Database can be copy-
+/// or move-constructed but not assigned. A copy is cheap: factorisations
+/// share their arenas and an opened database's copies share the snapshot
+/// mapping (each copy materialises views independently). A view opened
+/// from a snapshot keeps the mapping alive through its arena, and
+/// operators that derive new factorisations from it adopt that arena —
+/// so results of ops on mapped views stay valid after the Database (and
+/// the last mapped view) are gone.
 ///
 /// Concurrency: views live in an epoch-style versioned map. The map is an
 /// immutable std::map published through a shared_ptr; readers grab the
@@ -68,21 +68,16 @@ class Database {
   /// instead of PrefixCache::kBudgetBytes: for tests that force eviction.
   explicit Database(int64_t prefix_cache_bytes)
       : prefix_cache_(prefix_cache_bytes) {}
-  /// Copies and moves start with an empty prefix cache of the same budget.
+  /// Copy and move construction only; both start with an empty prefix
+  /// cache of the same budget. To replace a database, construct a new one
+  /// (e.g. from Open()) in its place.
   Database(const Database& other);
-  Database& operator=(const Database& other);
   Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
+  Database& operator=(const Database&) = delete;
+  Database& operator=(Database&&) = delete;
 
   AttributeRegistry& registry() { return reg_; }
   const AttributeRegistry& registry() const { return reg_; }
-
-  /// The value dictionary encoding this database's factorised singletons.
-  /// Currently every database shares the process-default dictionary (codes
-  /// are process-wide, so factorisations remain comparable across
-  /// databases); the handle is the seam for per-database isolation later.
-  ValueDict& dict() { return *dict_; }
-  const ValueDict& dict() const { return *dict_; }
 
   /// Interns `name` in the registry (convenience).
   AttrId Attr(const std::string& name) { return reg_.Intern(name); }
@@ -216,10 +211,6 @@ class Database {
   static Database OpenSnapshot(
       std::shared_ptr<storage::SnapshotMapping> mapping);
 
-  /// Builds a flat relation from rows of int64 values (test/bench helper).
-  Relation MakeRelation(const std::vector<std::string>& attrs,
-                        const std::vector<std::vector<int64_t>>& rows);
-
   /// What this Database remembers of the last base it wrote, or nullopt
   /// before any Save/Checkpoint. The deep invariant checker (fdb/check)
   /// validates the files at its path.
@@ -298,9 +289,6 @@ class Database {
       REQUIRES(txn_mu_);
 
   AttributeRegistry reg_;
-  // Non-owning alias of the immortal process-default dictionary.
-  std::shared_ptr<ValueDict> dict_{std::shared_ptr<ValueDict>(),
-                                   &ValueDict::Default()};
   std::map<std::string, Relation> relations_;
   // Counts AddRelation calls and view publications (not lazy snapshot
   // admissions): Checkpoint compares it with the count its last base

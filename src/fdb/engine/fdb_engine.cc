@@ -316,10 +316,10 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     obs::SpanScope ops_span(tr, "ops");
     int64_t ops_t0 = tr != nullptr ? obs::NowNs() : 0;
     t0 = Clock::now();
-    // EXPLAIN ANALYZE always collects per-operator stats — that is the
-    // point of running it, even though the per-op singleton counts cost
-    // extra walks.
-    bool stats = options.collect_stats || tr != nullptr;
+    // A traced run (EXPLAIN ANALYZE among them) collects per-operator
+    // stats — that is the point of tracing, even though the per-op
+    // singleton counts cost extra walks.
+    bool stats = tr != nullptr;
     const FPlan& plan = result.plan;
     // Resume after the longest cached prefix of the plan over this view
     // version, and cache every intermediate built after it except the
@@ -473,7 +473,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     enum_span.NoteInt("rows", result.rows);
     if (q.limit.has_value()) enum_span.NoteInt("limit", *q.limit);
   }
-  if (options.collect_stats || tr != nullptr) {
+  if (tr != nullptr) {
     result.result_singletons = fact.CountSingletons();
   }
   if (owned != nullptr) result.trace = std::move(owned);

@@ -27,15 +27,12 @@ struct FdbOptions {
   bool factorised_output = false;
   /// State cap for the exhaustive planner before falling back to greedy.
   int exhaustive_max_states = 20000;
-  /// Record per-operator statistics (op_stats, result_singletons). Off by
-  /// default: counting singletons after every operator costs a full walk of
-  /// the factorisation, which would mask the benefit of partial
-  /// restructuring on limit queries.
-  bool collect_stats = false;
   /// Record per-phase spans (with cardinalities and factorisation stats)
-  /// into this trace. Null = tracing off: the execution path pays nothing.
-  /// ExecuteSql creates and attaches one automatically for
-  /// EXPLAIN ANALYZE queries.
+  /// into this trace, and fill FdbResult's per-operator statistics
+  /// (op_stats, result_singletons). Null = tracing off: the execution path
+  /// pays nothing, since counting singletons after every operator costs a
+  /// full walk of the factorisation. ExecuteSql creates and attaches one
+  /// automatically for EXPLAIN ANALYZE queries.
   obs::Trace* trace = nullptr;
 };
 
@@ -48,10 +45,13 @@ struct FdbResult {
   int64_t rows = 0;
   std::optional<Factorisation> factorised;
   FPlan plan;
+  /// Per-operator statistics; traced runs only.
   std::vector<FOpStats> op_stats;
   double plan_seconds = 0.0;
   double exec_seconds = 0.0;   ///< f-plan operator execution
   double enum_seconds = 0.0;   ///< result enumeration
+  /// Singletons of the result factorisation; traced runs and factorised
+  /// output only.
   int64_t result_singletons = 0;
   bool used_exhaustive = false;
   /// The execution trace for EXPLAIN ANALYZE queries (null otherwise).

@@ -8,7 +8,6 @@
 /// the specific headers instead.
 
 #include "fdb/core/build.h"          // IWYU pragma: export
-#include "fdb/core/compress.h"       // IWYU pragma: export
 #include "fdb/core/enumerate.h"      // IWYU pragma: export
 #include "fdb/core/factorisation.h"  // IWYU pragma: export
 #include "fdb/core/ftree.h"          // IWYU pragma: export

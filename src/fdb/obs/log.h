@@ -45,9 +45,9 @@ void SetLogEnabled(bool on);
 
 enum class EventType : uint8_t {
   kSlowQuery = 0,   ///< a query exceeded the slow-query threshold
-  kRecovery,        ///< Database::Open replayed deltas / WAL groups
+  kRecovery,        ///< Database::Open replayed WAL groups
   kSave,            ///< Database::Save wrote a full base snapshot
-  kCheckpoint,      ///< Database::Checkpoint (kind: base fold / delta / noop)
+  kCheckpoint,      ///< Database::Checkpoint (kind: base / noop)
   kWalStall,        ///< a WAL commit-group append exceeded the threshold
   kPoolSaturation,  ///< TaskPool queue depth crossed the saturation mark
   kSessionOpen,     ///< a serve session was accepted
@@ -61,7 +61,7 @@ enum class EventType : uint8_t {
 const char* EventTypeName(EventType t);
 
 /// One key + either a string or a numeric value. Built with the F()
-/// helpers so emission sites read as F("deltas", 3), F("path", p).
+/// helpers so emission sites read as F("bytes", 3), F("path", p).
 struct EventField {
   std::string key;
   std::string str;

@@ -143,7 +143,6 @@ std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
   DropSatisfied(init.tree, &init.pending);
   queue.push(std::move(init));
 
-  int explored = 0;
   while (!queue.empty()) {
     State s = queue.top();
     queue.pop();
@@ -155,8 +154,6 @@ std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
                               static_cast<int>(settled.size())};
     }
     if (static_cast<int>(settled.size()) > max_states) return std::nullopt;
-    ++explored;
-    (void)explored;
 
     auto push_successor = [&](FOp op) {
       State t = s;

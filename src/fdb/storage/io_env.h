@@ -11,15 +11,15 @@ namespace fdb {
 namespace storage {
 
 /// Fault-injectable syscall shim. Every write-path operation of the
-/// storage layer — the snapshot writer's FileSink, delta appends, the
+/// storage layer — the snapshot writer's FileSink (base writes) and the
 /// write-ahead log — goes through these wrappers instead of the raw
 /// syscalls, each call tagged with a *site* name ("wal_fsync",
 /// "snapshot_write", "dir_fsync", ...). In production the wrappers are
 /// pass-throughs plus a per-site call counter; under test a *failpoint*
 /// makes a chosen call misbehave, which is how the crash-recovery
 /// harness kills the write path at arbitrary points and how the
-/// failure-injection tests prove Save/Checkpoint leave the previous
-/// chain intact.
+/// failure-injection tests prove a failed Save/Checkpoint leaves the
+/// previous base and its log intact.
 ///
 /// Failpoints come from the FDB_FAILPOINT environment variable (read
 /// once, at first use) or from SetFailpoints(). Spec grammar:

@@ -495,7 +495,7 @@ void UpdatePeak(SaveStats* stats, uint64_t transient) {
 /// The base writer, shared by SerialiseDatabase (BufferSink) and
 /// SaveSnapshot (FileSink). Returns the epoch stamped into the file.
 uint64_t WriteBase(Out* out, const Database& db, SaveStats* stats) {
-  const ValueDict& dict = db.dict();
+  const ValueDict& dict = ValueDict::Default();
   // Interning — and with it rank shifts and new codes — is frozen for
   // the whole serialisation: the rank-ordered string table, the
   // rank-encoded refs in every view segment, and the big-int pool must

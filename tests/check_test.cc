@@ -14,6 +14,7 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/fact_arena.h"
+#include "fdb/core/stats.h"
 #include "fdb/engine/database.h"
 #include "fdb/relational/value_dict.h"
 #include "fdb/serve/admission.h"
@@ -93,6 +94,21 @@ TEST(CheckTest, EnabledFollowsEnvironment) {
   ::unsetenv("FDB_CHECK");
 }
 
+TEST(CheckTest, SharedNodeIsNotACycle) {
+  // The swap operator puts one node under several parents. The walk must
+  // visit each such node once and must not flag it as a cycle.
+  Database db;
+  Factorisation f = testing::MakeSwapDag(&db, "chk_dag");
+  FactFootprint fp = ComputeFootprint(f);
+  check::Report r;
+  check::CheckView("Dag", f, &r);
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  EXPECT_EQ(r.nodes_visited, static_cast<uint64_t>(fp.unions));
+  // One b-root, two a-unions and three shared c-unions; a tree walk
+  // would reach six c-unions.
+  EXPECT_EQ(fp.unions, 6);
+}
+
 // --- seeded corruption class 1: dangling (null) child pointer -------------
 
 TEST(CheckTest, DetectsNullChildPointer) {
@@ -139,7 +155,7 @@ TEST(CheckTest, DetectsForeignArenaNode) {
   // A node in an arena the view never adopted: its memory is not pinned
   // by the view, so it may vanish under the view at any time.
   FactArena foreign;
-  ValueRef v = p.db->dict().Encode(Value(int64_t{7}));
+  ValueRef v = ValueDict::Default().Encode(Value(int64_t{7}));
   FactPtr stray = foreign.NewNode(&v, 1, nullptr, 0);
 
   auto* slots = const_cast<FactPtr*>(parent->children.ptr);

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "fdb/core/build.h"
-#include "fdb/core/compress.h"
 #include "fdb/core/enumerate.h"
+#include "fdb/core/stats.h"
 #include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/obs/metrics.h"
@@ -46,18 +46,15 @@ TEST(CompactTest, CompactPreservesDataAndDropsGarbage) {
 
 TEST(CompactTest, CompactPreservesDagSharing) {
   Database db;
-  AttrId a = db.Attr("cps_a"), b = db.Attr("cps_b");
-  Relation r{RelSchema({a, b})};
-  for (int64_t x : {1, 2, 3, 4}) {
-    for (int64_t y : {10, 20, 30}) r.Add({Value(x), Value(y)});
-  }
-  Factorisation f = FactoriseRelation(r, {a, b});
-  CompressInPlace(&f);
-  int64_t stored = CountStoredSingletons(f);
+  Factorisation f = testing::MakeSwapDag(&db, "cps");
+  int64_t stored = ComputeFootprint(f).singletons;
   f.Compact();
-  EXPECT_EQ(CountStoredSingletons(f), stored);
-  EXPECT_EQ(f.roots()[0]->child(0, 1, 0), f.roots()[0]->child(1, 1, 0));
-  EXPECT_EQ(f.CountTuples(), 12);
+  EXPECT_EQ(ComputeFootprint(f).singletons, stored);
+  const FactNode* root = f.roots()[0];
+  EXPECT_EQ(root->child(0, 1, 0)->child(0, 1, 0),
+            root->child(1, 1, 0)->child(0, 1, 0));
+  EXPECT_EQ(f.CountTuples(), 18);
+  EXPECT_TRUE(f.Validate());
 }
 
 TEST(CompactTest, CompactHandlesEmptyRoots) {

@@ -20,6 +20,7 @@
 #include "fdb/engine/database.h"
 #include "fdb/engine/fdb_engine.h"
 #include "fdb/engine/rdb_engine.h"
+#include "fdb/obs/trace.h"
 #include "fdb/query/parser.h"
 #include "test_util.h"
 
@@ -361,10 +362,12 @@ TEST(ConcurrentDbTest, CachedPlanReadersSeeOnlyPublishedVersions) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
-      FdbOptions opt;
-      opt.collect_stats = true;
       FdbEngine engine(&db);
       while (!stop.load(std::memory_order_relaxed)) {
+        // Traced, for per-op stats.
+        obs::Trace trace;
+        FdbOptions opt;
+        opt.trace = &trace;
         FdbResult r = engine.ExecuteSql(sql, opt);
         bool published = false;
         for (const Relation& e : expected) {

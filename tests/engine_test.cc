@@ -235,18 +235,19 @@ TEST(EngineTest, ViewJoinedWithRelationThrows) {
                std::invalid_argument);
 }
 
-TEST(EngineTest, StatsArePopulatedOnRequest) {
+TEST(EngineTest, StatsArePopulatedOnTracedRuns) {
   Pizzeria p = MakePizzeria();
   FdbEngine fdb(p.db.get());
+  obs::Trace trace;
   FdbOptions opt;
-  opt.collect_stats = true;
+  opt.trace = &trace;
   FdbResult r = fdb.ExecuteSql(
       "SELECT customer, sum(price) FROM R GROUP BY customer", opt);
   EXPECT_FALSE(r.plan.empty());
   EXPECT_EQ(r.op_stats.size(), r.plan.size());
   EXPECT_GE(r.plan_seconds, 0.0);
   EXPECT_GT(r.result_singletons, 0);
-  // Without the option, the walk is skipped entirely.
+  // Without a trace, the walk is skipped entirely.
   FdbResult quiet = fdb.ExecuteSql(
       "SELECT customer, sum(price) FROM R GROUP BY customer");
   EXPECT_TRUE(quiet.op_stats.empty());
@@ -356,10 +357,11 @@ size_t CachedOps(const FdbResult& r) {
   return n;
 }
 
-// Runs `sql` on FDB (with per-op stats) and expects RDB's answer.
+// Runs `sql` on FDB (traced, for per-op stats) and expects RDB's answer.
 FdbResult RunAgainstRdb(Database* db, const std::string& sql) {
+  obs::Trace trace;
   FdbOptions opt;
-  opt.collect_stats = true;
+  opt.trace = &trace;
   FdbResult fr = FdbEngine(db).ExecuteSql(sql, opt);
   RdbResult rr = RdbEngine(db).ExecuteSql(sql);
   EXPECT_TRUE(SameBag(fr.flat, rr.flat, db->registry())) << sql;

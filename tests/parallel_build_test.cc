@@ -1,11 +1,12 @@
 // Parallel FactoriseJoin must be indistinguishable from the serial build:
-// same Flatten bytes, same singleton counts, same compression behaviour,
+// same Flatten bytes, same singleton counts, same sharing after a swap,
 // for every thread count.
 
 #include <gtest/gtest.h>
 
 #include "fdb/core/build.h"
-#include "fdb/core/compress.h"
+#include "fdb/core/ops/swap.h"
+#include "fdb/core/stats.h"
 #include "fdb/exec/task_pool.h"
 #include "fdb/workload/generator.h"
 #include "test_util.h"
@@ -102,15 +103,23 @@ TEST(ParallelBuildTest, LargeStringTrieParallel) {
   EXPECT_TRUE(parallel.Validate());
 }
 
-TEST(ParallelBuildTest, CompressionSharingPreserved) {
-  // d-graph sharing after CompressInPlace depends only on the built
-  // structure: a parallel build must compress exactly as far.
+TEST(ParallelBuildTest, SwapSharingPreserved) {
+  // Swapping item above package shares each package's date subtree under
+  // every item it holds. That sharing depends only on the built
+  // structure, so a parallel build must share exactly as much.
   Database db1, db4;
   Factorisation serial = BuildWorkload(&db1, 1);
   Factorisation parallel = BuildWorkload(&db4, 4);
-  CompressInPlace(&serial);
-  CompressInPlace(&parallel);
-  EXPECT_EQ(CountStoredSingletons(serial), CountStoredSingletons(parallel));
+  int n_item = serial.tree().NodeOfAttr(*db1.registry().Find("item"));
+  ApplySwap(&serial, n_item);
+  WithThreads(4, [&] {
+    ApplySwap(&parallel, n_item);
+    return 0;
+  });
+  int64_t stored = ComputeFootprint(serial).singletons;
+  EXPECT_LT(stored, serial.CountSingletons());
+  EXPECT_EQ(ComputeFootprint(parallel).singletons, stored);
+  EXPECT_EQ(serial.CountSingletons(), parallel.CountSingletons());
   EXPECT_EQ(serial.Flatten().rows(), parallel.Flatten().rows());
 }
 

@@ -47,7 +47,7 @@ TEST(RewriteAtNodeTest, PartialPruneKeepsSiblings) {
   // Remove the value "Friday" from date unions; pizzas whose only date was
   // Friday would vanish (none here: Hawaii has only Friday!).
   FactArena& arena = f.ArenaForWrite();
-  ValueRef friday = f.dict().Encode(Value("Friday"));
+  ValueRef friday = ValueDict::Default().Encode(Value("Friday"));
   RewriteInFactorisation(&f, p.n_date, [&](const FactNode& n) {
     FactBuilder out;
     int k = 1;  // date has one child (customer)

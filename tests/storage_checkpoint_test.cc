@@ -12,7 +12,6 @@
 
 #include "fdb/check/check.h"
 #include "fdb/core/build.h"
-#include "fdb/core/compress.h"
 #include "fdb/core/update.h"
 #include "fdb/engine/csv.h"
 #include "fdb/engine/database.h"
@@ -133,7 +132,7 @@ TEST(StorageCheckpointTest, CheckpointAfterCommitsWritesOneBaseThatReopens) {
 TEST(StorageCheckpointTest, NoChangesIsANoop) {
   std::string path = TempPath("ckpt_noop.fdbs");
   Database db = MakePathDb(50, "ckn");
-  Relation flat = db.MakeRelation({"ckn_x"}, {{1}, {2}});
+  Relation flat = testing::MakeRelation(&db, {"ckn_x"}, {{1}, {2}});
   ASSERT_EQ(db.Checkpoint(path).kind, storage::CheckpointInfo::kBase);
   std::string base = ReadFile(path);
   storage::CheckpointInfo info = db.Checkpoint(path);
@@ -372,7 +371,7 @@ TEST(StorageCheckpointTest, LeftoverDeltaOfAnOlderBuildIsRefused) {
   std::remove(path.c_str());
 }
 
-TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
+TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveCheckpoints) {
   // The storage_snapshot_test trio (DAG sharing, big ints, dictionary
   // remap) through a base and two checkpoints after changes.
   std::string path = TempPath("ckpt_mixed.fdbs");
@@ -380,16 +379,7 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   ValueDict::Default().Encode(Value("aa ckpt-remap"));
   Database db;
   // DAG-shared view, untouched across the checkpoints.
-  {
-    AttrId a = db.Attr("ckm_a"), b = db.Attr("ckm_b");
-    Relation r{RelSchema({a, b})};
-    for (int64_t x : {1, 2, 3, 4}) {
-      for (int64_t y : {10, 20, 30}) r.Add({Value(x), Value(y)});
-    }
-    Factorisation f = FactoriseRelation(r, {a, b});
-    CompressInPlace(&f);
-    db.AddView("Dag", std::move(f));
-  }
+  db.AddView("Dag", testing::MakeSwapDag(&db, "ckm"));
   // Mixed-type path view that the checkpoints will grow.
   AttrId m = db.Attr("ckm_m");
   {
@@ -416,8 +406,9 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   Database via_mono = Database::Open(mono);
   ExpectSameViews(via_ckpt, via_mono);
   // DAG sharing preserved through the checkpoints.
-  EXPECT_EQ(via_ckpt.view("Dag")->roots()[0]->child(0, 1, 0),
-            via_ckpt.view("Dag")->roots()[0]->child(1, 1, 0));
+  const FactNode* dag = via_ckpt.view("Dag")->roots()[0];
+  EXPECT_EQ(dag->child(0, 1, 0)->child(0, 1, 0),
+            dag->child(1, 1, 0)->child(0, 1, 0));
   std::remove(path.c_str());
   std::remove(mono.c_str());
 }

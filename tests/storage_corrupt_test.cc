@@ -5,8 +5,6 @@
 #include <random>
 #include <string>
 
-#include "fdb/core/build.h"
-#include "fdb/core/compress.h"
 #include "fdb/engine/database.h"
 #include "fdb/storage/format.h"
 #include "fdb/storage/snapshot.h"
@@ -19,14 +17,7 @@ namespace {
 // relation, several value types.
 std::string MakeSnapshotBytes() {
   Database db;
-  AttrId a = db.Attr("cor_a"), b = db.Attr("cor_b");
-  Relation r{RelSchema({a, b})};
-  for (int64_t x : {1, 2, 3}) {
-    for (int64_t y : {10, 20}) r.Add({Value(x), Value(y)});
-  }
-  Factorisation f = FactoriseRelation(r, {a, b});
-  CompressInPlace(&f);
-  db.AddView("V", std::move(f));
+  db.AddView("V", testing::MakeSwapDag(&db, "cor"));
   AttrId c = db.Attr("cor_c");
   Relation s{RelSchema({c})};
   s.Add({Value("corrupt test string")});

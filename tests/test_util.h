@@ -13,6 +13,8 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/factorisation.h"
+#include "fdb/core/ops/swap.h"
+#include "fdb/core/stats.h"
 #include "fdb/core/update.h"
 #include "fdb/engine/database.h"
 #include "fdb/relational/rdb_ops.h"
@@ -140,6 +142,48 @@ inline Tuple Row(std::vector<int64_t> vals) {
   Tuple t;
   for (int64_t v : vals) t.push_back(Value(v));
   return t;
+}
+
+/// A flat relation over attributes `attrs` (interned in `db`'s registry)
+/// holding `rows` of int64 values.
+inline Relation MakeRelation(Database* db,
+                             const std::vector<std::string>& attrs,
+                             const std::vector<std::vector<int64_t>>& rows) {
+  std::vector<AttrId> ids;
+  for (const std::string& a : attrs) ids.push_back(db->Attr(a));
+  Relation rel{RelSchema(std::move(ids))};
+  for (const auto& row : rows) rel.Add(Row(row));
+  return rel;
+}
+
+/// A factorisation whose nodes are shared, made by the engine's own swap
+/// operator. R(a, b) ⋈ S(a, c), with three a-values that each join
+/// b ∈ {10, 20} and c ∈ {7, 8, 9}, is factorised over a → {b, c} and then
+/// swapped on b, giving b → a → c. ApplySwap puts each E_a (the c-union
+/// of one a) under every b that a joins, so the DAG holds 2 + 2·3 + 2·3·3
+/// = 26 logical singletons and stores 2 + 2·3 + 3·3 = 17. With the b-root
+/// `r`, `r->child(0, 1, 0)->child(i, 1, 0)` and
+/// `r->child(1, 1, 0)->child(i, 1, 0)` are one node for each i. The
+/// attributes are `prefix`_a, _b and _c, interned in `db`'s registry.
+inline Factorisation MakeSwapDag(Database* db, const std::string& prefix) {
+  AttrId a = db->Attr(prefix + "_a"), b = db->Attr(prefix + "_b"),
+         c = db->Attr(prefix + "_c");
+  Relation r{RelSchema({a, b})}, s{RelSchema({a, c})};
+  for (int64_t x : {1, 2, 3}) {
+    for (int64_t y : {10, 20}) r.Add(Row({x, y}));
+    for (int64_t z : {7, 8, 9}) s.Add(Row({x, z}));
+  }
+  FTree tree;
+  int na = tree.AddNode({a}, -1);
+  int nb = tree.AddNode({b}, na);
+  tree.AddNode({c}, na);
+  tree.AddEdge({{a, b}, 6.0, "R"});
+  tree.AddEdge({{a, c}, 9.0, "S"});
+  Factorisation f = FactoriseJoin(tree, {&r, &s});
+  ApplySwap(&f, nb);
+  EXPECT_LT(ComputeFootprint(f).singletons, f.CountSingletons())
+      << "the swap shared no node";
+  return f;
 }
 
 /// Inserts `tuple` into an unpublished path view as a one-op ApplyBatch.
