@@ -300,23 +300,22 @@ int64_t RootUnionEntries(const Factorisation& f,
   return f.roots()[f.tree().SlotOf(visit_order[0])]->size();
 }
 
-// The enumeration loop: drains `e` into `sink`, at most `limit` rows.
+// The enumeration loop: drains `e` into `sink` until the sink has kept
+// `limit` rows; returns the number it kept.
 template <class E>
 int64_t Drain(E& e, std::optional<int64_t> limit, RowSink* sink) {
   Tuple row(e.row_arity());
   EnumLimiter lim(e.schema().arity());
   int64_t n = 0;
-  while (e.Next()) {
+  while ((!limit.has_value() || n < *limit) && e.Next()) {
     lim.Row();
-    if (limit.has_value() && n >= *limit) break;
     if constexpr (std::is_same_v<E, Enumerator>) {
       // Only the columns of the changed visit-order suffix need rewriting.
       e.FillFrom(&row, e.ChangedFrom());
     } else {
       e.Fill(&row);
     }
-    sink->Add(row);
-    ++n;
+    if (sink->Add(row)) ++n;
   }
   return n;
 }
@@ -386,12 +385,12 @@ Relation EnumerateToRelation(const Factorisation& f,
   return std::move(sink.relation());
 }
 
-Relation GroupAggToRelation(const Factorisation& f,
-                            const std::vector<int>& visit_order,
-                            const std::vector<SortDir>& dirs,
-                            const std::vector<AggTask>& tasks,
-                            const std::vector<AttrId>& task_ids,
-                            std::optional<int64_t> limit) {
+int64_t GroupAggInto(const Factorisation& f,
+                     const std::vector<int>& visit_order,
+                     const std::vector<SortDir>& dirs,
+                     const std::vector<AggTask>& tasks,
+                     const std::vector<AttrId>& task_ids,
+                     std::optional<int64_t> limit, RowSink* sink) {
   // Chunks other than rank 0 build their own enumerator (and per-task
   // composition analyses); rank 0 reuses the probe's.
   auto make = [&](std::optional<GroupAggEnumerator>* e) {
@@ -399,9 +398,7 @@ Relation GroupAggToRelation(const Factorisation& f,
   };
   std::optional<GroupAggEnumerator> probe;
   make(&probe);
-  RelationSink sink;
-  Run(f, visit_order, &*probe, make, limit, probe->schema(), &sink);
-  return std::move(sink.relation());
+  return Run(f, visit_order, &*probe, make, limit, probe->schema(), sink);
 }
 
 }  // namespace fdb

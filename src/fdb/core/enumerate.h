@@ -166,8 +166,10 @@ class RowSink {
   virtual ~RowSink() = default;
   /// Called once, before the first row, with the output columns.
   virtual void Begin(const RelSchema& schema) = 0;
-  /// One output row; the reference is valid only during the call.
-  virtual void Add(const Tuple& row) = 0;
+  /// One output row; the reference is valid only during the call. Returns
+  /// whether the sink kept it: a filtering sink (HAVING) may drop rows,
+  /// and an enumeration's limit counts kept rows only.
+  virtual bool Add(const Tuple& row) = 0;
   /// A fresh sink for one rank chunk. Begin is never called on it; it is
   /// filled on a pool worker and handed back to AppendChunk.
   virtual std::unique_ptr<RowSink> NewChunk() = 0;
@@ -179,7 +181,10 @@ class RowSink {
 class RelationSink : public RowSink {
  public:
   void Begin(const RelSchema& schema) override { rel_ = Relation(schema); }
-  void Add(const Tuple& row) override { rel_.Add(row); }
+  bool Add(const Tuple& row) override {
+    rel_.Add(row);
+    return true;
+  }
   std::unique_ptr<RowSink> NewChunk() override {
     return std::make_unique<RelationSink>();
   }
@@ -192,10 +197,10 @@ class RelationSink : public RowSink {
 };
 
 /// Enumerates `f` in the given visit order and directions into `sink`,
-/// stopping after `limit` tuples if provided (operator λ_k), and returns
-/// the number of rows sent. Each row is written once, with the columns
-/// `out_cols` (attributes of the enumerated schema, in output order; empty
-/// = every attribute in visit order).
+/// stopping once the sink has kept `limit` rows if provided (operator
+/// λ_k), and returns the number of rows it kept. Each row is written once,
+/// with the columns `out_cols` (attributes of the enumerated schema, in
+/// output order; empty = every attribute in visit order).
 ///
 /// Unlimited enumerations of large factorisations run in parallel on
 /// TaskPool::Default(): the first visit position's union is split into
@@ -217,17 +222,19 @@ Relation EnumerateToRelation(const Factorisation& f,
                              std::optional<int64_t> limit = std::nullopt);
 
 /// Enumerates the grouping fragment with on-the-fly aggregate evaluation
-/// (GroupAggEnumerator) into a flat relation, stopping after `limit`
-/// groups if provided. It runs the same loop as EnumerateInto, chunked the
-/// same way: one GroupAggEnumerator per rank chunk, and aggregates are
-/// evaluated wholly within the chunk that owns the group, so the output is
-/// thread-count independent.
-Relation GroupAggToRelation(const Factorisation& f,
-                            const std::vector<int>& visit_order,
-                            const std::vector<SortDir>& dirs,
-                            const std::vector<AggTask>& tasks,
-                            const std::vector<AttrId>& task_ids,
-                            std::optional<int64_t> limit = std::nullopt);
+/// (GroupAggEnumerator) into `sink`: one row per group, the grouping
+/// attributes in visit order followed by the task columns. Like
+/// EnumerateInto it stops once the sink has kept `limit` rows, returns the
+/// number kept, and splits unlimited enumerations into rank chunks — one
+/// GroupAggEnumerator per chunk, each group's aggregates evaluated wholly
+/// within the chunk that owns it — so the output is thread-count
+/// independent.
+int64_t GroupAggInto(const Factorisation& f,
+                     const std::vector<int>& visit_order,
+                     const std::vector<SortDir>& dirs,
+                     const std::vector<AggTask>& tasks,
+                     const std::vector<AttrId>& task_ids,
+                     std::optional<int64_t> limit, RowSink* sink);
 
 }  // namespace fdb
 

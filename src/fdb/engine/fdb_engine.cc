@@ -98,11 +98,10 @@ void GroupVisitOrder(const FTree& tree, const std::vector<AttrId>& group,
   }
 }
 
-// Single-row result of a full aggregation (empty GROUP BY): SQL semantics
-// on empty input are count = 0 and NULL for sum/min/max.
-Relation FullAggregation(const Factorisation& f, const BoundQuery& q) {
-  std::vector<AttrId> attrs = q.task_ids;
-  Relation raw{RelSchema(std::move(attrs))};
+// The one raw row of a full aggregation (empty GROUP BY), its task
+// columns in task order: SQL semantics on empty input are count = 0 and
+// NULL for sum/min/max.
+Tuple FullAggregation(const Factorisation& f, const BoundQuery& q) {
   Tuple row;
   if (f.empty()) {
     for (const AggTask& t : q.tasks) {
@@ -118,8 +117,26 @@ Relation FullAggregation(const Factorisation& f, const BoundQuery& q) {
       row.push_back(EvalAggregateProduct(f.tree(), parts, t));
     }
   }
-  raw.Add(std::move(row));
-  return raw;
+  return row;
+}
+
+// Streams the raw rows of a grouped or DISTINCT query (group attributes,
+// then task columns) into `sink`, grouping nodes visited order-by list
+// first, until the sink has kept `limit` rows; returns the number kept.
+int64_t GroupsInto(const Factorisation& f, const BoundQuery& q,
+                   const std::vector<SortKey>& order,
+                   std::optional<int64_t> limit, RowSink* sink) {
+  if (q.group.empty() && q.has_aggregates()) {
+    sink->Begin(RelSchema(q.task_ids));
+    if (limit.has_value() && *limit <= 0) return 0;
+    return sink->Add(FullAggregation(f, q)) ? 1 : 0;
+  }
+  std::vector<int> visit;
+  std::vector<SortDir> dirs;
+  GroupVisitOrder(f.tree(), q.group, order, &visit, &dirs);
+  // Unlimited group enumerations fork per root-union chunk on the
+  // default pool (see GroupAggInto).
+  return GroupAggInto(f, visit, dirs, q.tasks, q.task_ids, limit, sink);
 }
 
 }  // namespace
@@ -384,37 +401,19 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
   // --- enumerate -----------------------------------------------------------
   obs::SpanScope enum_span(tr, q.has_aggregates() ? "aggregate" : "enumerate");
   t0 = Clock::now();
-  // Enumeration may stop early at LIMIT only when no HAVING filter runs
-  // afterwards (HAVING drops rows, so the limit must apply post-filter).
-  std::optional<int64_t> enum_limit =
-      q.having.empty() ? q.limit : std::nullopt;
   RelationSink collect;
   RowSink* dst = sink != nullptr ? sink : &collect;
 
   if (q.has_aggregates() || q.distinct_projection) {
-    Relation raw;
-    if (q.group.empty() && q.has_aggregates()) {
-      raw = FullAggregation(fact, q);
-    } else {
-      std::vector<int> visit;
-      std::vector<SortDir> dirs;
-      GroupVisitOrder(fact.tree(), q.group,
-                      order_via_result ? std::vector<SortKey>{} : q.order_by,
-                      &visit, &dirs);
-      std::optional<int64_t> raw_limit;
-      if (!order_via_result) raw_limit = enum_limit;
-      // Unlimited group enumerations fork per root-union chunk on the
-      // default pool (see GroupAggToRelation).
-      raw = GroupAggToRelation(fact, visit, dirs, q.tasks, q.task_ids,
-                               raw_limit);
-    }
-    Relation out = AssembleOutputs(q, raw, order_via_result
-                                               ? std::nullopt
-                                               : q.limit);
     if (order_via_result) {
-      // Factorise the (small) result grouped by the order-by list and
-      // enumerate it back in order — the paper's restructuring of the
-      // aggregated result (Q7) — in SELECT column order.
+      // Collect the (small) result through the output stage, factorise it
+      // grouped by the order-by list and enumerate it back in order — the
+      // paper's restructuring of the aggregated result (Q7) — in SELECT
+      // column order.
+      RelationSink grouped;
+      OutputStage stage(q, &grouped);
+      GroupsInto(fact, q, {}, std::nullopt, &stage);
+      const Relation& out = grouped.relation();
       std::vector<AttrId> path;
       for (const SortKey& k : q.order_by) {
         if (std::find(path.begin(), path.end(), k.attr) == path.end()) {
@@ -438,10 +437,11 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
       result.rows = EnumerateInto(rf, visit, dirs, q.limit,
                                   out.schema().attrs(), dst);
     } else {
-      // The group relation is small: hand it over whole.
-      dst->Begin(out.schema());
-      for (const Tuple& row : out.rows()) dst->Add(row);
-      result.rows = out.size();
+      // Each group streams through the output stage (HAVING, avg, SELECT
+      // order) into the sink as it is enumerated; LIMIT stops the
+      // enumeration at the limit-th row HAVING keeps.
+      OutputStage stage(q, dst);
+      result.rows = GroupsInto(fact, q, q.order_by, q.limit, &stage);
     }
   } else {
     // SELECT * over an SPJ query: ordered full enumeration.
@@ -465,7 +465,7 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     }
     std::vector<AttrId> want;
     for (const OutputColumn& c : q.outputs) want.push_back(c.attr);
-    result.rows = EnumerateInto(fact, visit, dirs, enum_limit, want, dst);
+    result.rows = EnumerateInto(fact, visit, dirs, q.limit, want, dst);
   }
   result.flat = std::move(collect.relation());  // empty when streamed
   result.enum_seconds = Since(t0);

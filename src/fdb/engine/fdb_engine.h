@@ -76,9 +76,12 @@ class FdbEngine {
   /// metrics are enabled.
   ///
   /// With a `sink`, the flat output streams into it in SELECT column
-  /// order while it is enumerated, and `flat` stays empty; without one it
-  /// is collected into `flat`. Either way `rows` counts it. A sink sees
-  /// Begin before any row, and nothing at all in factorised-output mode.
+  /// order while it is enumerated — grouped results group by group,
+  /// through an OutputStage — and `flat` stays empty; without one it is
+  /// collected into `flat`. Only ORDER BY on an aggregate alias and a
+  /// full aggregation's one row are collected before they reach the
+  /// sink. Either way `rows` counts the output. A sink sees Begin before
+  /// any row, and nothing at all in factorised-output mode.
   FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {},
                     RowSink* sink = nullptr);
 

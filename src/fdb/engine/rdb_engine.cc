@@ -154,7 +154,12 @@ RdbResult RdbEngine::ExecuteImpl(const BoundQuery& q,
                   ? SortGroupAggregate(raw, q.group, q.tasks, q.task_ids)
                   : HashGroupAggregate(raw, q.group, q.tasks, q.task_ids);
       }
-      out = AssembleOutputs(q, raw);
+      // The FDB engine's output stage: HAVING, avg and SELECT order.
+      RelationSink assembled;
+      OutputStage stage(q, &assembled);
+      stage.Begin(raw.schema());
+      for (const Tuple& row : raw.rows()) stage.Add(row);
+      out = std::move(assembled.relation());
     } else if (q.distinct_projection) {
       std::vector<AttrId> want;
       for (const OutputColumn& c : q.outputs) want.push_back(c.attr);

@@ -402,81 +402,74 @@ BoundQuery Bind(const ParsedQuery& q, Database* db) {
   return out;
 }
 
-Relation AssembleOutputs(const BoundQuery& q, const Relation& raw,
-                         std::optional<int64_t> limit_rows) {
-  // Resolve positions of group attributes and task columns in `raw`.
-  std::vector<int> task_pos(q.tasks.size(), -1);
-  for (size_t t = 0; t < q.tasks.size(); ++t) {
-    task_pos[t] = raw.schema().IndexOf(q.task_ids[t]);
-    if (task_pos[t] < 0) {
-      throw std::logic_error("AssembleOutputs: missing task column");
-    }
-  }
-  std::vector<int> col_pos;
-  for (const OutputColumn& c : q.outputs) {
-    col_pos.push_back(c.kind == OutputColumn::Kind::kGroup
-                          ? raw.schema().IndexOf(c.attr)
-                          : -1);
-    if (c.kind == OutputColumn::Kind::kGroup && col_pos.back() < 0) {
-      throw std::logic_error("AssembleOutputs: missing group column");
-    }
-  }
-  std::vector<int> having_pos;
-  for (const BoundHaving& h : q.having) {
-    having_pos.push_back(h.kind == BoundHaving::Kind::kGroupCol
-                             ? raw.schema().IndexOf(h.attr)
-                             : -1);
-  }
-
-  std::vector<AttrId> out_attrs;
-  for (const OutputColumn& c : q.outputs) out_attrs.push_back(c.attr);
-  Relation out{RelSchema(std::move(out_attrs))};
-
-  auto avg_of = [&](const Tuple& row, int sum_task, int cnt_task) {
-    double s = row[task_pos[sum_task]].numeric();
-    double c = row[task_pos[cnt_task]].numeric();
-    return Value(s / c);
+void OutputStage::Begin(const RelSchema& raw) {
+  const BoundQuery& q = *q_;
+  auto group_pos = [&raw](AttrId a) {
+    int pos = raw.IndexOf(a);
+    if (pos < 0) throw std::logic_error("OutputStage: missing group column");
+    return pos;
   };
-
-  for (const Tuple& row : raw.rows()) {
-    if (limit_rows.has_value() && out.size() >= *limit_rows) break;
-    bool keep = true;
-    for (size_t h = 0; h < q.having.size() && keep; ++h) {
-      const BoundHaving& b = q.having[h];
-      Value lhs;
-      switch (b.kind) {
-        case BoundHaving::Kind::kGroupCol:
-          lhs = row[having_pos[h]];
-          break;
-        case BoundHaving::Kind::kTask:
-          lhs = row[task_pos[b.task]];
-          break;
-        case BoundHaving::Kind::kAvg:
-          lhs = avg_of(row, b.task, b.task2);
-          break;
-      }
-      keep = EvalCmp(lhs, b.op, b.rhs);
+  task_pos_.assign(q.tasks.size(), -1);
+  for (size_t t = 0; t < q.tasks.size(); ++t) {
+    task_pos_[t] = raw.IndexOf(q.task_ids[t]);
+    if (task_pos_[t] < 0) {
+      throw std::logic_error("OutputStage: missing task column");
     }
-    if (!keep) continue;
-    Tuple t;
-    t.reserve(q.outputs.size());
-    for (size_t c = 0; c < q.outputs.size(); ++c) {
-      const OutputColumn& col = q.outputs[c];
-      switch (col.kind) {
-        case OutputColumn::Kind::kGroup:
-          t.push_back(row[col_pos[c]]);
-          break;
-        case OutputColumn::Kind::kAgg:
-          t.push_back(row[task_pos[col.task]]);
-          break;
-        case OutputColumn::Kind::kAvg:
-          t.push_back(avg_of(row, col.task, col.task2));
-          break;
-      }
-    }
-    out.Add(std::move(t));
   }
-  return out;
+  col_pos_.clear();
+  std::vector<AttrId> out_attrs;
+  for (const OutputColumn& c : q.outputs) {
+    int pos = -1;
+    if (c.kind == OutputColumn::Kind::kGroup) pos = group_pos(c.attr);
+    if (c.kind == OutputColumn::Kind::kAgg) pos = task_pos_[c.task];
+    col_pos_.push_back(pos);
+    out_attrs.push_back(c.attr);
+  }
+  having_pos_.clear();
+  for (const BoundHaving& h : q.having) {
+    int pos = -1;
+    if (h.kind == BoundHaving::Kind::kGroupCol) pos = group_pos(h.attr);
+    if (h.kind == BoundHaving::Kind::kTask) pos = task_pos_[h.task];
+    having_pos_.push_back(pos);
+  }
+  out_.assign(q.outputs.size(), Value());
+  dst_->Begin(RelSchema(std::move(out_attrs)));
+}
+
+Value OutputStage::Avg(const Tuple& raw, int sum_task, int count_task) const {
+  return Value(raw[task_pos_[sum_task]].numeric() /
+               raw[task_pos_[count_task]].numeric());
+}
+
+bool OutputStage::Add(const Tuple& raw) {
+  for (size_t h = 0; h < q_->having.size(); ++h) {
+    const BoundHaving& b = q_->having[h];
+    bool keep = having_pos_[h] >= 0
+                    ? EvalCmp(raw[having_pos_[h]], b.op, b.rhs)
+                    : EvalCmp(Avg(raw, b.task, b.task2), b.op, b.rhs);
+    if (!keep) return false;
+  }
+  for (size_t c = 0; c < out_.size(); ++c) {
+    const OutputColumn& col = q_->outputs[c];
+    out_[c] = col_pos_[c] >= 0 ? raw[col_pos_[c]]
+                               : Avg(raw, col.task, col.task2);
+  }
+  return dst_->Add(out_);
+}
+
+std::unique_ptr<RowSink> OutputStage::NewChunk() {
+  auto chunk = std::make_unique<OutputStage>(*q_, nullptr);
+  chunk->own_ = dst_->NewChunk();
+  chunk->dst_ = chunk->own_.get();
+  chunk->task_pos_ = task_pos_;
+  chunk->col_pos_ = col_pos_;
+  chunk->having_pos_ = having_pos_;
+  chunk->out_ = out_;
+  return chunk;
+}
+
+void OutputStage::AppendChunk(std::unique_ptr<RowSink> chunk) {
+  dst_->AppendChunk(std::move(static_cast<OutputStage&>(*chunk).own_));
 }
 
 }  // namespace fdb

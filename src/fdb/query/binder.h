@@ -1,12 +1,14 @@
 #ifndef FDB_QUERY_BINDER_H_
 #define FDB_QUERY_BINDER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "fdb/core/enumerate.h"
 #include "fdb/engine/database.h"
 #include "fdb/query/ast.h"
 #include "fdb/relational/agg.h"
@@ -77,12 +79,39 @@ struct BoundQuery {
 /// not a SELECT. Interns output aliases in the database registry.
 BoundQuery Bind(const ParsedQuery& q, Database* db);
 
-/// Builds the final output relation from a raw relation whose schema
-/// contains all group attributes and task columns (in any order): applies
-/// HAVING, computes avg columns, and projects to SELECT order. Preserves
-/// row order; stops after `limit_rows` output rows if provided.
-Relation AssembleOutputs(const BoundQuery& q, const Relation& raw,
-                         std::optional<int64_t> limit_rows = std::nullopt);
+/// The per-row output stage of a grouped or DISTINCT query: a RowSink
+/// adapter over `dst`. Its input rows (the raw schema handed to Begin)
+/// hold every group attribute and task column, in any order. Each row
+/// must pass the HAVING conjuncts; a kept row gets its avg columns
+/// computed and is mapped to SELECT order in one reused tuple, which goes
+/// to `dst` (whose Begin receives the SELECT-order schema). Add returns
+/// whether `dst` kept the row, so a limit on the enumeration feeding the
+/// stage counts output rows. NewChunk/AppendChunk wrap dst's, so rank
+/// chunks keep their order. `q` and `dst` must outlive the stage.
+class OutputStage : public RowSink {
+ public:
+  OutputStage(const BoundQuery& q, RowSink* dst) : q_(&q), dst_(dst) {}
+
+  /// Resolves the raw columns; throws std::logic_error if a group
+  /// attribute or task column the query needs is missing.
+  void Begin(const RelSchema& raw) override;
+  bool Add(const Tuple& raw) override;
+  std::unique_ptr<RowSink> NewChunk() override;
+  void AppendChunk(std::unique_ptr<RowSink> chunk) override;
+
+ private:
+  Value Avg(const Tuple& raw, int sum_task, int count_task) const;
+
+  const BoundQuery* q_;
+  RowSink* dst_;
+  std::unique_ptr<RowSink> own_;  // a chunk stage's dst
+  // Raw position of each task column; of each output column and HAVING
+  // conjunct's left side (-1 where it is an avg, computed per row).
+  std::vector<int> task_pos_;
+  std::vector<int> col_pos_;
+  std::vector<int> having_pos_;
+  Tuple out_;  // the output row, reused
+};
 
 }  // namespace fdb
 

@@ -140,9 +140,10 @@ class Session::WireSink : public RowSink {
     AppendFrame(out_, FrameType::kSchema, payload.data(), payload.size());
   }
 
-  void Add(const Tuple& row) override {
+  bool Add(const Tuple& row) override {
     AppendRowFrame(out_, row);
     if (session_ != nullptr) session_->MaybeFlush(out_);
+    return true;
   }
 
   std::unique_ptr<RowSink> NewChunk() override {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fdb/core/build.h"
 #include "fdb/engine/fdb_engine.h"
 #include "fdb/engine/rdb_engine.h"
 #include "fdb/query/parser.h"
@@ -189,7 +190,7 @@ TEST(BinderTest, SelectStarOrderByAnyColumn) {
   EXPECT_EQ(q.order_by.size(), 1u);
 }
 
-TEST(BinderTest, AssembleOutputsComputesAvgAndHaving) {
+TEST(BinderTest, OutputStageComputesAvgAndHaving) {
   Pizzeria p = MakePizzeria();
   BoundQuery q = Bind(
       ParseSql("SELECT customer, avg(price) AS ap FROM R GROUP BY customer "
@@ -201,24 +202,45 @@ TEST(BinderTest, AssembleOutputsComputesAvgAndHaving) {
   Relation raw{RelSchema(attrs)};
   raw.Add({Value("A"), Value(10), Value(4)});   // avg 2.5, kept
   raw.Add({Value("B"), Value(10), Value(2)});   // filtered by having
-  Relation out = AssembleOutputs(q, raw);
+  RelationSink sink;
+  OutputStage stage(q, &sink);
+  stage.Begin(raw.schema());
+  EXPECT_TRUE(stage.Add(raw.rows()[0]));
+  EXPECT_FALSE(stage.Add(raw.rows()[1]));
+  const Relation& out = sink.relation();
+  EXPECT_EQ(out.schema().attrs(),
+            (std::vector<AttrId>{p.attr("customer"), q.outputs[1].attr}));
   ASSERT_EQ(out.size(), 1);
   EXPECT_EQ(out.rows()[0][0].as_string(), "A");
   EXPECT_DOUBLE_EQ(out.rows()[0][1].as_double(), 2.5);
 }
 
-TEST(BinderTest, AssembleOutputsRespectsLimit) {
+// An enumeration's limit over the output stage counts the rows the stage
+// keeps, so HAVING-dropped rows do not use up the limit.
+TEST(BinderTest, OutputStageRespectsLimit) {
   Pizzeria p = MakePizzeria();
-  BoundQuery q = Bind(
-      ParseSql("SELECT customer, count(*) FROM R GROUP BY customer"),
-      p.db.get());
-  std::vector<AttrId> attrs = {p.attr("customer"), q.task_ids[0]};
-  Relation raw{RelSchema(attrs)};
-  raw.Add({Value("A"), Value(1)});
-  raw.Add({Value("B"), Value(2)});
-  raw.Add({Value("C"), Value(3)});
-  Relation out = AssembleOutputs(q, raw, 2);
-  EXPECT_EQ(out.size(), 2);
+  for (const char* having : {"", " HAVING count(*) > 1"}) {
+    SCOPED_TRACE(having);
+    BoundQuery q = Bind(
+        ParseSql(std::string("SELECT customer, count(*) FROM R GROUP BY "
+                             "customer") + having),
+        p.db.get());
+    std::vector<AttrId> attrs = {p.attr("customer"), q.task_ids[0]};
+    Relation raw{RelSchema(attrs)};
+    raw.Add({Value("A"), Value(1)});
+    raw.Add({Value("B"), Value(2)});
+    raw.Add({Value("C"), Value(3)});
+    Factorisation f = FactoriseRelation(raw, attrs);
+    RelationSink sink;
+    OutputStage stage(q, &sink);
+    EXPECT_EQ(EnumerateInto(f, f.tree().TopologicalOrder(),
+                            {SortDir::kAsc, SortDir::kAsc}, 2, {}, &stage),
+              2);
+    const Relation& out = sink.relation();
+    ASSERT_EQ(out.size(), 2);
+    EXPECT_EQ(out.rows()[0][0].as_string(), *having ? "B" : "A");
+    EXPECT_EQ(out.rows()[1][0].as_string(), *having ? "C" : "B");
+  }
 }
 
 }  // namespace

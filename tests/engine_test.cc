@@ -141,6 +141,45 @@ TEST(EngineTest, HavingFiltersGroups) {
   EXPECT_EQ(r.flat.rows()[0][0].as_string(), "Mario");
 }
 
+// Grouped rows stream through one output stage (HAVING, avg, SELECT
+// order) under the enumeration's LIMIT, which counts the rows HAVING
+// keeps: ordered on a group column, the enumeration stops at the k-th
+// kept group. Every RDB grouping strategy must give the same rows in the
+// same order.
+TEST(EngineTest, HavingAvgAndLimitAgreeWithEveryRdbGrouping) {
+  Pizzeria p = MakePizzeria();
+  RdbOptions sort, hash, eager;
+  hash.grouping = RdbOptions::Grouping::kHash;
+  eager.eager = true;
+  const std::vector<std::string> queries = {
+      // HAVING drops the first group in order (Margherita, count 1).
+      "SELECT pizza, count(*) AS c FROM R GROUP BY pizza HAVING c > 1 "
+      "ORDER BY pizza DESC LIMIT 1",
+      // HAVING drops the middle group (Mario, revenue 22).
+      "SELECT customer, sum(price) AS revenue FROM R GROUP BY customer "
+      "HAVING revenue < 20 ORDER BY customer LIMIT 2",
+      "SELECT customer, avg(price) AS ap FROM R GROUP BY customer "
+      "HAVING avg(price) > 3 ORDER BY customer",
+      "SELECT DISTINCT pizza, item FROM R ORDER BY pizza DESC, item LIMIT 4",
+  };
+  FdbEngine fdb(p.db.get());
+  RdbEngine rdb(p.db.get());
+  for (const std::string& sql : queries) {
+    for (const RdbOptions* ropt : {&sort, &hash, &eager}) {
+      ExpectEnginesAgree(p, sql, {}, *ropt);
+      Relation f = fdb.ExecuteSql(sql).flat;
+      Relation r = rdb.ExecuteSql(sql, *ropt).flat;
+      EXPECT_EQ(f.schema().attrs(), r.schema().attrs()) << sql;
+      EXPECT_EQ(f.rows(), r.rows()) << sql;
+    }
+  }
+  EXPECT_EQ(fdb.ExecuteSql(queries[0]).flat.rows(),
+            (std::vector<Tuple>{{Value("Hawaii"), Value(int64_t{6})}}));
+  EXPECT_EQ(fdb.ExecuteSql(queries[1]).flat.size(), 2);
+  EXPECT_EQ(fdb.ExecuteSql(queries[2]).flat.size(), 1);
+  EXPECT_EQ(fdb.ExecuteSql(queries[3]).flat.size(), 4);
+}
+
 TEST(EngineTest, LimitOnOrderedEnumeration) {
   Pizzeria p = MakePizzeria();
   FdbEngine fdb(p.db.get());

@@ -186,8 +186,10 @@ class PoolSize {
 
 class SessionLimitTest : public ::testing::Test {
  protected:
+  // The benchmark's scale: agg_view's grouped results then outgrow one
+  // flush of the session's buffer.
   void SetUp() override {
-    FillDb(&db_, 4);
+    FillDb(&db_, 8);
   }
 
   std::unique_ptr<Session> MakeSession(const AdmissionConfig& cfg,
@@ -229,6 +231,43 @@ TEST_F(SessionLimitTest, MemoryCapKillsTheQueryWithATypedError) {
       << (frames.back().type == FrameType::kError
               ? DecodeError(frames.back().payload).message
               : "");
+}
+
+// Grouped rows stream to the wire as they are enumerated, and each one
+// is still charged to the statement's memory cap: agg_view's Q1, whose
+// f-plan allocates next to nothing, is killed by a cap below its rows'
+// footprint.
+TEST_F(SessionLimitTest, MemoryCapChargesStreamedGroupRows) {
+  const std::string q1 =
+      "SELECT package, date, customer, sum(price) FROM R1 "
+      "GROUP BY package, date, customer";
+  std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+  std::vector<uint8_t> out;
+  s->HandleStatement(q1, &out);
+  Response full = DecodeResponse(out);
+  ASSERT_TRUE(full.done.has_value());
+  // Every full run of 256 four-column rows is charged.
+  uint64_t row_bytes = full.rows.size() / 256 * 256 * 4 * sizeof(Value);
+  EXPECT_GE(full.done->mem_charged, row_bytes);
+
+  AdmissionConfig cfg;
+  cfg.query_mem_bytes = 256 << 10;
+  ASSERT_GT(row_bytes, 2u * cfg.query_mem_bytes);
+  s = MakeSession(cfg);
+  out.clear();
+  s->HandleStatement(q1, &out);
+  std::vector<Frame> frames = DecodeAll(out);
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.back().type, FrameType::kError);
+  EXPECT_EQ(DecodeError(frames.back().payload).code, kErrMemory);
+  EXPECT_EQ(s->stats()->killed.load(), 1);
+
+  // The session survives the kill: a small statement runs fine after it.
+  out.clear();
+  s->HandleStatement("SELECT va, vb FROM V", &out);
+  frames = DecodeAll(out);
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().type, FrameType::kDone);
 }
 
 TEST_F(SessionLimitTest, WallTimeCapKillsTheQueryWithATypedError) {
@@ -338,11 +377,51 @@ TEST_F(SessionLimitTest, DrainingSessionRefusesWrites) {
   EXPECT_EQ(v->CountTuples(), 50);
 }
 
+// Runs `sql` on session `s`, whose socket's peer end is `peer`: the
+// session flushes its buffer to the socket whenever it fills while the
+// rows stream, and the unsent tail is written after the statement, as
+// Session::Run does. Returns every byte the peer read, through the Done
+// or Error frame; *flushed receives how many were sent mid-statement.
+std::vector<uint8_t> ServeOverSocket(Session* s, int fd, int peer,
+                                     const std::string& sql,
+                                     size_t* flushed) {
+  std::vector<uint8_t> got;
+  std::thread reader([&got, peer] {
+    FrameDecoder dec;
+    uint8_t buf[64 * 1024];
+    for (bool end = false; !end;) {
+      ssize_t n = ::recv(peer, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      got.insert(got.end(), buf, buf + n);
+      dec.Feed(buf, static_cast<size_t>(n));
+      Frame f;
+      while (dec.Next(&f)) {
+        end = end || f.type == FrameType::kDone ||
+              f.type == FrameType::kError;
+      }
+    }
+  });
+  std::vector<uint8_t> out;
+  s->HandleStatement(sql, &out);
+  for (size_t off = 0; off < out.size();) {
+    ssize_t w = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+    if (w <= 0) {
+      ::shutdown(fd, SHUT_WR);  // ends the reader instead of hanging it
+      break;
+    }
+    off += static_cast<size_t>(w);
+  }
+  reader.join();
+  *flushed = got.size() - out.size();
+  return got;
+}
+
 // The rows a session streams are exactly the rows the engine
 // materialises at one thread, in the same order, whether the session runs
-// at one thread or splits the top union into rank chunks across four.
+// at one thread or splits the top union into rank chunks across four —
+// and whether the rows leave in one write or across several flushes.
 TEST_F(SessionLimitTest, StreamedResultEqualsTheMaterialisedOne) {
-  const std::vector<std::string> queries = {
+  std::vector<std::string> queries = {
       // The ordering experiments' Q10-Q13.
       "SELECT * FROM R1 ORDER BY package, date, item",
       "SELECT * FROM R1 ORDER BY package, item, date",
@@ -354,7 +433,29 @@ TEST_F(SessionLimitTest, StreamedResultEqualsTheMaterialisedOne) {
       "SELECT item, customer FROM R1 ORDER BY item",
       "SELECT price, date FROM R1",
       "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer",
+      // The output stage's avg, DISTINCT, HAVING under LIMIT, and the
+      // collected re-sort on an aggregate alias.
+      "SELECT customer, avg(price) AS ap, count(*) FROM R1 GROUP BY customer",
+      "SELECT DISTINCT date, package FROM R1 LIMIT 25",
+      "SELECT customer, count(*) AS c FROM R1 GROUP BY customer "
+      "HAVING count(*) > 1 ORDER BY customer LIMIT 5",
+      "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer "
+      "ORDER BY revenue LIMIT 5",
   };
+  // The aggregation experiments' Q1, Q3, Q8 and Q9: thousands of groups
+  // streamed through the output stage, more Row frames than one flush
+  // holds. Q8 swaps date to the root, so its groups split into rank
+  // chunks at four threads.
+  const std::vector<std::string> agg_view = {
+      "SELECT package, date, customer, sum(price) FROM R1 "
+      "GROUP BY package, date, customer",
+      "SELECT date, package, sum(price) FROM R1 GROUP BY date, package",
+      "SELECT date, package, sum(price) AS s FROM R1 "
+      "GROUP BY date, package ORDER BY date, package",
+      "SELECT date, package, sum(price) AS s FROM R1 "
+      "GROUP BY date, package ORDER BY package, date",
+  };
+  queries.insert(queries.end(), agg_view.begin(), agg_view.end());
   std::vector<Relation> want;
   {
     PoolSize pool(1);
@@ -364,12 +465,18 @@ TEST_F(SessionLimitTest, StreamedResultEqualsTheMaterialisedOne) {
   }
   for (int threads : {1, 4}) {
     PoolSize pool(threads);
-    std::unique_ptr<Session> s = MakeSession(AdmissionConfig{});
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::unique_ptr<Session> s = MakeSession(AdmissionConfig{}, sv[0]);
     for (size_t q = 0; q < queries.size(); ++q) {
       SCOPED_TRACE(queries[q] + " at " + std::to_string(threads) + " threads");
-      std::vector<uint8_t> out;
-      s->HandleStatement(queries[q], &out);
-      Response r = DecodeResponse(out);
+      size_t flushed = 0;
+      Response r =
+          DecodeResponse(ServeOverSocket(s.get(), sv[0], sv[1], queries[q],
+                                         &flushed));
+      if (q + agg_view.size() >= queries.size()) {
+        EXPECT_GT(flushed, 0u);
+      }
       ASSERT_FALSE(r.error.has_value()) << r.error->message;
       ASSERT_TRUE(r.done.has_value());
 
@@ -384,6 +491,8 @@ TEST_F(SessionLimitTest, StreamedResultEqualsTheMaterialisedOne) {
       }
       EXPECT_EQ(r.done->rows, r.rows.size());
     }
+    s.reset();  // closes sv[0]
+    ::close(sv[1]);
   }
 }
 
