@@ -98,9 +98,12 @@ void ResortBySwap(benchmark::State& state) {
                           f.tree().NodeOfAttr(date),
                           f.tree().NodeOfAttr(package)};
     for (int swap : PlanRestructure(f.tree(), o, {})) ApplySwap(&f, swap);
-    Relation r = EnumerateToRelation(
-        f, OrderedVisitSequence(f.tree(), o),
-        std::vector<SortDir>(3, SortDir::kAsc));
+    VisitOrder v = OrderedVisitSequence(
+        f.tree(),
+        {{customer, SortDir::kAsc}, {date, SortDir::kAsc},
+         {package, SortDir::kAsc}},
+        f.tree().TopologicalOrder());
+    Relation r = EnumerateToRelation(f, v.nodes, v.dirs);
     benchmark::DoNotOptimize(r);
   }
 }

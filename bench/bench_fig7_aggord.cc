@@ -1,7 +1,7 @@
 // Figure 7: the AGG+ORD queries Q6–Q9 on the factorised view R1. The
 // paper's claims: ordering adds only small overhead on top of aggregation —
 // Q6's order falls out of Q2's evaluation for free, and re-ordering by the
-// aggregation result (Q7) restructures only the small aggregated result.
+// aggregation result (Q7) sorts only the small aggregated result.
 
 #include <benchmark/benchmark.h>
 

@@ -66,19 +66,41 @@ std::vector<int> PlanRestructure(const FTree& tree,
   return plan;
 }
 
-std::vector<int> OrderedVisitSequence(const FTree& tree,
-                                      const std::vector<int>& o_nodes) {
-  if (!SupportsOrder(tree, o_nodes)) {
+VisitOrder OrderedVisitSequence(const FTree& tree,
+                                const std::vector<SortKey>& order,
+                                const std::vector<int>& nodes) {
+  VisitOrder v;
+  std::unordered_set<int> seen;
+  for (const SortKey& k : order) {
+    int n = tree.NodeOfAttr(k.attr);
+    if (n < 0) {
+      throw std::logic_error(
+          "OrderedVisitSequence: order attribute not in tree");
+    }
+    if (seen.insert(n).second) {
+      v.nodes.push_back(n);
+      v.dirs.push_back(k.dir);
+    }
+  }
+  if (!SupportsOrder(tree, v.nodes)) {
     throw std::invalid_argument(
         "OrderedVisitSequence: tree does not support the requested order "
         "(Theorem 2)");
   }
-  std::vector<int> out = o_nodes;
-  std::unordered_set<int> seen(o_nodes.begin(), o_nodes.end());
-  for (int n : tree.TopologicalOrder()) {
-    if (!seen.count(n)) out.push_back(n);
+  std::unordered_set<int> rest;
+  for (int n : nodes) {
+    if (n < 0) {
+      throw std::logic_error("OrderedVisitSequence: node not in tree");
+    }
+    rest.insert(n);
   }
-  return out;
+  for (int n : tree.TopologicalOrder()) {
+    if (rest.count(n) && seen.insert(n).second) {
+      v.nodes.push_back(n);
+      v.dirs.push_back(SortDir::kAsc);
+    }
+  }
+  return v;
 }
 
 }  // namespace fdb

@@ -28,11 +28,24 @@ std::vector<int> PlanRestructure(const FTree& tree,
                                  const std::vector<int>& o_nodes,
                                  const std::vector<int>& g_nodes);
 
-/// The enumeration visit order realising order-by `o_nodes` then any order
-/// on the rest: the o-nodes in list order followed by the remaining live
-/// nodes in topological order. Requires SupportsOrder(tree, o_nodes).
-std::vector<int> OrderedVisitSequence(const FTree& tree,
-                                      const std::vector<int>& o_nodes);
+/// An enumeration visit order: the nodes and the direction each one's
+/// values are visited in.
+struct VisitOrder {
+  std::vector<int> nodes;
+  std::vector<SortDir> dirs;
+};
+
+/// The visit order enumerating in ORDER BY `order` (Theorem 2): the nodes
+/// of the order attributes in key order, then the rest of `nodes` (the
+/// grouping nodes, or every live node) in topological order. The first
+/// key on a node sets its direction, so a later key on an attribute
+/// equated into the same node cannot reverse it; every other node is
+/// ascending. Throws std::invalid_argument unless the order nodes satisfy
+/// SupportsOrder, and std::logic_error for an attribute outside the tree
+/// or a negative node id.
+VisitOrder OrderedVisitSequence(const FTree& tree,
+                                const std::vector<SortKey>& order,
+                                const std::vector<int>& nodes);
 
 }  // namespace fdb
 

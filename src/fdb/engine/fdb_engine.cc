@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fdb/core/build.h"
 #include "fdb/core/order.h"
@@ -54,48 +53,17 @@ void NoteFootprint(obs::SpanScope& span, const FactFootprint& fp) {
   span.NoteDouble("compression", fp.CompressionRatio());
 }
 
-// True if any order-by key references a task output (an aggregate alias):
-// those orders are realised by factorising and restructuring the (small)
-// aggregated result instead (Q7 in Experiment 3).
+// True if an aggregate query orders on a key that is not a group column
+// (an aggregate or AVG alias): no enumeration visits it, so those orders
+// sort the small aggregated result instead (Q7 in Experiment 3).
 bool OrderNeedsResult(const BoundQuery& q) {
+  if (!q.has_aggregates()) return false;
   for (const SortKey& k : q.order_by) {
-    for (AttrId id : q.task_ids) {
-      if (k.attr == id) return true;
+    if (std::find(q.group.begin(), q.group.end(), k.attr) == q.group.end()) {
+      return true;
     }
   }
   return false;
-}
-
-// Visit order over the grouping nodes: order-by nodes first (in order-by
-// sequence), then the remaining grouping nodes in topological order.
-void GroupVisitOrder(const FTree& tree, const std::vector<AttrId>& group,
-                     const std::vector<SortKey>& order,
-                     std::vector<int>* visit, std::vector<SortDir>* dirs) {
-  std::unordered_set<int> seen;
-  for (const SortKey& k : order) {
-    int n = tree.NodeOfAttr(k.attr);
-    if (n < 0) {
-      throw std::logic_error("GroupVisitOrder: order attribute not in tree");
-    }
-    if (seen.insert(n).second) {
-      visit->push_back(n);
-      dirs->push_back(k.dir);
-    }
-  }
-  std::unordered_set<int> g_nodes;
-  for (AttrId a : group) {
-    int n = tree.NodeOfAttr(a);
-    if (n < 0) {
-      throw std::logic_error("GroupVisitOrder: group attribute not in tree");
-    }
-    g_nodes.insert(n);
-  }
-  for (int n : tree.TopologicalOrder()) {
-    if (g_nodes.count(n) && seen.insert(n).second) {
-      visit->push_back(n);
-      dirs->push_back(SortDir::kAsc);
-    }
-  }
 }
 
 // The one raw row of a full aggregation (empty GROUP BY), its task
@@ -131,12 +99,12 @@ int64_t GroupsInto(const Factorisation& f, const BoundQuery& q,
     if (limit.has_value() && *limit <= 0) return 0;
     return sink->Add(FullAggregation(f, q)) ? 1 : 0;
   }
-  std::vector<int> visit;
-  std::vector<SortDir> dirs;
-  GroupVisitOrder(f.tree(), q.group, order, &visit, &dirs);
+  std::vector<int> g_nodes;
+  for (AttrId a : q.group) g_nodes.push_back(f.tree().NodeOfAttr(a));
+  VisitOrder v = OrderedVisitSequence(f.tree(), order, g_nodes);
   // Unlimited group enumerations fork per root-union chunk on the
   // default pool (see GroupAggInto).
-  return GroupAggInto(f, visit, dirs, q.tasks, q.task_ids, limit, sink);
+  return GroupAggInto(f, v.nodes, v.dirs, q.tasks, q.task_ids, limit, sink);
 }
 
 }  // namespace
@@ -406,36 +374,19 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
 
   if (q.has_aggregates() || q.distinct_projection) {
     if (order_via_result) {
-      // Collect the (small) result through the output stage, factorise it
-      // grouped by the order-by list and enumerate it back in order — the
-      // paper's restructuring of the aggregated result (Q7) — in SELECT
-      // column order.
-      RelationSink grouped;
-      OutputStage stage(q, &grouped);
+      // Collect the (small) result through the output stage and sort it,
+      // stably, as RdbEngine's sort-limit stage does (Q7); its first
+      // `limit` rows go to the sink.
+      RelationSink collected;
+      OutputStage stage(q, &collected);
       GroupsInto(fact, q, {}, std::nullopt, &stage);
-      const Relation& out = grouped.relation();
-      std::vector<AttrId> path;
-      for (const SortKey& k : q.order_by) {
-        if (std::find(path.begin(), path.end(), k.attr) == path.end()) {
-          path.push_back(k.attr);
-        }
+      Relation& out = collected.relation();
+      out.SortBy(q.order_by);
+      dst->Begin(out.schema());
+      for (const Tuple& row : out.rows()) {
+        if (q.limit.has_value() && result.rows >= *q.limit) break;
+        result.rows += dst->Add(row) ? 1 : 0;
       }
-      for (AttrId a : out.schema().attrs()) {
-        if (std::find(path.begin(), path.end(), a) == path.end()) {
-          path.push_back(a);
-        }
-      }
-      Factorisation rf = FactoriseRelation(out, path);
-      std::vector<int> visit = rf.tree().TopologicalOrder();
-      std::vector<SortDir> dirs(visit.size(), SortDir::kAsc);
-      for (const SortKey& k : q.order_by) {
-        int n = rf.tree().NodeOfAttr(k.attr);
-        for (size_t i = 0; i < visit.size(); ++i) {
-          if (visit[i] == n) dirs[i] = k.dir;
-        }
-      }
-      result.rows = EnumerateInto(rf, visit, dirs, q.limit,
-                                  out.schema().attrs(), dst);
     } else {
       // Each group streams through the output stage (HAVING, avg, SELECT
       // order) into the sink as it is enumerated; LIMIT stops the
@@ -445,27 +396,11 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     }
   } else {
     // SELECT * over an SPJ query: ordered full enumeration.
-    std::vector<int> o_nodes;
-    for (const SortKey& k : q.order_by) {
-      int n = fact.tree().NodeOfAttr(k.attr);
-      if (n < 0) {
-        throw std::logic_error("FdbEngine: order attribute not in tree");
-      }
-      if (std::find(o_nodes.begin(), o_nodes.end(), n) == o_nodes.end()) {
-        o_nodes.push_back(n);
-      }
-    }
-    std::vector<int> visit = OrderedVisitSequence(fact.tree(), o_nodes);
-    std::vector<SortDir> dirs(visit.size(), SortDir::kAsc);
-    for (const SortKey& k : q.order_by) {
-      int n = fact.tree().NodeOfAttr(k.attr);
-      for (size_t i = 0; i < visit.size(); ++i) {
-        if (visit[i] == n) dirs[i] = k.dir;
-      }
-    }
+    VisitOrder v = OrderedVisitSequence(fact.tree(), q.order_by,
+                                        fact.tree().TopologicalOrder());
     std::vector<AttrId> want;
     for (const OutputColumn& c : q.outputs) want.push_back(c.attr);
-    result.rows = EnumerateInto(fact, visit, dirs, q.limit, want, dst);
+    result.rows = EnumerateInto(fact, v.nodes, v.dirs, q.limit, want, dst);
   }
   result.flat = std::move(collect.relation());  // empty when streamed
   result.enum_seconds = Since(t0);

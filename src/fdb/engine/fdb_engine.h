@@ -80,7 +80,9 @@ class FdbEngine {
   /// through an OutputStage — and `flat` stays empty; without one it is
   /// collected into `flat`. Only ORDER BY on an aggregate alias and a
   /// full aggregation's one row are collected before they reach the
-  /// sink. Either way `rows` counts the output. A sink sees Begin before
+  /// sink: the former is sorted (Relation::SortBy, stable) and its first
+  /// `limit` rows go on. Every other ORDER BY is the enumeration's visit
+  /// order (OrderedVisitSequence). Either way `rows` counts the output. A sink sees Begin before
   /// any row, and nothing at all in factorised-output mode.
   FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {},
                     RowSink* sink = nullptr);

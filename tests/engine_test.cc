@@ -9,6 +9,8 @@
 #include "fdb/engine/rdb_engine.h"
 #include "fdb/obs/metrics.h"
 #include "fdb/obs/trace.h"
+#include "fdb/query/parser.h"
+#include "fdb/relational/rdb_ops.h"
 #include "fdb/workload/generator.h"
 #include "test_util.h"
 
@@ -161,6 +163,12 @@ TEST(EngineTest, HavingAvgAndLimitAgreeWithEveryRdbGrouping) {
       "SELECT customer, avg(price) AS ap FROM R GROUP BY customer "
       "HAVING avg(price) > 3 ORDER BY customer",
       "SELECT DISTINCT pizza, item FROM R ORDER BY pizza DESC, item LIMIT 4",
+      // An aggregate alias order whose LIMIT cuts inside five tied counts
+      // (SELECT leaves the group columns out, so the tied rows are equal).
+      "SELECT count(*) AS c FROM R GROUP BY date, item ORDER BY c LIMIT 3",
+      // An AVG alias is no task column, yet must order the result too.
+      "SELECT customer, avg(price) AS ap FROM R GROUP BY customer "
+      "ORDER BY ap DESC, customer LIMIT 2",
   };
   FdbEngine fdb(p.db.get());
   RdbEngine rdb(p.db.get());
@@ -178,6 +186,50 @@ TEST(EngineTest, HavingAvgAndLimitAgreeWithEveryRdbGrouping) {
   EXPECT_EQ(fdb.ExecuteSql(queries[1]).flat.size(), 2);
   EXPECT_EQ(fdb.ExecuteSql(queries[2]).flat.size(), 1);
   EXPECT_EQ(fdb.ExecuteSql(queries[3]).flat.size(), 4);
+  EXPECT_EQ(fdb.ExecuteSql(queries[4]).flat.rows(),
+            (std::vector<Tuple>(3, {Value(int64_t{1})})));
+  Relation ap = fdb.ExecuteSql(queries[5]).flat;
+  ASSERT_EQ(ap.size(), 2);
+  EXPECT_EQ(ap.rows()[0][0], Value("Mario"));
+  EXPECT_EQ(ap.rows()[1][0], Value("Lucia"));
+}
+
+// Ordered results over the generated workload equal every RDB grouping's
+// as a bag, and in order on the ORDER BY columns (rows that tie on them
+// may come in any order).
+TEST(EngineTest, OrderedResultsAgreeWithEveryRdbGrouping) {
+  Database db;
+  InstallWorkload(&db, SmallParams(1));
+  RdbOptions sort, hash, eager;
+  hash.grouping = RdbOptions::Grouping::kHash;
+  eager.eager = true;
+  const std::vector<std::string> queries = {
+      // Tied counts (customers with 72 orders each) within the LIMIT.
+      "SELECT count(*) AS c FROM R1 GROUP BY customer ORDER BY c LIMIT 8",
+      // item = date makes one node of both keys; the first key on it
+      // sets its direction.
+      "SELECT * FROM R1 WHERE item = date ORDER BY item ASC, date DESC",
+      "SELECT * FROM R1 WHERE item = date ORDER BY item ASC, date DESC "
+      "LIMIT 3",
+      "SELECT * FROM R1 WHERE item = date ORDER BY item DESC, date ASC",
+  };
+  FdbEngine fdb(&db);
+  RdbEngine rdb(&db);
+  for (const std::string& sql : queries) {
+    std::vector<AttrId> keys;
+    for (const SortKey& k : Bind(ParseSql(sql), &db).order_by) {
+      keys.push_back(k.attr);
+    }
+    Relation f = fdb.ExecuteSql(sql).flat;
+    EXPECT_GT(f.size(), 1) << sql;
+    for (const RdbOptions* ropt : {&sort, &hash, &eager}) {
+      Relation r = rdb.ExecuteSql(sql, *ropt).flat;
+      EXPECT_TRUE(SameBag(f, r, db.registry())) << sql;
+      EXPECT_EQ(Project(f, keys, /*dedup=*/false).rows(),
+                Project(r, keys, /*dedup=*/false).rows())
+          << sql;
+    }
+  }
 }
 
 TEST(EngineTest, LimitOnOrderedEnumeration) {
@@ -649,6 +701,20 @@ TEST(SortedInputMemoEngineTest, SystemTableLeavesNoEntry) {
   EXPECT_EQ(Count("build.sorted_inputs.hits") - hits, 0u);
   EXPECT_EQ(Count("build.sorted_inputs.misses") - misses, 2u);
   EXPECT_EQ(p.db->SystemTable("fdb.statements")->num_sorted_inputs(), 0u);
+}
+
+TEST(SortedInputMemoEngineTest, AggregateAliasOrderOverAViewBuildsNothing) {
+  MetricsOn metrics;
+  Pizzeria p = MakePizzeria();
+  uint64_t hits = Count("build.sorted_inputs.hits");
+  uint64_t misses = Count("build.sorted_inputs.misses");
+  // Sorting the aggregated result builds no factorisation.
+  FdbResult r = FdbEngine(p.db.get())
+                    .ExecuteSql("SELECT customer, sum(price) AS revenue FROM "
+                                "R GROUP BY customer ORDER BY revenue DESC");
+  EXPECT_EQ(r.flat.size(), 3);
+  EXPECT_EQ(Count("build.sorted_inputs.hits") - hits, 0u);
+  EXPECT_EQ(Count("build.sorted_inputs.misses") - misses, 0u);
 }
 
 TEST(SortedInputMemoEngineTest, ConcurrentColdFlatJoinsMatchRdb) {

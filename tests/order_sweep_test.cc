@@ -56,15 +56,14 @@ TEST_P(OrderSweep, EveryPermutationRealisable) {
   ASSERT_TRUE(SupportsOrder(f.tree(), o_nodes));
 
   // Alternate sort directions to also exercise descending iteration.
-  std::vector<int> visit = OrderedVisitSequence(f.tree(), o_nodes);
-  std::vector<SortDir> dirs(visit.size(), SortDir::kAsc);
   std::vector<SortKey> keys;
   for (size_t i = 0; i < attrs.size(); ++i) {
-    SortDir d = i % 2 == 0 ? SortDir::kAsc : SortDir::kDesc;
-    dirs[i] = d;
-    keys.push_back({attrs[i], d});
+    keys.push_back({attrs[i], i % 2 == 0 ? SortDir::kAsc : SortDir::kDesc});
   }
-  Relation r = EnumerateToRelation(f, visit, dirs);
+  VisitOrder v =
+      OrderedVisitSequence(f.tree(), keys, f.tree().TopologicalOrder());
+  ASSERT_EQ(v.nodes, o_nodes);
+  Relation r = EnumerateToRelation(f, v.nodes, v.dirs);
   EXPECT_EQ(r.size(), 13);
   EXPECT_TRUE(r.IsSortedBy(keys)) << "order: " << names[0] << "," << names[1]
                                   << "," << names[2] << ",...";
@@ -100,15 +99,9 @@ TEST_P(GroupingSweep, EverySubsetRealisable) {
 
   // Enumerate the groups with a count per group; totals must add to 13.
   AttrId out = p.db->registry().Intern("gs_cnt" + std::to_string(mask));
-  std::vector<int> visit;
-  for (int n : f.tree().TopologicalOrder()) {
-    if (std::find(g_nodes.begin(), g_nodes.end(), n) != g_nodes.end()) {
-      visit.push_back(n);
-    }
-  }
-  GroupAggEnumerator e(f, visit,
-                       std::vector<SortDir>(visit.size(), SortDir::kAsc),
-                       {{AggFn::kCount, kInvalidAttr}}, {out});
+  VisitOrder v = OrderedVisitSequence(f.tree(), {}, g_nodes);
+  GroupAggEnumerator e(f, v.nodes, v.dirs, {{AggFn::kCount, kInvalidAttr}},
+                       {out});
   int64_t total = 0;
   int64_t groups = 0;
   Tuple row(e.schema().arity());

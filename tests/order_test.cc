@@ -4,6 +4,7 @@
 
 #include "fdb/core/build.h"
 #include "fdb/core/enumerate.h"
+#include "fdb/core/ops/selection.h"
 #include "fdb/core/ops/swap.h"
 #include "test_util.h"
 
@@ -95,12 +96,13 @@ TEST(PlanRestructureTest, Q13StylePartialResort) {
 
   // Applying it yields correctly ordered enumeration.
   for (int b : plan) ApplySwap(&r3, b);
-  Relation sorted = EnumerateToRelation(
-      r3, OrderedVisitSequence(r3.tree(), {n_customer, n_date, n_pizza}),
-      std::vector<SortDir>(3, SortDir::kAsc));
-  EXPECT_TRUE(sorted.IsSortedBy({{customer, SortDir::kAsc},
-                                 {date, SortDir::kAsc},
-                                 {pizza, SortDir::kAsc}}));
+  std::vector<SortKey> keys = {{customer, SortDir::kAsc},
+                               {date, SortDir::kAsc},
+                               {pizza, SortDir::kAsc}};
+  VisitOrder v =
+      OrderedVisitSequence(r3.tree(), keys, r3.tree().TopologicalOrder());
+  Relation sorted = EnumerateToRelation(r3, v.nodes, v.dirs);
+  EXPECT_TRUE(sorted.IsSortedBy(keys));
   EXPECT_EQ(sorted.size(), 5);
 }
 
@@ -118,17 +120,58 @@ TEST(PlanRestructureTest, SettledNodesNeverMove) {
 
 TEST(OrderedVisitSequenceTest, PrefixesAreOrderNodes) {
   Pizzeria p = MakePizzeria();
-  std::vector<int> seq =
-      OrderedVisitSequence(p.view().tree(), {p.n_pizza, p.n_item});
-  ASSERT_EQ(seq.size(), 5u);
-  EXPECT_EQ(seq[0], p.n_pizza);
-  EXPECT_EQ(seq[1], p.n_item);
+  const FTree& t = p.view().tree();
+  VisitOrder v = OrderedVisitSequence(
+      t, {{p.attr("pizza"), SortDir::kAsc}, {p.attr("item"), SortDir::kDesc}},
+      t.TopologicalOrder());
+  ASSERT_EQ(v.nodes.size(), 5u);
+  EXPECT_EQ(v.nodes[0], p.n_pizza);
+  EXPECT_EQ(v.nodes[1], p.n_item);
+  EXPECT_EQ(v.dirs, (std::vector<SortDir>{SortDir::kAsc, SortDir::kDesc,
+                                          SortDir::kAsc, SortDir::kAsc,
+                                          SortDir::kAsc}));
 }
 
 TEST(OrderedVisitSequenceTest, UnsupportedOrderThrows) {
   Pizzeria p = MakePizzeria();
-  EXPECT_THROW(OrderedVisitSequence(p.view().tree(), {p.n_customer}),
+  const FTree& t = p.view().tree();
+  EXPECT_THROW(OrderedVisitSequence(t, {{p.attr("customer"), SortDir::kAsc}},
+                                    t.TopologicalOrder()),
                std::invalid_argument);
+}
+
+// Grouped enumerations visit only the grouping nodes after the order
+// nodes; an order node outside the group still comes first.
+TEST(OrderedVisitSequenceTest, VisitsOnlyTheGivenNodesAfterTheOrder) {
+  Pizzeria p = MakePizzeria();
+  const FTree& t = p.view().tree();
+  VisitOrder v = OrderedVisitSequence(
+      t, {{p.attr("pizza"), SortDir::kDesc}}, {p.n_customer, p.n_date});
+  EXPECT_EQ(v.nodes, (std::vector<int>{p.n_pizza, p.n_date, p.n_customer}));
+  EXPECT_EQ(v.dirs, (std::vector<SortDir>{SortDir::kDesc, SortDir::kAsc,
+                                          SortDir::kAsc}));
+  EXPECT_THROW(OrderedVisitSequence(t, {{AttrId{9999}, SortDir::kAsc}}, {}),
+               std::logic_error);
+}
+
+// Two keys on one node (attributes equated by a selection): the first
+// key sets the node's direction.
+TEST(OrderedVisitSequenceTest, FirstKeyOnANodeSetsItsDirection) {
+  Pizzeria p = MakePizzeria();
+  Factorisation f = p.view();
+  AttrId date = p.attr("date"), item = p.attr("item");
+  ApplyMerge(&f, p.n_date, p.n_item);
+  int n = f.tree().NodeOfAttr(date);
+  ASSERT_EQ(f.tree().NodeOfAttr(item), n);
+  for (SortDir first : {SortDir::kAsc, SortDir::kDesc}) {
+    SortDir second = first == SortDir::kAsc ? SortDir::kDesc : SortDir::kAsc;
+    VisitOrder v = OrderedVisitSequence(
+        f.tree(),
+        {{p.attr("pizza"), SortDir::kAsc}, {date, first}, {item, second}},
+        f.tree().TopologicalOrder());
+    ASSERT_EQ(v.nodes[1], n);
+    EXPECT_EQ(v.dirs[1], first);
+  }
 }
 
 TEST(OrderEnumerationTest, DescendingKeysAcrossRestructure) {
@@ -138,11 +181,11 @@ TEST(OrderEnumerationTest, DescendingKeysAcrossRestructure) {
   std::vector<int> plan =
       PlanRestructure(f.tree(), {p.n_customer, p.n_pizza}, {});
   for (int b : plan) ApplySwap(&f, b);
-  std::vector<int> visit =
-      OrderedVisitSequence(f.tree(), {p.n_customer, p.n_pizza});
-  std::vector<SortDir> dirs(visit.size(), SortDir::kAsc);
-  dirs[0] = SortDir::kDesc;
-  Relation r = EnumerateToRelation(f, visit, dirs);
+  VisitOrder v = OrderedVisitSequence(
+      f.tree(),
+      {{p.attr("customer"), SortDir::kDesc}, {p.attr("pizza"), SortDir::kAsc}},
+      f.tree().TopologicalOrder());
+  Relation r = EnumerateToRelation(f, v.nodes, v.dirs);
   EXPECT_EQ(r.size(), 13);
   EXPECT_TRUE(r.IsSortedBy({{p.attr("customer"), SortDir::kDesc},
                             {p.attr("pizza"), SortDir::kAsc}}));
