@@ -52,7 +52,6 @@ struct PhaseTimes {
   double agg_s = 0;
   double enumerate_s = 0;
   uint64_t tasks_run = 0;
-  uint64_t steals = 0;
 };
 
 }  // namespace
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
     PhaseTimes pt;
     pt.threads = threads;
     uint64_t tasks0 = bench::CounterValue("taskpool.tasks_run");
-    uint64_t steals0 = bench::CounterValue("taskpool.steals");
 
     Factorisation built;
     pt.build_s = MedianSeconds("parallel_build", reps, [&] {
@@ -112,13 +110,12 @@ int main(int argc, char** argv) {
     // Work-distribution counters for this width, from the TaskPool's own
     // registry instrumentation.
     pt.tasks_run = bench::CounterValue("taskpool.tasks_run") - tasks0;
-    pt.steals = bench::CounterValue("taskpool.steals") - steals0;
 
     sweep.push_back(pt);
     std::cout << "threads " << threads << ": build " << pt.build_s * 1e3
               << " ms, agg " << pt.agg_s * 1e3 << " ms, enumerate "
               << pt.enumerate_s * 1e3 << " ms (" << pt.tasks_run
-              << " tasks, " << pt.steals << " steals)"
+              << " tasks)"
               << (consistent ? "" : "  [MISMATCH]") << "\n";
   }
   exec::TaskPool::SetDefaultThreads(1);
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
          << ", \"enumerate_speedup\": "
          << (pt.enumerate_s > 0 ? base.enumerate_s / pt.enumerate_s : 0)
          << ", \"tasks_run\": " << pt.tasks_run
-         << ", \"steals\": " << pt.steals
          << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

@@ -32,11 +32,6 @@ FactPtr MakeLeafIn(FactArena& arena, const std::vector<Value>& values) {
   return BuildIn(arena, values, {});
 }
 
-FactPtr MakeNodeIn(FactArena& arena, const std::vector<Value>& values,
-                   const std::vector<FactPtr>& children) {
-  return BuildIn(arena, values, children);
-}
-
 FactArena& Factorisation::ArenaForWrite() {
   if (arena_ != nullptr && arena_.use_count() == 1) return *arena_;
   auto fresh = std::make_shared<FactArena>();

@@ -22,10 +22,8 @@ FactPtr MakeLeaf(const std::vector<Value>& values);
 FactPtr MakeNode(const std::vector<Value>& values,
                  const std::vector<FactPtr>& children);
 
-/// Arena variants of the above.
+/// Arena variant of MakeLeaf.
 FactPtr MakeLeafIn(FactArena& arena, const std::vector<Value>& values);
-FactPtr MakeNodeIn(FactArena& arena, const std::vector<Value>& values,
-                   const std::vector<FactPtr>& children);
 
 /// A factorised representation of a relation: an f-tree plus one union per
 /// f-tree root (their product). A factorisation with `empty() == true`

@@ -322,9 +322,8 @@ int64_t CountTop(const FTree& tree, int node, const FactNode& n,
   bool use_value = nd.is_aggregate() && a.is_value[node];
   std::vector<int64_t> partial((size + kAggChunkEntries - 1) /
                                kAggChunkEntries);
-  exec::ParallelForOrSerial(
-      size, kAggChunkEntries, /*min_n=*/0,
-      [&](int, int64_t lo, int64_t hi) {
+  exec::TaskPool::Default().ParallelFor(
+      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
         int64_t total = 0;
         for (int64_t i = lo; i < hi; ++i) {
           total += CountEntry(tree, kids, k, use_value, n,
@@ -372,9 +371,8 @@ Num SumTop(const FTree& tree, int node, const FactNode& n,
   if (!at_carrier && cstar < 0) BadComposition("sum: carrier not below node");
   bool use_value = nd.is_aggregate() && a.is_value[node];
   std::vector<Num> partial((size + kAggChunkEntries - 1) / kAggChunkEntries);
-  exec::ParallelForOrSerial(
-      size, kAggChunkEntries, /*min_n=*/0,
-      [&](int, int64_t lo, int64_t hi) {
+  exec::TaskPool::Default().ParallelFor(
+      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
         Num total;
         for (int64_t j = lo; j < hi; ++j) {
           AddSumEntry(tree, kids, k, at_carrier, cstar, use_value, n,
@@ -399,9 +397,8 @@ ValueRef MinMaxTop(const FTree& tree, int node, const FactNode& n,
   if (cstar < 0) BadComposition("min/max: carrier not below node");
   std::vector<ValueRef> partial((size + kAggChunkEntries - 1) /
                                 kAggChunkEntries);
-  exec::ParallelForOrSerial(
-      size, kAggChunkEntries, /*min_n=*/0,
-      [&](int, int64_t lo, int64_t hi) {
+  exec::TaskPool::Default().ParallelFor(
+      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
         ValueRef best;
         for (int64_t j = lo; j < hi; ++j) {
           int i = static_cast<int>(j);
@@ -447,10 +444,6 @@ int FindCarrierNode(const FTree& tree, int u, const AggTask& task) {
     }
   }
   return found;
-}
-
-void CheckComposable(const FTree& tree, int u, const AggTask& task) {
-  Analyze(tree, {u}, task);
 }
 
 int64_t EvalCount(const FTree& tree, int node, const FactNode& n) {

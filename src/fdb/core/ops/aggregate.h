@@ -8,12 +8,6 @@
 
 namespace fdb {
 
-/// Verifies that evaluating `task` over the subtree rooted at `u` is a valid
-/// composition per Proposition 2 — i.e. every aggregate node already inside
-/// the subtree can be interpreted (count within count/sum; a unique carrier
-/// for sum/min/max). Throws std::invalid_argument otherwise.
-void CheckComposable(const FTree& tree, int u, const AggTask& task);
-
 /// The node inside the subtree at `u` that carries `source`: either the
 /// atomic class containing it, or a compatible aggregate node whose function
 /// matches `task.fn` with the same source. Returns -1 if absent.
@@ -26,7 +20,8 @@ int64_t EvalCount(const FTree& tree, int node, const FactNode& n);
 
 /// Linear-time evaluation of `task` over the union `n` at f-tree node `node`
 /// (§3.2.1–§3.2.3). For sum, uses sum(E_j) · Π count(E_i); for min/max,
-/// exploits sorted unions. The caller must have checked composability.
+/// exploits sorted unions. Throws std::invalid_argument when the
+/// composition is invalid per Proposition 2.
 Value EvalAggregate(const FTree& tree, int node, const FactNode& n,
                     const AggTask& task);
 

@@ -13,8 +13,8 @@ namespace fdb {
 namespace exec {
 namespace {
 
-// A single worker deque this deep marks the pool as saturated (the
-// kPoolSaturation event's trigger).
+// A queue this deep marks the pool as saturated (the kPoolSaturation
+// event's trigger).
 constexpr size_t kSaturationDepth = 64;
 
 // Pool-wide metrics (shared across Default() pool rebuilds — the registry
@@ -25,16 +25,10 @@ obs::Counter& TasksRunCounter() {
   return c;
 }
 
-obs::Counter& StealsCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "taskpool.steals", "tasks", "tasks taken from another worker's deque");
-  return c;
-}
-
 obs::Gauge& QueueDepthHwm() {
   static obs::Gauge& g = obs::Registry::Instance().GetGauge(
       "taskpool.queue_depth_hwm", "tasks",
-      "high-water mark of a single worker deque");
+      "high-water mark of the pool's queue");
   return g;
 }
 
@@ -64,13 +58,32 @@ std::unique_ptr<TaskPool>& DefaultPoolSlot() {
   return *slot;
 }
 
+// Saturation event: a queue this deep means callers are outrunning the
+// pool (the network-service admission layer's signal). Rate-limited to
+// one event per second so a saturated burst cannot flood the ring.
+void MaybeEmitSaturation(size_t depth, size_t workers) {
+  if (depth < kSaturationDepth || !obs::LogEnabled()) return;
+  static std::atomic<int64_t> last_emit_ns{0};
+  int64_t now = obs::NowNs();
+  int64_t last = last_emit_ns.load(std::memory_order_relaxed);
+  if (now - last >= 1'000'000'000 &&
+      last_emit_ns.compare_exchange_strong(last, now,
+                                           std::memory_order_relaxed)) {
+    obs::EventLog::Instance().Emit(
+        obs::EventType::kPoolSaturation,
+        {obs::F("queue_depth", depth), obs::F("workers", workers)});
+  }
+}
+
+}  // namespace
+
 // One ParallelFor invocation: chunks are claimed off `next_chunk`, so the
 // partition is fixed by (n, grain) while the assignment of chunks to
-// threads is dynamic. Helpers submitted to the pool may outlive the
+// threads is dynamic. Helpers queued on the pool may outlive the
 // ParallelFor call (waking after every chunk is claimed); the shared_ptr
 // keeps the job alive for them, and they touch `body` only while running
 // a claimed chunk, which the caller's completion wait covers.
-struct ForJob {
+struct TaskPool::ForJob {
   const std::function<void(int, int64_t, int64_t)>* body = nullptr;
   CancelToken* token = nullptr;  // caller's token, re-installed per chunk
   int64_t n = 0;
@@ -79,10 +92,10 @@ struct ForJob {
   std::atomic<int64_t> next_chunk{0};
   std::atomic<int64_t> done_chunks{0};
   std::atomic<int> next_part{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool all_done = false;
-  std::exception_ptr error;
+  base::Mutex mu;
+  base::CondVar cv;
+  bool all_done GUARDED_BY(mu) = false;
+  std::exception_ptr error GUARDED_BY(mu);
 
   void RunChunks() {
     int part = -1;
@@ -100,37 +113,31 @@ struct ForJob {
           CancelScope scope(token);
           (*body)(part, lo, hi);
         } catch (...) {
-          std::lock_guard<std::mutex> g(mu);
+          base::MutexLock g(&mu);
           if (error == nullptr) error = std::current_exception();
         }
       }
       if (done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           num_chunks) {
-        std::lock_guard<std::mutex> g(mu);
+        base::MutexLock g(&mu);
         all_done = true;
-        cv.notify_all();
+        cv.NotifyAll();
       }
     }
   }
 };
 
-}  // namespace
-
 TaskPool::TaskPool(int threads) {
   int workers = std::max(1, threads) - 1;
-  workers_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 TaskPool::~TaskPool() {
   {
-    base::MutexLock g(&sleep_mu_);
+    base::MutexLock g(&mu_);
     stop_ = true;
   }
   wake_.NotifyAll();
@@ -152,96 +159,25 @@ void TaskPool::SetDefaultThreads(int threads) {
   DefaultPoolSlot() = std::make_unique<TaskPool>(threads);
 }
 
-void TaskPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  unsigned w;
-  {
-    base::MutexLock g(&sleep_mu_);
-    w = next_queue_++ % static_cast<unsigned>(workers_.size());
-  }
-  size_t depth;
-  {
-    base::MutexLock g(&workers_[w]->mu);
-    workers_[w]->tasks.push_back(std::move(task));
-    depth = workers_[w]->tasks.size();
-    QueueDepthHwm().UpdateMax(static_cast<int64_t>(depth));
-  }
-  // Saturation event: a worker queue this deep means submitters are
-  // outrunning the pool (the network-service admission layer's signal).
-  // Rate-limited to one event per second so a saturated burst cannot
-  // flood the ring.
-  if (depth >= kSaturationDepth && obs::LogEnabled()) {
-    static std::atomic<int64_t> last_emit_ns{0};
-    int64_t now = obs::NowNs();
-    int64_t last = last_emit_ns.load(std::memory_order_relaxed);
-    if (now - last >= 1'000'000'000 &&
-        last_emit_ns.compare_exchange_strong(last, now,
-                                             std::memory_order_relaxed)) {
-      obs::EventLog::Instance().Emit(
-          obs::EventType::kPoolSaturation,
-          {obs::F("queue_depth", depth),
-           obs::F("workers", workers_.size())});
-    }
-  }
-  {
-    // Publish under the sleep lock: a worker between a failed sweep and
-    // its wait re-evaluates pending_ there, so the wakeup cannot be lost.
-    base::MutexLock g(&sleep_mu_);
-    ++pending_;
-  }
-  wake_.NotifyOne();
-}
-
-bool TaskPool::RunOneTask(int self) {
-  int w = static_cast<int>(workers_.size());
-  std::function<void()> task;
-  bool stolen = false;
-  // Own deque from the back (LIFO: newest fork, hottest cache), then
-  // sweep the other deques from the front (FIFO steal: oldest, largest
-  // remaining work first).
-  for (int i = 0; i < w && task == nullptr; ++i) {
-    Worker& v = *workers_[(self + i) % w];
-    base::MutexLock g(&v.mu);
-    if (v.tasks.empty()) continue;
-    if (i == 0) {
-      task = std::move(v.tasks.back());
-      v.tasks.pop_back();
-    } else {
-      task = std::move(v.tasks.front());
-      v.tasks.pop_front();
-      stolen = true;
-    }
-  }
-  if (task == nullptr) return false;
-  TasksRunCounter().Inc();
-  if (stolen) StealsCounter().Inc();
-  {
-    base::MutexLock g(&sleep_mu_);
-    --pending_;
-  }
-  task();
-  return true;
-}
-
-void TaskPool::WorkerLoop(int self) {
+void TaskPool::WorkerLoop() {
   for (;;) {
-    if (RunOneTask(self)) continue;
-    int64_t idle_t0 = obs::MetricsEnabled() ? obs::NowNs() : -1;
+    std::shared_ptr<ForJob> job;
     {
-      base::MutexLock lk(&sleep_mu_);
-      // pending_ > 0 covers the race where a task landed after our failed
-      // sweep: the predicate is re-evaluated under the lock Submit
-      // publishes under, so sleeps never miss work and idle workers wake
-      // only on notify (no polling).
-      while (!stop_ && pending_ <= 0) wake_.Wait(sleep_mu_);
+      int64_t idle_t0 = -1;
+      base::MutexLock lk(&mu_);
+      while (!stop_ && queue_.empty()) {
+        if (idle_t0 < 0 && obs::MetricsEnabled()) idle_t0 = obs::NowNs();
+        wake_.Wait(mu_);
+      }
       if (stop_) return;
+      if (idle_t0 >= 0) {
+        IdleNsCounter().Inc(static_cast<uint64_t>(obs::NowNs() - idle_t0));
+      }
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (idle_t0 >= 0) {
-      IdleNsCounter().Inc(static_cast<uint64_t>(obs::NowNs() - idle_t0));
-    }
+    TasksRunCounter().Inc();
+    job->RunChunks();
   }
 }
 
@@ -260,40 +196,24 @@ void TaskPool::ParallelFor(
   job->n = n;
   job->grain = grain;
   job->num_chunks = (n + grain - 1) / grain;
-  int helpers = std::min<int64_t>(static_cast<int64_t>(workers_.size()),
-                                  job->num_chunks - 1);
-  for (int i = 0; i < helpers; ++i) {
-    Submit([job] { job->RunChunks(); });
+  int64_t helpers = std::min<int64_t>(static_cast<int64_t>(threads_.size()),
+                                      job->num_chunks - 1);
+  if (helpers > 0) {
+    size_t depth;
+    {
+      base::MutexLock g(&mu_);
+      queue_.insert(queue_.end(), static_cast<size_t>(helpers), job);
+      depth = queue_.size();
+    }
+    QueueDepthHwm().UpdateMax(static_cast<int64_t>(depth));
+    MaybeEmitSaturation(depth, threads_.size());
+    for (int64_t i = 0; i < helpers; ++i) wake_.NotifyOne();
   }
-  job->RunChunks();
-  {
-    std::unique_lock<std::mutex> lk(job->mu);
-    job->cv.wait(lk, [&] { return job->all_done; });
-    if (job->error != nullptr) std::rethrow_exception(job->error);
-  }
-}
-
-int64_t TaskPool::ApproxPendingTasks() const {
-  base::MutexLock g(&sleep_mu_);
-  return pending_;
-}
-
-int ParallelForOrSerial(
-    int64_t n, int64_t grain, int64_t min_n,
-    const std::function<void(int, int64_t, int64_t)>& body) {
-  TaskPool& pool = TaskPool::Default();
-  int threads = pool.num_threads();
-  if (threads > 1 && n >= min_n) {
-    pool.ParallelFor(n, grain, body);
-    return threads;
-  }
-  grain = std::max<int64_t>(1, grain);
-  // Same chunk boundaries as the parallel path, executed in order on the
-  // caller: chunk-ordered reductions give identical results either way.
-  for (int64_t lo = 0; lo < n; lo += grain) {
-    body(0, lo, std::min(n, lo + grain));
-  }
-  return 1;
+  ForJob& j = *job;
+  j.RunChunks();
+  base::MutexLock lk(&j.mu);
+  while (!j.all_done) j.cv.Wait(j.mu);
+  if (j.error != nullptr) std::rethrow_exception(j.error);
 }
 
 }  // namespace exec

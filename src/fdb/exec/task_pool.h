@@ -13,21 +13,18 @@
 namespace fdb {
 namespace exec {
 
-/// A work-stealing thread pool with structured fork/join.
+/// A fork/join thread pool.
 ///
 /// The pool owns `threads - 1` worker threads; the thread that calls
 /// ParallelFor always participates as well, so `threads == 1` means no
-/// workers at all and every parallel construct degenerates to a plain
-/// sequential loop on the caller — the hot paths gate on num_threads()
-/// and stay byte-identical to their pre-parallel behaviour in that case.
+/// workers at all and ParallelFor runs its chunks in order on the caller.
 ///
-/// Scheduling: each worker owns a deque of tasks (LIFO for its own pops,
-/// so nested forks run hot in cache) and steals FIFO from a random victim
-/// when its deque runs dry. Submit() distributes round-robin. ParallelFor
-/// partitions an index range into fixed-size chunks claimed off one shared
-/// atomic cursor — dynamic load balancing without splitting state per
-/// thread count, so chunk boundaries (and therefore any chunk-ordered
-/// reduction) are identical no matter how many threads execute them.
+/// Scheduling is morsel-style: ParallelFor partitions an index range into
+/// fixed-size chunks claimed off one shared atomic cursor, and queues
+/// helpers on the pool's one FIFO; an idle worker pops the oldest helper
+/// and joins that call's chunk loop. The partition depends only on the
+/// range and the grain, never on the thread count, so any chunk-ordered
+/// reduction is identical no matter how many threads execute it.
 class TaskPool {
  public:
   /// A pool executing on `threads` threads total (callers + workers);
@@ -38,7 +35,7 @@ class TaskPool {
   TaskPool& operator=(const TaskPool&) = delete;
 
   /// Total execution width: worker threads + the participating caller.
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
+  int num_threads() const { return static_cast<int>(threads_.size()) + 1; }
 
   /// The process-default pool used by the engine hot paths. Sized by the
   /// FDB_THREADS environment variable when set, else by
@@ -49,11 +46,6 @@ class TaskPool {
   /// sweeps). Must not be called while parallel work is in flight.
   static void SetDefaultThreads(int threads);
 
-  /// Fire-and-forget: enqueues `task` for any worker (or runs it inline
-  /// when the pool has no workers). The caller is responsible for its own
-  /// completion tracking.
-  void Submit(std::function<void()> task);
-
   /// Structured fork/join over [0, n): invokes `body(part, lo, hi)` for
   /// consecutive chunks of at most `grain` indices until the range is
   /// exhausted, on up to num_threads() threads including the caller, and
@@ -61,10 +53,11 @@ class TaskPool {
   /// [0, num_threads()) stable for one participating thread within this
   /// call — use it to index per-worker state (arenas, scratch buffers).
   /// Chunk boundaries depend only on (n, grain), never on the thread
-  /// count. The first exception thrown by any chunk is rethrown on the
-  /// caller after all chunks drain. Nested calls are safe: the inner
-  /// caller participates in its own range, so progress never depends on
-  /// the pool having idle workers.
+  /// count; on a one-thread pool the chunks run in order with part 0.
+  /// The first exception thrown by any chunk is rethrown on the caller
+  /// after all chunks drain. Nested calls are safe: the inner caller
+  /// participates in its own range, so progress never depends on the
+  /// pool having idle workers.
   ///
   /// Cancellation: the caller's current exec::CancelToken (if any) is
   /// captured and installed around every chunk execution, so cooperative
@@ -74,40 +67,18 @@ class TaskPool {
                    const std::function<void(int part, int64_t lo, int64_t hi)>&
                        body);
 
-  /// Queued-but-unclaimed task count — the admission layer's
-  /// backpressure probe. Approximate by nature (tasks land and drain
-  /// concurrently), exact at any quiescent moment.
-  int64_t ApproxPendingTasks() const;
-
  private:
-  struct Worker {
-    base::Mutex mu;
-    std::deque<std::function<void()>> tasks GUARDED_BY(mu);
-  };
+  struct ForJob;
 
-  void WorkerLoop(int self);
-  bool RunOneTask(int self);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  mutable base::Mutex sleep_mu_;
+  base::Mutex mu_;
   base::CondVar wake_;
-  bool stop_ GUARDED_BY(sleep_mu_) = false;
-  /// Queued-but-unclaimed tasks.
-  int64_t pending_ GUARDED_BY(sleep_mu_) = 0;
-  /// Round-robin Submit target.
-  unsigned next_queue_ GUARDED_BY(sleep_mu_) = 0;
+  /// Helpers queued by ParallelFor, oldest first.
+  std::deque<std::shared_ptr<ForJob>> queue_ GUARDED_BY(mu_);
+  bool stop_ GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_;
 };
-
-/// Convenience wrapper over TaskPool::Default() for the common reduction
-/// shape: when the default pool is wider than one thread and `n` is at
-/// least `min_n`, runs `body` chunked in parallel; otherwise runs the
-/// same chunks sequentially in order with part 0, so chunk-ordered
-/// reductions produce identical results either way. Returns the number
-/// of threads used (size per-part state with Default().num_threads()
-/// before calling).
-int ParallelForOrSerial(int64_t n, int64_t grain, int64_t min_n,
-                        const std::function<void(int, int64_t, int64_t)>& body);
 
 }  // namespace exec
 }  // namespace fdb

@@ -207,7 +207,7 @@ struct MetricRow {
 };
 
 /// The process-wide registry: name → metric, created on first use and
-/// never destroyed. Names are dotted lowercase ("taskpool.steals");
+/// never destroyed. Names are dotted lowercase ("taskpool.tasks_run");
 /// the unit and help strings of the first registration win.
 class Registry {
  public:

@@ -116,17 +116,6 @@ std::vector<TraceSpan> Trace::Spans() const {
   return spans_;
 }
 
-double Trace::TotalSeconds() const {
-  base::MutexLock lock(&mu_);
-  double total = 0.0;
-  for (const TraceSpan& s : spans_) {
-    if (s.parent == -1 && s.dur_ns > 0) {
-      total += static_cast<double>(s.dur_ns) / 1e9;
-    }
-  }
-  return total;
-}
-
 std::string Trace::ToChromeJson() const {
   std::vector<TraceSpan> spans = Spans();
   // chrome://tracing wants microsecond timestamps; rebase on the earliest

@@ -70,9 +70,6 @@ class Trace {
   /// Copy of all spans, in creation order (parents precede children).
   std::vector<TraceSpan> Spans() const;
 
-  /// Total wall time covered by root spans, in seconds.
-  double TotalSeconds() const;
-
   /// chrome://tracing trace-event JSON ({"traceEvents":[...]}).
   std::string ToChromeJson() const;
 

@@ -27,9 +27,8 @@ struct AdmissionConfig {
 /// number of statements ahead of the caller — so a saturated server tells
 /// clients how long the backlog actually is, not a constant.
 ///
-/// Rejections and saturation emit `serve.admission_rejects` and the
-/// existing `pool_saturation` event, so the shell's `\log` shows overload
-/// the same way for in-process and served workloads.
+/// Rejections count in `serve.admission_rejects` and emit an
+/// `admission_reject` event, so the shell's `\log` shows served overload.
 class AdmissionController {
  public:
   explicit AdmissionController(const AdmissionConfig& cfg);

@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace fdb {
@@ -105,21 +104,36 @@ TEST(TaskPoolTest, NestedParallelForCompletes) {
   EXPECT_EQ(total.load(), 8 * 50);
 }
 
-TEST(TaskPoolTest, SubmitRunsEveryTask) {
+TEST(TaskPoolTest, ConcurrentCallersShareOnePool) {
+  // Several threads fork onto one pool at once, each call nesting one
+  // level, as concurrent served sessions do: every caller's range must
+  // be covered exactly once.
   TaskPool pool(3);
-  constexpr int kTasks = 200;
-  std::mutex mu;
-  std::condition_variable cv;
-  int done = 0;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&] {
-      std::lock_guard<std::mutex> g(mu);
-      if (++done == kTasks) cv.notify_one();
+  constexpr int kCallers = 4;
+  constexpr int64_t kOuter = 16;
+  constexpr int64_t kInner = 200;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kOuter * kInner);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      pool.ParallelFor(kOuter, 1, [&](int, int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          pool.ParallelFor(kInner, 7, [&](int, int64_t l, int64_t h) {
+            for (int64_t j = l; j < h; ++j) {
+              hits[c][i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+            }
+          });
+        }
+      });
     });
   }
-  std::unique_lock<std::mutex> lk(mu);
-  ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(30),
-                          [&] { return done == kTasks; }));
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (int64_t k = 0; k < kOuter * kInner; ++k) {
+      ASSERT_EQ(hits[c][k].load(), 1) << "caller " << c << " index " << k;
+    }
+  }
 }
 
 TEST(TaskPoolTest, SetDefaultThreadsResizes) {
@@ -130,13 +144,14 @@ TEST(TaskPoolTest, SetDefaultThreadsResizes) {
   EXPECT_EQ(TaskPool::Default().num_threads(), before);
 }
 
-TEST(TaskPoolTest, ParallelForOrSerialMatchesAcrossWidths) {
-  // The serial fallback uses the same chunk boundaries as the parallel
-  // path, so a chunk-ordered reduction is bit-identical either way.
+TEST(TaskPoolTest, ChunkOrderedReductionMatchesAcrossWidths) {
+  // A one-thread pool runs the same chunks in order on the caller, so a
+  // chunk-ordered reduction is bit-identical at every width.
   auto run = [](int threads) {
     TaskPool::SetDefaultThreads(threads);
     std::vector<double> partial((1000 + 63) / 64);
-    ParallelForOrSerial(1000, 64, 0, [&](int, int64_t lo, int64_t hi) {
+    TaskPool::Default().ParallelFor(1000, 64, [&](int, int64_t lo,
+                                                  int64_t hi) {
       double s = 0;
       for (int64_t i = lo; i < hi; ++i) s += 1.0 / (1.0 + double(i));
       partial[lo / 64] = s;
