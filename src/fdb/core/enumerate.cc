@@ -257,6 +257,9 @@ GroupAggEnumerator::GroupAggEnumerator(const Factorisation& f,
   }
   parts_ = fixed_parts_;
   parts_.resize(part_nodes.size());
+  // With no grouping node (a full aggregation) the one group exists even
+  // over the empty relation; Eval then yields count 0 and NULLs.
+  if (visit_order.empty()) inner_.done_ = false;
 }
 
 bool GroupAggEnumerator::Next() { return inner_.Next(); }

@@ -121,7 +121,10 @@ class Enumerator {
 /// another grouping node — the Theorem 1 condition), while evaluating
 /// aggregation tasks over the non-grouping subtrees on the fly (§1,
 /// scenario 3). This is how FDB produces flat output for group-by aggregate
-/// queries without materialising the aggregated factorisation.
+/// queries without materialising the aggregated factorisation. An empty
+/// grouping set is a full aggregation: one group, the product of every root
+/// tree, which exists even over the empty relation (count 0, NULL for
+/// sum/min/max).
 class GroupAggEnumerator {
  public:
   /// `visit_order`/`dirs` cover exactly the grouping nodes (parents first).
@@ -223,7 +226,8 @@ Relation EnumerateToRelation(const Factorisation& f,
 
 /// Enumerates the grouping fragment with on-the-fly aggregate evaluation
 /// (GroupAggEnumerator) into `sink`: one row per group, the grouping
-/// attributes in visit order followed by the task columns. Like
+/// attributes in visit order followed by the task columns; an empty
+/// `visit_order` is a full aggregation, one row even over empty input. Like
 /// EnumerateInto it stops once the sink has kept `limit` rows, returns the
 /// number kept, and splits unlimited enumerations into rank chunks — one
 /// GroupAggEnumerator per chunk, each group's aggregates evaluated wholly

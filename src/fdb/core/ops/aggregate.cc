@@ -1,8 +1,8 @@
 #include "fdb/core/ops/aggregate.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "fdb/core/ops/restructure.h"
 #include "fdb/exec/task_pool.h"
@@ -22,92 +22,81 @@ bool IsCarrierNode(const FTreeNode& nd, const AggTask& task) {
   return std::binary_search(nd.attrs.begin(), nd.attrs.end(), task.source);
 }
 
-// How one subtree node contributes to the multiplicity product during the
-// count/sum recursions (the composition rules of Prop. 2, generalised to the
-// sibling representation of composite aggregates, where leaves created by
-// the same operator share an identical `over` set: the count leaf carries
-// the multiplicity of that set and its siblings contribute factor 1).
-enum class Factor {
-  kOne,    // atomic node, or an aggregate whose multiplicity is owned
-           // elsewhere (a count sibling with equal `over`, or the carrier)
-  kValue,  // count node: multiply by the stored count
-};
-
-// The validated evaluation plan for one task over one subtree.
-struct Analysis {
-  int carrier = -1;  // node id for sum/min/max; -1 for count
-  std::unordered_map<int, Factor> factor;  // per aggregate node id
-};
-
-// Validates `task` over the subtree at `u` and computes the factor map.
-// Throws std::invalid_argument on compositions outside Prop. 2.
 // Validates `task` over the disjoint union of the subtrees at `roots` (a
-// product of independent fragments) and computes the factor map. Composite
-// sibling leaves may be spread across different roots, so the carrier/count
-// ownership rules must be applied globally, not per root.
-Analysis Analyze(const FTree& tree, const std::vector<int>& roots,
-                 const AggTask& task) {
-  Analysis a;
+// product of independent fragments) and writes its evaluation plan as dense
+// per-node-id tables, so the per-group recursions do no hash lookups or
+// ancestor walks: (*is_value)[n] marks a count node whose stored count
+// multiplies the multiplicity product, (*cstar)[n] is the child slot of n
+// leading towards the carrier, or -1. Returns the carrier: the node that
+// carries the source for sum/min/max, -1 for count. Throws
+// std::invalid_argument on compositions outside Prop. 2.
+//
+// The composition rules are those of Prop. 2, generalised to the sibling
+// representation of composite aggregates: leaves created by the same
+// operator share an identical `over` set, the count leaf carries the
+// multiplicity of that set and its siblings contribute factor 1. Such
+// siblings may be spread across different roots, so the ownership rules
+// apply globally, not per root.
+int Analyze(const FTree& tree, const std::vector<int>& roots,
+            const AggTask& task, std::vector<uint8_t>* is_value,
+            std::vector<int>* cstar) {
   std::vector<int> nodes;
   for (int r : roots) {
     std::vector<int> sub = tree.SubtreeNodes(r);
     nodes.insert(nodes.end(), sub.begin(), sub.end());
   }
 
+  int carrier = -1;
   if (task.fn != AggFn::kCount) {
     for (int n : nodes) {
       if (IsCarrierNode(tree.node(n), task)) {
-        if (a.carrier >= 0) BadComposition("multiple carrier nodes");
-        a.carrier = n;
+        if (carrier >= 0) BadComposition("multiple carrier nodes");
+        carrier = n;
       }
     }
-    if (a.carrier < 0) {
+    if (carrier < 0) {
       BadComposition(AggFnName(task.fn) + ": source attribute not in subtree");
     }
   }
-  if (task.fn == AggFn::kMin || task.fn == AggFn::kMax) {
-    // Min/max ignore multiplicities entirely; all other nodes are ignored.
-    for (int n : nodes) a.factor[n] = Factor::kOne;
-    return a;
+  is_value->assign(tree.num_nodes(), 0);
+  cstar->assign(tree.num_nodes(), -1);
+  for (int x = carrier; x >= 0 && tree.parent(x) >= 0; x = tree.parent(x)) {
+    (*cstar)[tree.parent(x)] = tree.SlotOf(x);
   }
+  // Min/max ignore multiplicities entirely.
+  if (task.fn == AggFn::kMin || task.fn == AggFn::kMax) return carrier;
 
   // For count and sum, every original attribute's multiplicity must be
   // accounted for exactly once: by its atomic node, by a count node's
   // `over` set, or (for sum) by the carrier itself.
   const std::vector<AttrId> carrier_over =
-      a.carrier >= 0 && tree.node(a.carrier).is_aggregate()
-          ? tree.node(a.carrier).agg->over
+      carrier >= 0 && tree.node(carrier).is_aggregate()
+          ? tree.node(carrier).agg->over
           : std::vector<AttrId>{};
   std::vector<AttrId> covered;
-  std::vector<std::vector<AttrId>> count_overs;
   for (int n : nodes) {
     const FTreeNode& nd = tree.node(n);
     if (!nd.is_aggregate()) {
-      a.factor[n] = Factor::kOne;
       covered.insert(covered.end(), nd.attrs.begin(), nd.attrs.end());
       continue;
     }
-    if (n == a.carrier) {
+    if (n == carrier) {
       covered.insert(covered.end(), nd.agg->over.begin(), nd.agg->over.end());
       continue;
     }
     if (nd.agg->fn == AggFn::kCount) {
       // A count node whose range equals the carrier's is a composite
       // sibling: the carrier already owns that multiplicity.
-      if (!carrier_over.empty() && nd.agg->over == carrier_over) {
-        a.factor[n] = Factor::kOne;
-      } else {
-        a.factor[n] = Factor::kValue;
+      if (carrier_over.empty() || nd.agg->over != carrier_over) {
+        (*is_value)[n] = 1;
         covered.insert(covered.end(), nd.agg->over.begin(),
                        nd.agg->over.end());
-        count_overs.push_back(nd.agg->over);
       }
       continue;
     }
     // A non-count aggregate node that is not the carrier: its multiplicity
     // must be owned by a count sibling with an identical range or by the
     // carrier; otherwise the composition loses multiplicities (Prop. 2).
-    a.factor[n] = Factor::kOne;
     bool owned = !carrier_over.empty() && nd.agg->over == carrier_over;
     for (int m : nodes) {
       const FTreeNode& md = tree.node(m);
@@ -137,67 +126,15 @@ Analysis Analyze(const FTree& tree, const std::vector<int>& roots,
   if (covered != original) {
     BadComposition("attribute multiplicities not fully covered");
   }
-  return a;
+  return carrier;
 }
 
-// Dense (per-node-id) rendering of an Analysis: no hash lookups or
-// ancestor walks inside the per-group evaluation recursions. The view is
-// non-owning; DenseTables below holds the storage.
+// Non-owning view of a ProductAggEvaluator's tables for the recursions.
 struct DenseAnalysis {
   int carrier = -1;
-  const uint8_t* is_value = nullptr;  // count nodes contributing their value
-  const int* cstar = nullptr;  // child slot towards the carrier, or -1
+  const uint8_t* is_value = nullptr;
+  const int* cstar = nullptr;
 };
-
-struct DenseTables {
-  std::vector<uint8_t> is_value;
-  std::vector<int> cstar;
-
-  DenseAnalysis View(int carrier) const {
-    return {carrier, is_value.data(), cstar.data()};
-  }
-};
-
-DenseTables MakeDense(const FTree& tree, const Analysis& a) {
-  DenseTables d;
-  d.is_value.assign(tree.num_nodes(), 0);
-  for (const auto& [node, f] : a.factor) {
-    if (f == Factor::kValue) d.is_value[node] = 1;
-  }
-  d.cstar.assign(tree.num_nodes(), -1);
-  for (int x = a.carrier; x >= 0 && tree.parent(x) >= 0; x = tree.parent(x)) {
-    d.cstar[tree.parent(x)] = tree.SlotOf(x);
-  }
-  return d;
-}
-
-int64_t CountRec(const FTree& tree, int node, const FactNode& n,
-                 const DenseAnalysis& a);
-
-// One entry's multiplicity product. Shared by the recursive loop and the
-// chunked top-level reduction so the two bodies cannot drift.
-int64_t CountEntry(const FTree& tree, const std::vector<int>& kids, int k,
-                   bool use_value, const FactNode& n, int i,
-                   const DenseAnalysis& a) {
-  int64_t prod = use_value ? n.values[i].as_int() : 1;
-  for (int c = 0; c < k && prod != 0; ++c) {
-    prod *= CountRec(tree, kids[c], *n.child(i, k, c), a);
-  }
-  return prod;
-}
-
-int64_t CountRec(const FTree& tree, int node, const FactNode& n,
-                 const DenseAnalysis& a) {
-  const FTreeNode& nd = tree.node(node);
-  const std::vector<int>& kids = tree.children(node);
-  int k = static_cast<int>(kids.size());
-  bool use_value = nd.is_aggregate() && a.is_value[node];
-  int64_t total = 0;
-  for (int i = 0; i < n.size(); ++i) {
-    total += CountEntry(tree, kids, k, use_value, n, i, a);
-  }
-  return total;
-}
 
 // Ref-native numeric accumulator with the same promotion rules as
 // AddValues/MulByCount: the result stays an int iff every operand was one.
@@ -236,262 +173,138 @@ struct Num {
   Value ToValue() const { return is_int ? Value(i) : Value(d); }
 };
 
-// Fixed reduction granularity for double sums: partials are accumulated
-// per 256-entry chunk and combined in chunk order *everywhere* — the
-// serial recursion and the parallel top-level reduction share the same
-// association — so a SUM over doubles is bit-identical at every thread
-// count and on either side of the parallel-dispatch threshold.
+// Every union is reduced in fixed 256-entry chunks whose partials fold in
+// chunk order, serial or parallel, so a SUM over doubles associates the
+// same way — and is bit-identical — at every thread count and on either
+// side of the parallel-dispatch threshold.
 constexpr int64_t kAggChunkEntries = 256;
+// A top-level union this large is reduced on TaskPool::Default().
+constexpr int64_t kAggParallelMin = 2048;
 
-Num SumRec(const FTree& tree, int node, const FactNode& n,
-           const DenseAnalysis& a);
-
-// Accumulates one entry's sum contribution into *total: at the carrier,
-// vᵢ · Π_c count(child); elsewhere the weighted recursion towards the
-// carrier slot. Shared by SumRec and the chunked top-level reduction.
-void AddSumEntry(const FTree& tree, const std::vector<int>& kids, int k,
-                 bool at_carrier, int cstar, bool use_value,
-                 const FactNode& n, int i, const DenseAnalysis& a,
-                 Num* total) {
-  if (at_carrier) {
-    // The children never contain the source.
-    int64_t cnt = 1;
-    for (int c = 0; c < k; ++c) {
-      cnt *= CountRec(tree, kids[c], *n.child(i, k, c), a);
+// Reduces the entries of a union of `size` entries: `add(i, &chunk)` folds
+// entry i into its chunk's accumulator, `fold(&total, chunk)` folds the
+// chunk partials in chunk order. Only the `top` call of an evaluation (a
+// part's own union) may fork; the recursion below it stays on its thread.
+template <class Acc, class Add, class Fold>
+Acc ChunkedReduce(int64_t size, bool top, const Add& add, const Fold& fold) {
+  auto chunk = [&](int64_t lo, int64_t hi) {
+    Acc acc{};
+    for (int64_t i = lo; i < hi; ++i) add(static_cast<int>(i), &acc);
+    return acc;
+  };
+  // A one-chunk union is its own partial: folding it into the zero
+  // accumulator would change no bit, only cost a step per recursion.
+  if (size <= kAggChunkEntries) return chunk(0, size);
+  Acc total{};
+  if (top && size >= kAggParallelMin) {
+    std::vector<Acc> partial((size + kAggChunkEntries - 1) / kAggChunkEntries);
+    exec::TaskPool::Default().ParallelFor(
+        size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
+          partial[lo / kAggChunkEntries] = chunk(lo, hi);
+        });
+    for (const Acc& p : partial) fold(&total, p);
+  } else {
+    for (int64_t lo = 0; lo < size; lo += kAggChunkEntries) {
+      fold(&total, chunk(lo, std::min(size, lo + kAggChunkEntries)));
     }
-    total->AddScaled(Num::OfRef(n.values[i]), cnt);
-    return;
   }
-  int64_t w = use_value ? n.values[i].as_int() : 1;
-  for (int c = 0; c < k; ++c) {
-    if (c != cstar) w *= CountRec(tree, kids[c], *n.child(i, k, c), a);
-  }
-  total->AddScaled(SumRec(tree, kids[cstar], *n.child(i, k, cstar), a), w);
+  return total;
 }
 
+// The multiplicity of the relation represented by union `n` at `node`
+// (§3.2.1): Σ over entries of the stored count (count nodes) or 1, times
+// the children's counts.
+int64_t CountRec(const FTree& tree, int node, const FactNode& n,
+                 const DenseAnalysis& a, bool top = false) {
+  const std::vector<int>& kids = tree.children(node);
+  int k = static_cast<int>(kids.size());
+  bool use_value = a.is_value[node];
+  return ChunkedReduce<int64_t>(
+      n.size(), top,
+      [&](int i, int64_t* total) {
+        int64_t prod = use_value ? n.values[i].as_int() : 1;
+        for (int c = 0; c < k && prod != 0; ++c) {
+          prod *= CountRec(tree, kids[c], *n.child(i, k, c), a);
+        }
+        *total += prod;
+      },
+      [](int64_t* total, int64_t p) { *total += p; });
+}
+
+// The sum of the source over the relation at `node` (§3.2.2): at the
+// carrier, Σ vᵢ · Π_c count(child); elsewhere Σ over entries of the sum
+// below the carrier slot weighted by the other children's counts.
 Num SumRec(const FTree& tree, int node, const FactNode& n,
-           const DenseAnalysis& a) {
-  const FTreeNode& nd = tree.node(node);
+           const DenseAnalysis& a, bool top = false) {
   const std::vector<int>& kids = tree.children(node);
   int k = static_cast<int>(kids.size());
   bool at_carrier = node == a.carrier;
   // Exactly one child subtree contains the carrier below a non-carrier.
   int cstar = at_carrier ? -1 : a.cstar[node];
   if (!at_carrier && cstar < 0) BadComposition("sum: carrier not below node");
-  bool use_value = nd.is_aggregate() && a.is_value[node];
-  // Accumulate with the fixed chunk association (see kAggChunkEntries):
-  // integer sums are exact either way, but double sums must associate
-  // identically to the chunked top-level reduction so serial and
-  // parallel evaluations agree to the last bit.
-  Num total;
-  Num chunk;
-  int64_t in_chunk = 0;
-  for (int i = 0; i < n.size(); ++i) {
-    AddSumEntry(tree, kids, k, at_carrier, cstar, use_value, n, i, a,
-                &chunk);
-    if (++in_chunk == kAggChunkEntries) {
-      total.AddScaled(chunk, 1);
-      chunk = Num();
-      in_chunk = 0;
-    }
-  }
-  if (in_chunk > 0) total.AddScaled(chunk, 1);
-  return total;
-}
-
-// --- chunked top-level evaluation -----------------------------------------
-//
-// The per-entry bodies of CountRec/SumRec are independent, so the top
-// union of a (potentially huge) part can be reduced in fixed-size chunks
-// across TaskPool::Default(). Partials are stored per chunk and combined
-// in chunk order, and the chunk boundaries depend only on the data, so
-// the result is identical for every thread count — including one, where
-// the same chunked loop runs sequentially. Below the size threshold the
-// plain recursion runs instead; SumRec shares the chunk association, so
-// the threshold is purely a dispatch decision, never a numeric one.
-
-constexpr int64_t kAggParallelMin = 2048;
-
-int64_t CountTop(const FTree& tree, int node, const FactNode& n,
-                 const DenseAnalysis& a) {
-  int64_t size = n.size();
-  if (size < kAggParallelMin) return CountRec(tree, node, n, a);
-  const FTreeNode& nd = tree.node(node);
-  const std::vector<int>& kids = tree.children(node);
-  int k = static_cast<int>(kids.size());
-  bool use_value = nd.is_aggregate() && a.is_value[node];
-  std::vector<int64_t> partial((size + kAggChunkEntries - 1) /
-                               kAggChunkEntries);
-  exec::TaskPool::Default().ParallelFor(
-      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
-        int64_t total = 0;
-        for (int64_t i = lo; i < hi; ++i) {
-          total += CountEntry(tree, kids, k, use_value, n,
-                              static_cast<int>(i), a);
+  bool use_value = a.is_value[node];
+  return ChunkedReduce<Num>(
+      n.size(), top,
+      [&](int i, Num* total) {
+        if (at_carrier) {
+          // The children never contain the source.
+          int64_t cnt = 1;
+          for (int c = 0; c < k; ++c) {
+            cnt *= CountRec(tree, kids[c], *n.child(i, k, c), a);
+          }
+          total->AddScaled(Num::OfRef(n.values[i]), cnt);
+          return;
         }
-        partial[lo / kAggChunkEntries] = total;
-      });
-  int64_t total = 0;
-  for (int64_t p : partial) total += p;
-  return total;
+        int64_t w = use_value ? n.values[i].as_int() : 1;
+        for (int c = 0; c < k; ++c) {
+          if (c != cstar) w *= CountRec(tree, kids[c], *n.child(i, k, c), a);
+        }
+        total->AddScaled(SumRec(tree, kids[cstar], *n.child(i, k, cstar), a),
+                         w);
+      },
+      [](Num* total, const Num& p) { total->AddScaled(p, 1); });
 }
 
+// The extremum of the source over the relation at `node` (§3.2.3).
 ValueRef MinMaxRec(const FTree& tree, int node, const FactNode& n,
-                   const DenseAnalysis& a, bool is_min) {
-  const std::vector<int>& kids = tree.children(node);
-  int k = static_cast<int>(kids.size());
+                   const DenseAnalysis& a, bool is_min, bool top = false) {
   if (node == a.carrier) {
     // Unions are sorted, so the extremum is at an end (§4.1 invariant).
     return is_min ? n.values.front() : n.values.back();
   }
-  int cstar = a.cstar[node];
-  if (cstar < 0) BadComposition("min/max: carrier not below node");
-  ValueRef best;
-  for (int i = 0; i < n.size(); ++i) {
-    ValueRef v =
-        MinMaxRec(tree, kids[cstar], *n.child(i, k, cstar), a, is_min);
-    if (i == 0) {
-      best = v;
-    } else if (is_min ? (v < best) : (best < v)) {
-      best = v;
-    }
-  }
-  return best;
-}
-
-Num SumTop(const FTree& tree, int node, const FactNode& n,
-           const DenseAnalysis& a) {
-  int64_t size = n.size();
-  if (size < kAggParallelMin) return SumRec(tree, node, n, a);
-  const FTreeNode& nd = tree.node(node);
-  const std::vector<int>& kids = tree.children(node);
-  int k = static_cast<int>(kids.size());
-  bool at_carrier = node == a.carrier;
-  int cstar = at_carrier ? -1 : a.cstar[node];
-  if (!at_carrier && cstar < 0) BadComposition("sum: carrier not below node");
-  bool use_value = nd.is_aggregate() && a.is_value[node];
-  std::vector<Num> partial((size + kAggChunkEntries - 1) / kAggChunkEntries);
-  exec::TaskPool::Default().ParallelFor(
-      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
-        Num total;
-        for (int64_t j = lo; j < hi; ++j) {
-          AddSumEntry(tree, kids, k, at_carrier, cstar, use_value, n,
-                      static_cast<int>(j), a, &total);
-        }
-        partial[lo / kAggChunkEntries] = total;
-      });
-  Num total;
-  for (const Num& p : partial) total.AddScaled(p, 1);
-  return total;
-}
-
-ValueRef MinMaxTop(const FTree& tree, int node, const FactNode& n,
-                   const DenseAnalysis& a, bool is_min) {
-  int64_t size = n.size();
-  if (node == a.carrier || size < kAggParallelMin) {
-    return MinMaxRec(tree, node, n, a, is_min);
-  }
   const std::vector<int>& kids = tree.children(node);
   int k = static_cast<int>(kids.size());
   int cstar = a.cstar[node];
   if (cstar < 0) BadComposition("min/max: carrier not below node");
-  std::vector<ValueRef> partial((size + kAggChunkEntries - 1) /
-                                kAggChunkEntries);
-  exec::TaskPool::Default().ParallelFor(
-      size, kAggChunkEntries, [&](int, int64_t lo, int64_t hi) {
-        ValueRef best;
-        for (int64_t j = lo; j < hi; ++j) {
-          int i = static_cast<int>(j);
-          ValueRef v =
-              MinMaxRec(tree, kids[cstar], *n.child(i, k, cstar), a, is_min);
-          if (j == lo) {
-            best = v;
-          } else if (is_min ? (v < best) : (best < v)) {
-            best = v;
-          }
-        }
-        partial[lo / kAggChunkEntries] = best;
-      });
-  ValueRef best = partial[0];
-  for (size_t p = 1; p < partial.size(); ++p) {
-    if (is_min ? (partial[p] < best) : (best < partial[p])) best = partial[p];
-  }
-  return best;
-}
-
-Value Eval(const FTree& tree, int node, const FactNode& n, const AggTask& task,
-           const DenseAnalysis& a) {
-  switch (task.fn) {
-    case AggFn::kCount:
-      return Value(CountTop(tree, node, n, a));
-    case AggFn::kSum:
-      return SumTop(tree, node, n, a).ToValue();
-    case AggFn::kMin:
-    case AggFn::kMax:
-      return MinMaxTop(tree, node, n, a, task.fn == AggFn::kMin).ToValue();
-  }
-  throw std::logic_error("EvalAggregate: unreachable");
+  // Keeps the better candidate; ties keep the earlier one.
+  auto keep = [is_min](std::optional<ValueRef>* best,
+                       std::optional<ValueRef> v) {
+    if (v && (!*best || (is_min ? *v < **best : **best < *v))) *best = v;
+  };
+  return ChunkedReduce<std::optional<ValueRef>>(
+             n.size(), top,
+             [&](int i, std::optional<ValueRef>* best) {
+               keep(best, MinMaxRec(tree, kids[cstar],
+                                    *n.child(i, k, cstar), a, is_min));
+             },
+             keep)
+      .value_or(ValueRef());
 }
 
 }  // namespace
-
-int FindCarrierNode(const FTree& tree, int u, const AggTask& task) {
-  int found = -1;
-  for (int n : tree.SubtreeNodes(u)) {
-    if (IsCarrierNode(tree.node(n), task)) {
-      if (found >= 0) BadComposition("multiple carrier nodes");
-      found = n;
-    }
-  }
-  return found;
-}
-
-int64_t EvalCount(const FTree& tree, int node, const FactNode& n) {
-  Analysis a = Analyze(tree, {node}, {AggFn::kCount, kInvalidAttr});
-  DenseTables t = MakeDense(tree, a);
-  return CountTop(tree, node, n, t.View(a.carrier));
-}
-
-Value EvalAggregate(const FTree& tree, int node, const FactNode& n,
-                    const AggTask& task) {
-  Analysis a = Analyze(tree, {node}, task);
-  DenseTables t = MakeDense(tree, a);
-  return Eval(tree, node, n, task, t.View(a.carrier));
-}
-
-Value EvalAggregateProduct(
-    const FTree& tree,
-    const std::vector<std::pair<int, const FactNode*>>& parts,
-    const AggTask& task) {
-  std::vector<int> roots;
-  for (const auto& [node, n] : parts) roots.push_back(node);
-  return ProductAggEvaluator(tree, roots, task).Eval(parts);
-}
 
 ProductAggEvaluator::ProductAggEvaluator(const FTree& tree,
                                          const std::vector<int>& part_nodes,
                                          const AggTask& task)
     : tree_(&tree), task_(task) {
-  if (part_nodes.empty()) {
-    // Aggregate over the empty product {()}: one nullary tuple.
-    nullary_ = true;
-    if (task.fn != AggFn::kCount) {
-      BadComposition("sum/min/max over no attributes");
-    }
-    return;
-  }
   // The parts form a product of independent fragments, but composite
   // sibling leaves (e.g. a sum and its count twin) may be spread across
   // parts, so the ownership analysis must span all of them.
-  Analysis a = Analyze(tree, part_nodes, task);
-  carrier_ = a.carrier;
-  DenseTables dense = MakeDense(tree, a);
-  factor_is_value_ = std::move(dense.is_value);
-  cstar_ = std::move(dense.cstar);
+  carrier_ = Analyze(tree, part_nodes, task, &is_value_, &cstar_);
   if (task.fn != AggFn::kCount) {
     for (size_t p = 0; p < part_nodes.size(); ++p) {
-      if (part_nodes[p] == a.carrier ||
-          tree.IsAncestor(part_nodes[p], a.carrier)) {
+      if (part_nodes[p] == carrier_ ||
+          tree.IsAncestor(part_nodes[p], carrier_)) {
         carrier_part_ = static_cast<int>(p);
       }
     }
@@ -501,38 +314,33 @@ ProductAggEvaluator::ProductAggEvaluator(const FTree& tree,
 
 Value ProductAggEvaluator::Eval(
     const std::vector<std::pair<int, const FactNode*>>& parts) const {
-  if (nullary_) return Value(static_cast<int64_t>(1));
-  // Borrow the precomputed dense tables (no per-group copies).
-  DenseAnalysis a{carrier_, factor_is_value_.data(), cstar_.data()};
-  switch (task_.fn) {
-    case AggFn::kCount: {
-      int64_t prod = 1;
-      for (const auto& [node, n] : parts) {
-        prod *= CountTop(*tree_, node, *n, a);
-      }
-      return Value(prod);
-    }
-    case AggFn::kSum: {
-      // Exactly one part carries the source; the rest contribute counts.
-      Num s = SumTop(*tree_, parts[carrier_part_].first,
-                     *parts[carrier_part_].second, a);
-      int64_t cnt = 1;
-      for (size_t p = 0; p < parts.size(); ++p) {
-        if (static_cast<int>(p) == carrier_part_) continue;
-        cnt *= CountTop(*tree_, parts[p].first, *parts[p].second, a);
-      }
-      s.Scale(cnt);
-      return s.ToValue();
-    }
-    case AggFn::kMin:
-    case AggFn::kMax: {
-      return MinMaxTop(*tree_, parts[carrier_part_].first,
-                       *parts[carrier_part_].second, a,
-                       task_.fn == AggFn::kMin)
-          .ToValue();
+  for (const auto& [node, n] : parts) {
+    if (n == nullptr || n->values.empty()) {
+      // The product is empty: count 0, NULL for sum/min/max.
+      return task_.fn == AggFn::kCount ? Value(int64_t{0}) : Value();
     }
   }
-  throw std::logic_error("ProductAggEvaluator::Eval: unreachable");
+  DenseAnalysis a{carrier_, is_value_.data(), cstar_.data()};
+  if (task_.fn == AggFn::kMin || task_.fn == AggFn::kMax) {
+    const auto& [node, n] = parts[carrier_part_];
+    return MinMaxRec(*tree_, node, *n, a, task_.fn == AggFn::kMin,
+                     /*top=*/true)
+        .ToValue();
+  }
+  // Count multiplies every part's count (1 over no parts: the product {()}
+  // holds the nullary tuple); sum scales the carrier part's sum by the
+  // other parts' counts.
+  int64_t cnt = 1;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    if (static_cast<int>(p) == carrier_part_) continue;
+    cnt *= CountRec(*tree_, parts[p].first, *parts[p].second, a,
+                    /*top=*/true);
+  }
+  if (task_.fn == AggFn::kCount) return Value(cnt);
+  const auto& [node, n] = parts[carrier_part_];
+  Num s = SumRec(*tree_, node, *n, a, /*top=*/true);
+  s.Scale(cnt);
+  return s.ToValue();
 }
 
 namespace {
@@ -576,10 +384,12 @@ std::vector<int> ApplyAggregate(Factorisation* f, AttributeRegistry* reg,
     }
   }
   const FTree& tree = f->tree();
-  std::vector<Analysis> analyses;
-  for (const AggTask& t : tasks) analyses.push_back(Analyze(tree, {u}, t));
-  std::vector<DenseTables> tables;
-  for (const Analysis& a : analyses) tables.push_back(MakeDense(tree, a));
+  // One evaluator per task over the part {u}; building them validates
+  // every task before anything is rewritten.
+  std::vector<ProductAggEvaluator> evaluators;
+  for (const AggTask& t : tasks) {
+    evaluators.emplace_back(tree, std::vector<int>{u}, t);
+  }
 
   std::vector<AttrId> over = tree.SubtreeOriginalAttrs(u);
   std::vector<AggregateLabel> labels;
@@ -610,11 +420,12 @@ std::vector<int> ApplyAggregate(Factorisation* f, AttributeRegistry* reg,
   } else {
     FactArena& arena = f->ArenaForWrite();
     ValueDict& dict = ValueDict::Default();
+    std::vector<std::pair<int, const FactNode*>> part = {{u, nullptr}};
     auto eval_all = [&](const FactNode& sub) {
+      part[0].second = &sub;
       std::vector<FactPtr> leaves;
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        ValueRef r = dict.Encode(Eval(
-            tree, u, sub, tasks[t], tables[t].View(analyses[t].carrier)));
+      for (const ProductAggEvaluator& e : evaluators) {
+        ValueRef r = dict.Encode(e.Eval(part));
         leaves.push_back(arena.NewNode(&r, 1, nullptr, 0));
       }
       return leaves;

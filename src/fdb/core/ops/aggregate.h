@@ -8,37 +8,15 @@
 
 namespace fdb {
 
-/// The node inside the subtree at `u` that carries `source`: either the
-/// atomic class containing it, or a compatible aggregate node whose function
-/// matches `task.fn` with the same source. Returns -1 if absent.
-int FindCarrierNode(const FTree& tree, int u, const AggTask& task);
-
-/// Linear-time cardinality of the relation represented by the union `n` at
-/// f-tree node `node` (§3.2.1), interpreting count-aggregate singletons as
-/// pre-computed counts. Throws on non-count aggregate nodes.
-int64_t EvalCount(const FTree& tree, int node, const FactNode& n);
-
-/// Linear-time evaluation of `task` over the union `n` at f-tree node `node`
-/// (§3.2.1–§3.2.3). For sum, uses sum(E_j) · Π count(E_i); for min/max,
-/// exploits sorted unions. Throws std::invalid_argument when the
-/// composition is invalid per Proposition 2.
-Value EvalAggregate(const FTree& tree, int node, const FactNode& n,
-                    const AggTask& task);
-
-/// Evaluates `task` over the *product* of several subtree instances — used
-/// for on-the-fly aggregation during enumeration (§1 scenario 3), where the
-/// non-grouping subtrees hanging below the current group binding are
-/// combined without materialising anything.
-Value EvalAggregateProduct(
-    const FTree& tree,
-    const std::vector<std::pair<int, const FactNode*>>& parts,
-    const AggTask& task);
-
-/// EvalAggregateProduct with the composition analysis hoisted out: the
-/// validation walk (Prop. 2 ownership rules, carrier search) depends only
-/// on the f-tree, the part *nodes* and the task, so a group-by enumerator
-/// runs it once and evaluates millions of group bindings against dense
-/// per-node tables instead of re-analysing per output tuple.
+/// The one aggregate evaluator (§3.2): evaluates `task` over the product
+/// of several subtree instances ("parts") in time linear in their size,
+/// under the composition rules of Proposition 2. It serves the γ operator
+/// (ApplyAggregate, one part: the subtree at u), on-the-fly aggregation
+/// during grouped enumeration (§1 scenario 3: the non-grouping subtrees
+/// below a group binding) and full aggregation (every root tree). The
+/// composition analysis (Prop. 2 ownership rules, carrier search) depends
+/// only on the f-tree, the part *nodes* and the task, so it runs once at
+/// construction; Eval then walks dense per-node tables for each binding.
 class ProductAggEvaluator {
  public:
   /// `part_nodes` are the f-tree nodes of the parts, in the exact order the
@@ -48,17 +26,21 @@ class ProductAggEvaluator {
                       const AggTask& task);
 
   /// `parts` must pair the construction-time node ids (same order) with the
-  /// current subtree instances.
+  /// current subtree instances. A null or empty part makes the product
+  /// empty: count 0, NULL for sum/min/max (SQL semantics). Sum uses
+  /// sum(E_j) · Π count(E_i); min/max exploit sorted unions. Every union is
+  /// reduced in fixed 256-entry chunks folded in chunk order; a part's own
+  /// union forks on TaskPool::Default() from 2048 entries, so a double sum
+  /// is bit-identical at every thread count.
   Value Eval(const std::vector<std::pair<int, const FactNode*>>& parts) const;
 
  private:
   const FTree* tree_ = nullptr;
   AggTask task_;
-  bool nullary_ = false;      // aggregate over the empty product {()}
   int carrier_ = -1;          // node id for sum/min/max
   int carrier_part_ = -1;     // index into parts for sum/min/max
   // Dense per-node tables (indexed by node id).
-  std::vector<uint8_t> factor_is_value_;  // count nodes contributing factors
+  std::vector<uint8_t> is_value_;  // count nodes contributing their count
   std::vector<int> cstar_;  // child slot leading towards the carrier, or -1
 };
 

@@ -66,39 +66,13 @@ bool OrderNeedsResult(const BoundQuery& q) {
   return false;
 }
 
-// The one raw row of a full aggregation (empty GROUP BY), its task
-// columns in task order: SQL semantics on empty input are count = 0 and
-// NULL for sum/min/max.
-Tuple FullAggregation(const Factorisation& f, const BoundQuery& q) {
-  Tuple row;
-  if (f.empty()) {
-    for (const AggTask& t : q.tasks) {
-      row.push_back(t.fn == AggFn::kCount ? Value(static_cast<int64_t>(0))
-                                          : Value());
-    }
-  } else {
-    std::vector<std::pair<int, const FactNode*>> parts;
-    for (size_t r = 0; r < f.roots().size(); ++r) {
-      parts.emplace_back(f.tree().roots()[r], f.roots()[r]);
-    }
-    for (const AggTask& t : q.tasks) {
-      row.push_back(EvalAggregateProduct(f.tree(), parts, t));
-    }
-  }
-  return row;
-}
-
-// Streams the raw rows of a grouped or DISTINCT query (group attributes,
-// then task columns) into `sink`, grouping nodes visited order-by list
-// first, until the sink has kept `limit` rows; returns the number kept.
+// Streams the raw rows of a grouped, DISTINCT or full aggregation query
+// (group attributes, then task columns) into `sink`, grouping nodes
+// visited order-by list first, until the sink has kept `limit` rows;
+// returns the number kept. No GROUP BY is the one group of every root.
 int64_t GroupsInto(const Factorisation& f, const BoundQuery& q,
                    const std::vector<SortKey>& order,
                    std::optional<int64_t> limit, RowSink* sink) {
-  if (q.group.empty() && q.has_aggregates()) {
-    sink->Begin(RelSchema(q.task_ids));
-    if (limit.has_value() && *limit <= 0) return 0;
-    return sink->Add(FullAggregation(f, q)) ? 1 : 0;
-  }
   std::vector<int> g_nodes;
   for (AttrId a : q.group) g_nodes.push_back(f.tree().NodeOfAttr(a));
   VisitOrder v = OrderedVisitSequence(f.tree(), order, g_nodes);

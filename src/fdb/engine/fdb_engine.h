@@ -78,12 +78,13 @@ class FdbEngine {
   /// With a `sink`, the flat output streams into it in SELECT column
   /// order while it is enumerated — grouped results group by group,
   /// through an OutputStage — and `flat` stays empty; without one it is
-  /// collected into `flat`. Only ORDER BY on an aggregate alias and a
-  /// full aggregation's one row are collected before they reach the
-  /// sink: the former is sorted (Relation::SortBy, stable) and its first
-  /// `limit` rows go on. Every other ORDER BY is the enumeration's visit
-  /// order (OrderedVisitSequence). Either way `rows` counts the output. A sink sees Begin before
-  /// any row, and nothing at all in factorised-output mode.
+  /// collected into `flat`. A full aggregation (no GROUP BY) is the one
+  /// group of that enumeration. Only ORDER BY on an aggregate alias is
+  /// collected before it reaches the sink: it is sorted (Relation::SortBy,
+  /// stable) and its first `limit` rows go on. Every other ORDER BY is the
+  /// enumeration's visit order (OrderedVisitSequence). Either way `rows`
+  /// counts the output. A sink sees Begin before any row, and nothing at
+  /// all in factorised-output mode.
   FdbResult Execute(const BoundQuery& q, const FdbOptions& options = {},
                     RowSink* sink = nullptr);
 

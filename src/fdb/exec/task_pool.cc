@@ -21,7 +21,8 @@ constexpr size_t kSaturationDepth = 64;
 // outlives every pool instance).
 obs::Counter& TasksRunCounter() {
   static obs::Counter& c = obs::Registry::Instance().GetCounter(
-      "taskpool.tasks_run", "tasks", "tasks executed by pool workers");
+      "taskpool.tasks_run", "tasks",
+      "pool workers that joined a ParallelFor and ran a chunk");
   return c;
 }
 
@@ -97,12 +98,19 @@ struct TaskPool::ForJob {
   bool all_done GUARDED_BY(mu) = false;
   std::exception_ptr error GUARDED_BY(mu);
 
-  void RunChunks() {
+  // Claims and runs chunks until none is left. A pool worker (`helper`)
+  // counts as one task run once it claims a chunk: helpers that wake after
+  // every chunk is claimed did no work. The count lands before the chunk
+  // completes, so the caller's completion wait sees it.
+  void RunChunks(bool helper) {
     int part = -1;
     for (;;) {
       int64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      if (part < 0) part = next_part.fetch_add(1, std::memory_order_relaxed);
+      if (part < 0) {
+        part = next_part.fetch_add(1, std::memory_order_relaxed);
+        if (helper) TasksRunCounter().Inc();
+      }
       int64_t lo = c * grain;
       int64_t hi = std::min(n, lo + grain);
       // A tripped token short-circuits remaining chunks: they are still
@@ -176,8 +184,7 @@ void TaskPool::WorkerLoop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    TasksRunCounter().Inc();
-    job->RunChunks();
+    job->RunChunks(/*helper=*/true);
   }
 }
 
@@ -210,7 +217,7 @@ void TaskPool::ParallelFor(
     for (int64_t i = 0; i < helpers; ++i) wake_.NotifyOne();
   }
   ForJob& j = *job;
-  j.RunChunks();
+  j.RunChunks(/*helper=*/false);
   base::MutexLock lk(&j.mu);
   while (!j.all_done) j.cv.Wait(j.mu);
   if (j.error != nullptr) std::rethrow_exception(j.error);

@@ -7,6 +7,7 @@
 #include "fdb/core/build.h"
 #include "fdb/core/ops/swap.h"
 #include "fdb/engine/database.h"
+#include "fdb/engine/fdb_engine.h"
 #include "fdb/exec/task_pool.h"
 #include "test_util.h"
 
@@ -17,46 +18,49 @@ using testing::MakePizzeria;
 using testing::Pizzeria;
 using testing::Row;
 
-TEST(EvalAggregateTest, CountWholePizzeria) {
-  Pizzeria p = MakePizzeria();
-  const Factorisation& f = p.view();
-  EXPECT_EQ(EvalCount(f.tree(), f.tree().roots()[0], *f.roots()[0]), 13);
+// Evaluates `task` with the one evaluator over the union `n` at `node`.
+Value EvalAt(const FTree& t, int node, const FactNode& n,
+             const AggTask& task) {
+  return ProductAggEvaluator(t, {node}, task).Eval({{node, &n}});
 }
 
-TEST(EvalAggregateTest, SumPriceWholePizzeria) {
+// Evaluates `task` over the whole relation of a one-root factorisation.
+Value EvalRoot(const Factorisation& f, const AggTask& task) {
+  return EvalAt(f.tree(), f.tree().roots()[0], *f.roots()[0], task);
+}
+
+int64_t CountRoot(const Factorisation& f) {
+  return EvalRoot(f, {AggFn::kCount, kInvalidAttr}).as_int();
+}
+
+TEST(ProductAggEvaluatorTest, CountWholePizzeria) {
+  Pizzeria p = MakePizzeria();
+  const Factorisation& f = p.view();
+  EXPECT_EQ(CountRoot(f), 13);
+}
+
+TEST(ProductAggEvaluatorTest, SumPriceWholePizzeria) {
   Pizzeria p = MakePizzeria();
   const Factorisation& f = p.view();
   // Σ price over R: Capricciosa orders 2×(6+1+1)=16, Hawaii 2×(6+1+2)=18,
   // Margherita 1×6=6 → 40.
-  Value v = EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kSum, p.attr("price")});
+  Value v = EvalRoot(f, {AggFn::kSum, p.attr("price")});
   EXPECT_EQ(v.as_int(), 40);
 }
 
-TEST(EvalAggregateTest, MinMaxPrice) {
+TEST(ProductAggEvaluatorTest, MinMaxPrice) {
   Pizzeria p = MakePizzeria();
   const Factorisation& f = p.view();
-  EXPECT_EQ(EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kMin, p.attr("price")})
-                .as_int(),
-            1);
-  EXPECT_EQ(EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kMax, p.attr("price")})
-                .as_int(),
-            6);
+  EXPECT_EQ(EvalRoot(f, {AggFn::kMin, p.attr("price")}).as_int(), 1);
+  EXPECT_EQ(EvalRoot(f, {AggFn::kMax, p.attr("price")}).as_int(), 6);
 }
 
-TEST(EvalAggregateTest, MinMaxOnStringAttribute) {
+TEST(ProductAggEvaluatorTest, MinMaxOnStringAttribute) {
   Pizzeria p = MakePizzeria();
   const Factorisation& f = p.view();
-  EXPECT_EQ(EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kMin, p.attr("customer")})
-                .as_string(),
-            "Lucia");
-  EXPECT_EQ(EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kMax, p.attr("customer")})
-                .as_string(),
-            "Pietro");
+  AttrId customer = p.attr("customer");
+  EXPECT_EQ(EvalRoot(f, {AggFn::kMin, customer}).as_string(), "Lucia");
+  EXPECT_EQ(EvalRoot(f, {AggFn::kMax, customer}).as_string(), "Pietro");
 }
 
 TEST(ApplyAggregateTest, LocalAggregationExample1Scenario1) {
@@ -108,8 +112,8 @@ TEST(ApplyAggregateTest, Example8RevenuePerCustomer) {
   int pizza_node = t.children(p.n_customer)[0];
   std::vector<int64_t> revenue;
   for (int i = 0; i < root->size(); ++i) {
-    Value v = EvalAggregate(t, pizza_node, *root->child(i, kc, 0),
-                            {AggFn::kSum, price});
+    Value v =
+        EvalAt(t, pizza_node, *root->child(i, kc, 0), {AggFn::kSum, price});
     revenue.push_back(v.as_int());
   }
   EXPECT_EQ(revenue, (std::vector<int64_t>{9, 22, 9}));
@@ -126,7 +130,7 @@ TEST(ApplyAggregateTest, CountComposesOverCountExample6) {
   ApplyAggregate(&f, &p.db->registry(), n_item,
                  {{AggFn::kCount, kInvalidAttr}});
   EXPECT_TRUE(f.Validate());
-  EXPECT_EQ(EvalCount(f.tree(), f.tree().roots()[0], *f.roots()[0]), 7);
+  EXPECT_EQ(CountRoot(f), 7);
 }
 
 TEST(ApplyAggregateTest, SumAbsorbsInnerCountProposition2) {
@@ -136,16 +140,12 @@ TEST(ApplyAggregateTest, SumAbsorbsInnerCountProposition2) {
   AttrId price = p.attr("price");
 
   Factorisation direct = p.view();
-  Value expect =
-      EvalAggregate(direct.tree(), direct.tree().roots()[0],
-                    *direct.roots()[0], {AggFn::kSum, price});
+  Value expect = EvalRoot(direct, {AggFn::kSum, price});
 
   Factorisation partial = p.view();
   ApplyAggregate(&partial, &p.db->registry(), p.n_customer,
                  {{AggFn::kCount, kInvalidAttr}});
-  Value with_partial =
-      EvalAggregate(partial.tree(), partial.tree().roots()[0],
-                    *partial.roots()[0], {AggFn::kSum, price});
+  Value with_partial = EvalRoot(partial, {AggFn::kSum, price});
   EXPECT_EQ(expect, with_partial);
 }
 
@@ -155,8 +155,7 @@ TEST(ApplyAggregateTest, SumComposesOverInnerSum) {
   AttrId price = p.attr("price");
   Factorisation f = p.view();
   ApplyAggregate(&f, &p.db->registry(), p.n_price, {{AggFn::kSum, price}});
-  Value v = EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kSum, price});
+  Value v = EvalRoot(f, {AggFn::kSum, price});
   EXPECT_EQ(v.as_int(), 40);
 }
 
@@ -165,8 +164,7 @@ TEST(ApplyAggregateTest, MinComposesOverInnerMin) {
   AttrId price = p.attr("price");
   Factorisation f = p.view();
   ApplyAggregate(&f, &p.db->registry(), p.n_item, {{AggFn::kMin, price}});
-  Value v = EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kMin, price});
+  Value v = EvalRoot(f, {AggFn::kMin, price});
   EXPECT_EQ(v.as_int(), 1);
 }
 
@@ -182,11 +180,10 @@ TEST(ApplyAggregateTest, CompositeSumCountShareOneOperator) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_TRUE(f.Validate());
   // Global sum must not double-count via the count sibling: still 40.
-  Value s = EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                          {AggFn::kSum, price});
+  Value s = EvalRoot(f, {AggFn::kSum, price});
   EXPECT_EQ(s.as_int(), 40);
   // Global count interprets the count leaf: 13 tuples.
-  EXPECT_EQ(EvalCount(f.tree(), f.tree().roots()[0], *f.roots()[0]), 13);
+  EXPECT_EQ(CountRoot(f), 13);
 }
 
 TEST(ApplyAggregateTest, CountOverLoneSumNodeThrows) {
@@ -196,8 +193,7 @@ TEST(ApplyAggregateTest, CountOverLoneSumNodeThrows) {
   Factorisation f = p.view();
   ApplyAggregate(&f, &p.db->registry(), p.n_item,
                  {{AggFn::kSum, p.attr("price")}});
-  EXPECT_THROW(EvalCount(f.tree(), f.tree().roots()[0], *f.roots()[0]),
-               std::invalid_argument);
+  EXPECT_THROW(CountRoot(f), std::invalid_argument);
 }
 
 TEST(ApplyAggregateTest, SumOverForeignMinNodeThrows) {
@@ -205,10 +201,8 @@ TEST(ApplyAggregateTest, SumOverForeignMinNodeThrows) {
   Factorisation f = p.view();
   ApplyAggregate(&f, &p.db->registry(), p.n_price,
                  {{AggFn::kMin, p.attr("price")}});
-  EXPECT_THROW(
-      EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                    {AggFn::kSum, p.attr("price")}),
-      std::invalid_argument);
+  EXPECT_THROW(EvalRoot(f, {AggFn::kSum, p.attr("price")}),
+               std::invalid_argument);
 }
 
 TEST(ApplyAggregateTest, SumWithoutSourceThrows) {
@@ -242,7 +236,7 @@ TEST(ApplyAggregateTest, AggregateOnEmptyFactorisationKeepsShape) {
   EXPECT_TRUE(f.Validate());
 }
 
-TEST(EvalAggregateProductTest, CombinesIndependentParts) {
+TEST(ProductAggEvaluatorTest, CombinesIndependentParts) {
   Pizzeria p = MakePizzeria();
   const Factorisation& f = p.view();
   const FTree& t = f.tree();
@@ -252,33 +246,61 @@ TEST(EvalAggregateProductTest, CombinesIndependentParts) {
   std::vector<std::pair<int, const FactNode*>> parts = {
       {p.n_date, root->child(0, 2, 0)},
       {p.n_item, root->child(0, 2, 1)}};
-  EXPECT_EQ(EvalAggregateProduct(t, parts, {AggFn::kCount, kInvalidAttr})
-                .as_int(),
-            6);
-  EXPECT_EQ(
-      EvalAggregateProduct(t, parts, {AggFn::kSum, p.attr("price")}).as_int(),
-      16);
-  EXPECT_EQ(
-      EvalAggregateProduct(t, parts, {AggFn::kMin, p.attr("price")}).as_int(),
-      1);
+  auto eval = [&](const AggTask& task) {
+    return ProductAggEvaluator(t, {p.n_date, p.n_item}, task).Eval(parts);
+  };
+  EXPECT_EQ(eval({AggFn::kCount, kInvalidAttr}).as_int(), 6);
+  EXPECT_EQ(eval({AggFn::kSum, p.attr("price")}).as_int(), 16);
+  EXPECT_EQ(eval({AggFn::kMin, p.attr("price")}).as_int(), 1);
 }
 
-TEST(EvalAggregateProductTest, EmptyPartsCountIsOne) {
+TEST(ProductAggEvaluatorTest, EmptyPartsCountIsOne) {
   FTree t;
-  EXPECT_EQ(EvalAggregateProduct(t, {}, {AggFn::kCount, kInvalidAttr})
-                .as_int(),
-            1);
-  EXPECT_THROW(EvalAggregateProduct(t, {}, {AggFn::kSum, 0}),
+  EXPECT_EQ(
+      ProductAggEvaluator(t, {}, {AggFn::kCount, kInvalidAttr}).Eval({})
+          .as_int(),
+      1);
+  EXPECT_THROW(ProductAggEvaluator(t, {}, {AggFn::kSum, 0}),
                std::invalid_argument);
 }
 
+TEST(ProductAggEvaluatorTest, EmptyOrNullPartGivesCountZeroAndNulls) {
+  // A product with an empty factor is the empty relation: SQL's count 0
+  // and NULL for sum/min/max, whatever the other parts hold.
+  Pizzeria p = MakePizzeria();
+  const Factorisation& f = p.view();
+  const FTree& t = f.tree();
+  int root = t.roots()[0];
+  AttrId price = p.attr("price");
+  for (const FactNode* empty : {FactArena::EmptyNode(),
+                                static_cast<const FactNode*>(nullptr)}) {
+    std::vector<std::pair<int, const FactNode*>> parts = {{root, empty}};
+    EXPECT_EQ(ProductAggEvaluator(t, {root}, {AggFn::kCount, kInvalidAttr})
+                  .Eval(parts)
+                  .as_int(),
+              0);
+    for (AggFn fn : {AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
+      EXPECT_TRUE(
+          ProductAggEvaluator(t, {root}, {fn, price}).Eval(parts).is_null());
+    }
+  }
+  // The empty part need not be the carrier's.
+  std::vector<std::pair<int, const FactNode*>> parts = {
+      {p.n_date, FactArena::EmptyNode()},
+      {p.n_item, f.roots()[0]->child(0, 2, 1)}};
+  EXPECT_TRUE(
+      ProductAggEvaluator(t, {p.n_date, p.n_item}, {AggFn::kSum, price})
+          .Eval(parts)
+          .is_null());
+}
+
 // Double SUMs must be bit-identical at every thread count and on either
-// side of the parallel-dispatch threshold: the serial recursion and the
-// chunked top-level reduction share one fixed 256-entry association.
-// (Regression for the PR-4 known-FP note: the serial reducer used a
-// different association, so results drifted by an ulp across paths.)
-TEST(EvalAggregateTest, DoubleSumBitIdenticalAcrossThreadCounts) {
-  auto sum_with_threads = [](int n, int threads) {
+// side of the parallel-dispatch threshold: every union is reduced with one
+// fixed 256-entry association, forked or not. Checked on the evaluator
+// itself and on the engine's full aggregation, which reaches it through
+// the γ operator and GroupAggInto.
+TEST(ProductAggEvaluatorTest, DoubleSumBitIdenticalAcrossThreadCounts) {
+  auto sums_with_threads = [](int n, int threads) {
     int before = exec::TaskPool::Default().num_threads();
     exec::TaskPool::SetDefaultThreads(threads);
     Database db;
@@ -296,33 +318,36 @@ TEST(EvalAggregateTest, DoubleSumBitIdenticalAcrossThreadCounts) {
       leaves.push_back(MakeLeaf({Value(std::sqrt(i + 1.0))}));
     }
     Factorisation f(t, {MakeNode(top, leaves)});
-    Value v = EvalAggregate(f.tree(), f.tree().roots()[0], *f.roots()[0],
-                            {AggFn::kSum, b});
+    double direct = EvalRoot(f, {AggFn::kSum, b}).as_double();
+    db.AddView("FP", std::move(f));
+    FdbResult r = FdbEngine(&db).ExecuteSql("SELECT sum(fp_b) FROM FP");
     exec::TaskPool::SetDefaultThreads(before);
-    return v.as_double();
+    EXPECT_EQ(r.flat.size(), 1);
+    return std::make_pair(direct, r.flat.rows()[0][0].as_double());
   };
   // Above the parallel threshold (2500 entries) and below it (600):
   // exact double equality, i.e. the same bits.
-  double serial_big = sum_with_threads(2500, 1);
-  double parallel_big = sum_with_threads(2500, 4);
-  EXPECT_EQ(serial_big, parallel_big);
-  double serial_small = sum_with_threads(600, 1);
-  double parallel_small = sum_with_threads(600, 4);
-  EXPECT_EQ(serial_small, parallel_small);
+  for (int n : {2500, 600}) {
+    auto [serial, serial_sql] = sums_with_threads(n, 1);
+    auto [parallel, parallel_sql] = sums_with_threads(n, 4);
+    EXPECT_EQ(serial, parallel) << n;
+    EXPECT_EQ(serial_sql, parallel_sql) << n;
+    EXPECT_EQ(serial, serial_sql) << n;
+  }
 }
 
-TEST(FindCarrierNodeTest, FindsAtomicAndAggregateCarriers) {
+TEST(ProductAggEvaluatorTest, CarrierIsAtomicOrMatchingAggregate) {
   Pizzeria p = MakePizzeria();
   Factorisation f = p.view();
   AttrId price = p.attr("price");
-  EXPECT_EQ(FindCarrierNode(f.tree(), p.n_pizza, {AggFn::kSum, price}),
-            p.n_price);
-  std::vector<int> ids = ApplyAggregate(&f, &p.db->registry(), p.n_price,
-                                        {{AggFn::kSum, price}});
-  EXPECT_EQ(FindCarrierNode(f.tree(), p.n_pizza, {AggFn::kSum, price}),
-            ids[0]);
-  // A min task does not accept a sum node as carrier.
-  EXPECT_EQ(FindCarrierNode(f.tree(), p.n_pizza, {AggFn::kMin, price}), -1);
+  // The atomic price node carries the sum: 40 over R.
+  EXPECT_EQ(EvalRoot(f, {AggFn::kSum, price}).as_int(), 40);
+  ApplyAggregate(&f, &p.db->registry(), p.n_price, {{AggFn::kSum, price}});
+  // The sum leaf that replaced it carries it now.
+  EXPECT_EQ(EvalRoot(f, {AggFn::kSum, price}).as_int(), 40);
+  // A min task does not accept a sum node as carrier: no carrier at all.
+  EXPECT_THROW(ProductAggEvaluator(f.tree(), {p.n_pizza}, {AggFn::kMin, price}),
+               std::invalid_argument);
 }
 
 }  // namespace

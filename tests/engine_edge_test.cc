@@ -33,6 +33,11 @@ TEST(EngineEdgeTest, LimitZero) {
                            "customer LIMIT 0")
                 .flat.size(),
             0);
+  // A full aggregation's one row obeys LIMIT 0 as well.
+  EXPECT_EQ(fdb.ExecuteSql("SELECT count(*), sum(price) FROM R LIMIT 0")
+                .flat.size(),
+            0);
+  ExpectAgree(p.db.get(), "SELECT count(*), sum(price) FROM R LIMIT 0");
 }
 
 TEST(EngineEdgeTest, LimitLargerThanResult) {
@@ -59,6 +64,17 @@ TEST(EngineEdgeTest, SelectionEmptiesEverything) {
   ExpectAgree(p.db.get(),
               "SELECT count(*), sum(price), min(price), max(price) FROM R "
               "WHERE price > 1000");
+  // The same empty full aggregation over the flat join: one row, count 0
+  // and NULLs, on both engines.
+  const std::string flat =
+      "SELECT count(*), sum(price), min(price), max(price) FROM Orders, "
+      "Pizzas, Items WHERE price > 1000";
+  ExpectAgree(p.db.get(), flat);
+  FdbEngine fdb(p.db.get());
+  Relation out = fdb.ExecuteSql(flat).flat;
+  ASSERT_EQ(out.size(), 1);
+  EXPECT_EQ(out.rows()[0][0].as_int(), 0);
+  for (int c = 1; c < 4; ++c) EXPECT_TRUE(out.rows()[0][c].is_null()) << c;
 }
 
 TEST(EngineEdgeTest, ContradictorySelections) {

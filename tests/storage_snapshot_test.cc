@@ -172,8 +172,10 @@ TEST(StorageSnapshotTest, AggregateNodesRoundTrip) {
   EXPECT_EQ(FlattenCsv(*g, fresh.registry()),
             FlattenCsv(*p.db->view("Agg"), p.db->registry()));
   // Aggregate semantics survive: the global sum is still computable.
-  Value sum = EvalAggregate(g->tree(), g->tree().roots()[0], *g->roots()[0],
-                            {AggFn::kSum, *fresh.registry().Find("price")});
+  int root = g->tree().roots()[0];
+  AggTask sum_price{AggFn::kSum, *fresh.registry().Find("price")};
+  Value sum = ProductAggEvaluator(g->tree(), {root}, sum_price)
+                  .Eval({{root, g->roots()[0]}});
   EXPECT_EQ(sum.as_int(), 40);
 }
 

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "fdb/obs/metrics.h"
 
 namespace fdb {
 namespace exec {
@@ -134,6 +137,66 @@ TEST(TaskPoolTest, ConcurrentCallersShareOnePool) {
       ASSERT_EQ(hits[c][k].load(), 1) << "caller " << c << " index " << k;
     }
   }
+}
+
+TEST(TaskPoolTest, TasksRunCountsOnlyHelpersThatRanAChunk) {
+  // taskpool.tasks_run rises by one per pool worker that ran a body in a
+  // call. A helper that wakes to find every chunk claimed adds nothing:
+  // the second call below queues one while the only worker is busy.
+  bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter& tasks =
+      obs::Registry::Instance().GetCounter("taskpool.tasks_run");
+  uint64_t before = tasks.Value();
+  TaskPool pool(2);  // one worker
+  std::mutex mu;
+  uint64_t helpers_ran = 0;  // Σ over calls of distinct non-caller threads
+  // Runs one call; `body` runs in every chunk after it is noted.
+  auto call = [&](const std::function<void()>& body) {
+    std::thread::id caller = std::this_thread::get_id();
+    std::set<std::thread::id> ran;
+    pool.ParallelFor(2, 1, [&](int, int64_t, int64_t) {
+      {
+        std::lock_guard<std::mutex> g(mu);
+        if (std::this_thread::get_id() != caller) {
+          ran.insert(std::this_thread::get_id());
+        }
+      }
+      body();
+    });
+    std::lock_guard<std::mutex> g(mu);
+    helpers_ran += ran.size();
+  };
+  auto wait_for = [](const std::atomic<int>& v, int want) {
+    while (v.load() < want) std::this_thread::yield();
+  };
+  // 1. Another thread's call holds both the worker and its caller.
+  std::atomic<int> entered{0}, released{0};
+  std::thread busy([&] {
+    call([&] {
+      entered.fetch_add(1);
+      wait_for(released, 1);
+    });
+  });
+  wait_for(entered, 2);
+  // 2. This call's helper cannot run: the caller takes both chunks.
+  call([] {});
+  released.store(1);
+  busy.join();
+  // 3. The worker pops the stale helper, then this call's, whose chunk
+  // the caller waits for.
+  std::atomic<int> helper_in{0};
+  std::thread::id main_id = std::this_thread::get_id();
+  call([&] {
+    if (std::this_thread::get_id() == main_id) {
+      wait_for(helper_in, 1);
+    } else {
+      helper_in.store(1);
+    }
+  });
+  EXPECT_EQ(helpers_ran, 2u);
+  EXPECT_EQ(tasks.Value() - before, helpers_ran);
+  obs::SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(TaskPoolTest, SetDefaultThreadsResizes) {
