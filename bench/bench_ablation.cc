@@ -67,7 +67,7 @@ void PlanGreedy(benchmark::State& state) {
   q.tasks = {{AggFn::kSum, *reg.Find("price")}};
   const FTree& tree = b.db->view("R1")->tree();
   for (auto _ : state) {
-    FPlan plan = GreedyPlan(tree, reg, q);
+    FPlan plan = GreedyPlan(tree, q);
     benchmark::DoNotOptimize(plan);
   }
 }
@@ -80,7 +80,7 @@ void PlanExhaustive(benchmark::State& state) {
   q.tasks = {{AggFn::kSum, *reg.Find("price")}};
   const FTree& tree = b.db->view("R1")->tree();
   for (auto _ : state) {
-    auto plan = ExhaustivePlan(tree, reg, q);
+    auto plan = ExhaustivePlan(tree, q);
     benchmark::DoNotOptimize(plan);
   }
 }

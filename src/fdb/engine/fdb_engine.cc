@@ -245,15 +245,14 @@ FdbResult FdbEngine::ExecuteImpl(const BoundQuery& q,
     for (const SortKey& k : q.order_by) pq.order.push_back(k.attr);
   }
   if (options.planner == FdbOptions::Planner::kExhaustive) {
-    auto ex = ExhaustivePlan(fact.tree(), *reg, pq,
-                             options.exhaustive_max_states);
+    auto ex = ExhaustivePlan(fact.tree(), pq, options.exhaustive_max_states);
     if (ex.has_value()) {
       result.plan = std::move(ex->plan);
       result.used_exhaustive = true;
     }
   }
   if (!result.used_exhaustive) {
-    result.plan = GreedyPlan(fact.tree(), *reg, pq);
+    result.plan = GreedyPlan(fact.tree(), pq);
   }
   result.plan_seconds = Since(t0);
   if (tr != nullptr) {

@@ -26,6 +26,13 @@ obs::Counter& TasksRunCounter() {
   return c;
 }
 
+obs::Counter& StaleHelpersCounter() {
+  static obs::Counter& c = obs::Registry::Instance().GetCounter(
+      "taskpool.stale_helpers", "tasks",
+      "pool workers that joined a ParallelFor after every chunk was claimed");
+  return c;
+}
+
 obs::Gauge& QueueDepthHwm() {
   static obs::Gauge& g = obs::Registry::Instance().GetGauge(
       "taskpool.queue_depth_hwm", "tasks",
@@ -99,14 +106,17 @@ struct TaskPool::ForJob {
   std::exception_ptr error GUARDED_BY(mu);
 
   // Claims and runs chunks until none is left. A pool worker (`helper`)
-  // counts as one task run once it claims a chunk: helpers that wake after
-  // every chunk is claimed did no work. The count lands before the chunk
-  // completes, so the caller's completion wait sees it.
+  // counts as one task run once it claims a chunk, and as one stale helper
+  // if it wakes after every chunk is claimed. A task run's count lands
+  // before its chunk completes, so the caller's completion wait sees it.
   void RunChunks(bool helper) {
     int part = -1;
     for (;;) {
       int64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
+      if (c >= num_chunks) {
+        if (helper && part < 0) StaleHelpersCounter().Inc();
+        return;
+      }
       if (part < 0) {
         part = next_part.fetch_add(1, std::memory_order_relaxed);
         if (helper) TasksRunCounter().Inc();

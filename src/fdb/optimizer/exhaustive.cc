@@ -1,11 +1,8 @@
 #include "fdb/optimizer/exhaustive.h"
 
 #include <algorithm>
-#include <map>
-#include <queue>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
 #include "fdb/core/order.h"
 #include "fdb/optimizer/cost.h"
@@ -51,7 +48,6 @@ std::string EncodeState(const FTree& t,
 struct State {
   double cost;
   FTree tree;
-  AttributeRegistry reg;
   std::vector<std::pair<AttrId, AttrId>> pending;
   FPlan plan;
 };
@@ -62,48 +58,11 @@ struct StateGreater {
   }
 };
 
-// Mirrors ApplyAggregate's tree mutation for simulation.
-void SimAggregate(FTree* tree, AttributeRegistry* reg, int u,
-                  const std::vector<AggTask>& tasks) {
-  std::vector<AttrId> over = tree->SubtreeOriginalAttrs(u);
-  std::vector<AggregateLabel> labels;
-  for (const AggTask& t : tasks) {
-    AggregateLabel l;
-    l.fn = t.fn;
-    l.source = t.source;
-    l.over = over;
-    std::string base = AggFnName(t.fn) + "_x(" + std::to_string(u) + ")";
-    while (reg->Find(base).has_value()) base += "'";
-    l.id = reg->Intern(base);
-    labels.push_back(std::move(l));
-  }
-  tree->ReplaceSubtreeWithAggregates(u, std::move(labels));
-}
-
-void DropSatisfied(const FTree& t,
-                   std::vector<std::pair<AttrId, AttrId>>* pending) {
-  std::erase_if(*pending, [&](const auto& s) {
-    return t.NodeOfAttr(s.first) == t.NodeOfAttr(s.second);
-  });
-}
-
 }  // namespace
 
 std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
-                                               const AttributeRegistry& reg,
                                                const PlannerQuery& q,
                                                int max_states) {
-  // Constant selections are applied up-front, outside the search (§5.1).
-  FPlan prefix;
-  for (const auto& [attr, cmp, c] : q.const_selections) {
-    int n = tree.NodeOfAttr(attr);
-    if (n < 0) {
-      throw std::invalid_argument(
-          "ExhaustivePlan: unknown selection attribute");
-    }
-    prefix.push_back(FOp::Select(n, cmp, c));
-  }
-
   auto is_goal = [&](const State& s) {
     if (!s.pending.empty()) return false;
     if (!q.tasks.empty()) {
@@ -119,33 +78,25 @@ std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
         }
       }
     }
-    std::vector<int> o_nodes, g_nodes;
-    for (AttrId a : q.order) {
-      int n = s.tree.NodeOfAttr(a);
-      if (n < 0) return false;
-      if (std::find(o_nodes.begin(), o_nodes.end(), n) == o_nodes.end()) {
-        o_nodes.push_back(n);
-      }
-    }
-    for (AttrId a : q.group) {
-      int n = s.tree.NodeOfAttr(a);
-      if (n < 0) return false;
-      g_nodes.push_back(n);
-    }
-    return SupportsOrder(s.tree, o_nodes) &&
-           SupportsGrouping(s.tree, g_nodes);
+    return SupportsOrder(s.tree, NodesOfAttrs(s.tree, q.order)) &&
+           SupportsGrouping(s.tree, NodesOfAttrs(s.tree, q.group));
   };
 
-  std::priority_queue<State, std::vector<State>, StateGreater> queue;
+  // A binary heap under StateGreater, kept by hand (as std::priority_queue
+  // does) so that a popped state can be moved out rather than copied.
+  std::vector<State> heap;
   std::set<std::string> settled;
+  AttrId next_id = FirstFreshAttr(tree, q);
 
-  State init{0.0, tree, reg, q.eq_selections, prefix};
+  // Constant selections are applied up-front, outside the search (§5.1).
+  State init{0.0, tree, q.eq_selections, SelectionPrefix(tree, q)};
   DropSatisfied(init.tree, &init.pending);
-  queue.push(std::move(init));
+  heap.push_back(std::move(init));
 
-  while (!queue.empty()) {
-    State s = queue.top();
-    queue.pop();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), StateGreater());
+    State s = std::move(heap.back());
+    heap.pop_back();
     std::string key = EncodeState(s.tree, s.pending);
     if (settled.count(key)) continue;
     settled.insert(key);
@@ -157,51 +108,25 @@ std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
 
     auto push_successor = [&](FOp op) {
       State t = s;
-      switch (op.kind) {
-        case FOpKind::kSwap:
-          t.tree.SwapUp(op.b);
-          break;
-        case FOpKind::kMerge:
-          t.tree.MergeSiblings(op.a, op.b);
-          break;
-        case FOpKind::kAbsorb:
-          t.tree.AbsorbDescendant(op.a, op.b);
-          break;
-        case FOpKind::kAggregate:
-          SimAggregate(&t.tree, &t.reg, op.a, op.tasks);
-          break;
-        default:
-          throw std::logic_error("ExhaustivePlan: unexpected operator");
-      }
+      SimulateOp(&t.tree, op, &next_id);
       DropSatisfied(t.tree, &t.pending);
       t.cost += FTreeCost(t.tree);
       t.plan.push_back(std::move(op));
-      queue.push(std::move(t));
+      heap.push_back(std::move(t));
+      std::push_heap(heap.begin(), heap.end(), StateGreater());
     };
 
     // Permissible selection operators (Prop. 3).
-    for (size_t i = 0; i < s.pending.size(); ++i) {
-      int na = s.tree.NodeOfAttr(s.pending[i].first);
-      int nb = s.tree.NodeOfAttr(s.pending[i].second);
-      if (na < 0 || nb < 0) continue;
-      if (s.tree.parent(na) == s.tree.parent(nb)) {
-        push_successor(FOp::Merge(na, nb));
-      } else if (s.tree.IsAncestor(na, nb)) {
-        push_successor(FOp::Absorb(na, nb));
-      } else if (s.tree.IsAncestor(nb, na)) {
-        push_successor(FOp::Absorb(nb, na));
+    for (const auto& sel : s.pending) {
+      if (std::optional<FOp> op = SelectionOp(s.tree, sel)) {
+        push_successor(std::move(*op));
       }
     }
 
-    // Permissible aggregation operators: any subtree avoiding grouping and
-    // pending-selection attributes.
+    // Permissible aggregation operators: any subtree avoiding grouping,
+    // pending-selection and order attributes.
     if (!q.tasks.empty()) {
-      std::vector<AttrId> blocked = q.group;
-      for (const auto& [a, b] : s.pending) {
-        blocked.push_back(a);
-        blocked.push_back(b);
-      }
-      for (AttrId o : q.order) blocked.push_back(o);
+      std::vector<AttrId> blocked = BlockedAttrs(q, s.pending);
       for (int u : s.tree.TopologicalOrder()) {
         if (!SubtreeAggregatable(s.tree, u, blocked)) continue;
         push_successor(FOp::Aggregate(u, PartialTasks(s.tree, u, q.tasks)));

@@ -25,7 +25,6 @@ struct ExhaustiveResult {
 /// Exponential in query size; returns nullopt once `max_states` states have
 /// been settled without reaching a goal (callers fall back to GreedyPlan).
 std::optional<ExhaustiveResult> ExhaustivePlan(const FTree& tree,
-                                               const AttributeRegistry& reg,
                                                const PlannerQuery& q,
                                                int max_states = 20000);
 

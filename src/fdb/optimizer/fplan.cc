@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <stdexcept>
 
 #include "fdb/core/ops/restructure.h"
 #include "fdb/core/ops/selection.h"
@@ -31,6 +32,31 @@ std::vector<int> ExecuteOp(Factorisation* f, AttributeRegistry* reg,
       return {};
   }
   return {};
+}
+
+void SimulateOp(FTree* tree, const FOp& op, AttrId* next_id) {
+  switch (op.kind) {
+    case FOpKind::kSwap:
+      tree->SwapUp(op.b);
+      return;
+    case FOpKind::kMerge:
+      tree->MergeSiblings(op.a, op.b);
+      return;
+    case FOpKind::kAbsorb:
+      tree->AbsorbDescendant(op.a, op.b);
+      return;
+    case FOpKind::kAggregate: {
+      std::vector<AttrId> over = tree->SubtreeOriginalAttrs(op.a);
+      std::vector<AggregateLabel> labels;
+      for (const AggTask& t : op.tasks) {
+        labels.push_back({t.fn, t.source, over, (*next_id)++});
+      }
+      tree->ReplaceSubtreeWithAggregates(op.a, std::move(labels));
+      return;
+    }
+    default:
+      throw std::invalid_argument("SimulateOp: not a tree operator");
+  }
 }
 
 void ExecutePlan(Factorisation* f, AttributeRegistry* reg, const FPlan& plan,

@@ -79,6 +79,13 @@ struct FOpStats {
 std::vector<int> ExecuteOp(Factorisation* f, AttributeRegistry* reg,
                            const FOp& op);
 
+/// The tree-only twin of ExecuteOp, for plan search: applies a swap,
+/// merge, absorb or γ to `tree` alone. γ names its aggregates *next_id,
+/// *next_id + 1, ... and advances *next_id past them; the caller starts it
+/// beyond every id the tree mentions. Throws std::invalid_argument for any
+/// other operator.
+void SimulateOp(FTree* tree, const FOp& op, AttrId* next_id);
+
 /// Applies plan[first..] to `f`, which must already hold the result of
 /// the ops before `first`, optionally appending per-operator statistics.
 /// `after_op`, when set, runs after each op with the number of the plan's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fdb/core/order.h"
 #include "fdb/optimizer/cost.h"
@@ -17,35 +16,90 @@ int Depth(const FTree& t, int n) {
   return d;
 }
 
-// Simulated aggregation on the tree only: mirrors ApplyAggregate's tree
-// mutation, interning fresh names into the simulation registry.
-std::vector<int> SimAggregate(FTree* tree, AttributeRegistry* reg, int u,
-                              const std::vector<AggTask>& tasks) {
-  std::vector<AttrId> over = tree->SubtreeOriginalAttrs(u);
-  std::vector<AggregateLabel> labels;
-  for (const AggTask& t : tasks) {
-    AggregateLabel l;
-    l.fn = t.fn;
-    l.source = t.source;
-    l.over = over;
-    std::string base = AggFnName(t.fn) + "_sim(" + std::to_string(u) + ")";
-    while (reg->Find(base).has_value()) base += "'";
-    l.id = reg->Intern(base);
-    labels.push_back(std::move(l));
-  }
-  return tree->ReplaceSubtreeWithAggregates(u, std::move(labels));
-}
-
-// Whether nodes a and b are siblings (same parent, including both roots).
-bool Siblings(const FTree& t, int a, int b) {
-  return t.parent(a) == t.parent(b);
-}
-
-bool AncestorRelated(const FTree& t, int a, int b) {
-  return t.IsAncestor(a, b) || t.IsAncestor(b, a);
-}
-
 }  // namespace
+
+FPlan SelectionPrefix(const FTree& tree, const PlannerQuery& q) {
+  auto node = [&](AttrId a) {
+    int n = tree.NodeOfAttr(a);
+    if (n < 0) {
+      throw std::invalid_argument("planner: unknown selection attribute");
+    }
+    return n;
+  };
+  for (const auto& [a, b] : q.eq_selections) {
+    node(a);
+    node(b);
+  }
+  FPlan prefix;
+  for (const auto& [attr, cmp, c] : q.const_selections) {
+    prefix.push_back(FOp::Select(node(attr), cmp, c));
+  }
+  return prefix;
+}
+
+AttrId FirstFreshAttr(const FTree& tree, const PlannerQuery& q) {
+  AttrId top = kInvalidAttr;
+  auto see = [&](AttrId a) { top = std::max(top, a); };
+  for (int n = 0; n < tree.num_nodes(); ++n) {
+    const FTreeNode& nd = tree.node(n);
+    for (AttrId a : nd.attrs) see(a);
+    if (nd.is_aggregate()) {
+      see(nd.agg->id);
+      see(nd.agg->source);
+      for (AttrId a : nd.agg->over) see(a);
+    }
+  }
+  for (const Hyperedge& e : tree.edges()) {
+    for (AttrId a : e.attrs) see(a);
+  }
+  // BlockedAttrs lists the group, equality and order attributes.
+  for (AttrId a : BlockedAttrs(q, q.eq_selections)) see(a);
+  for (const auto& s : q.const_selections) see(std::get<0>(s));
+  for (const AggTask& t : q.tasks) see(t.source);
+  return top + 1;
+}
+
+std::optional<FOp> SelectionOp(const FTree& tree,
+                               const std::pair<AttrId, AttrId>& sel) {
+  int na = tree.NodeOfAttr(sel.first);
+  int nb = tree.NodeOfAttr(sel.second);
+  if (tree.parent(na) == tree.parent(nb)) return FOp::Merge(na, nb);
+  if (tree.IsAncestor(na, nb)) return FOp::Absorb(na, nb);
+  if (tree.IsAncestor(nb, na)) return FOp::Absorb(nb, na);
+  return std::nullopt;
+}
+
+void DropSatisfied(const FTree& tree,
+                   std::vector<std::pair<AttrId, AttrId>>* pending) {
+  std::erase_if(*pending, [&](const auto& s) {
+    return tree.NodeOfAttr(s.first) == tree.NodeOfAttr(s.second);
+  });
+}
+
+std::vector<AttrId> BlockedAttrs(
+    const PlannerQuery& q,
+    const std::vector<std::pair<AttrId, AttrId>>& pending) {
+  std::vector<AttrId> blocked = q.group;
+  for (const auto& [a, b] : pending) {
+    blocked.push_back(a);
+    blocked.push_back(b);
+  }
+  blocked.insert(blocked.end(), q.order.begin(), q.order.end());
+  return blocked;
+}
+
+std::vector<int> NodesOfAttrs(const FTree& tree,
+                              const std::vector<AttrId>& attrs) {
+  std::vector<int> nodes;
+  for (AttrId a : attrs) {
+    int n = tree.NodeOfAttr(a);
+    if (n < 0) throw std::invalid_argument("planner: unknown attribute");
+    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {
+      nodes.push_back(n);
+    }
+  }
+  return nodes;
+}
 
 std::vector<AggTask> PartialTasks(const FTree& tree, int u,
                                   const std::vector<AggTask>& final_tasks) {
@@ -87,61 +141,38 @@ bool SubtreeAggregatable(const FTree& tree, int u,
   return has_atomic;
 }
 
-FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
-                 const PlannerQuery& q) {
-  FTree sim = tree;
-  AttributeRegistry simreg = reg;
-  FPlan plan;
-
-  auto record_swap = [&](int b) {
-    plan.push_back(FOp::Swap(b));
-    sim.SwapUp(b);
-  };
-
+FPlan GreedyPlan(const FTree& tree, const PlannerQuery& q) {
   // Selections with constants need no restructuring: one traversal each.
-  for (const auto& [attr, cmp, c] : q.const_selections) {
-    int n = sim.NodeOfAttr(attr);
-    if (n < 0) {
-      throw std::invalid_argument("GreedyPlan: unknown selection attribute");
-    }
-    plan.push_back(FOp::Select(n, cmp, c));
-  }
+  FPlan plan = SelectionPrefix(tree, q);
+  FTree sim = tree;
+  AttrId next_id = FirstFreshAttr(tree, q);
+  auto apply = [&](FOp op) {
+    SimulateOp(&sim, op, &next_id);
+    plan.push_back(std::move(op));
+  };
 
   std::vector<std::pair<AttrId, AttrId>> pending = q.eq_selections;
 
   // Step 1 + 3: resolve all equality selections, restructuring when needed.
-  while (!pending.empty()) {
+  while (true) {
     // Drop selections already satisfied by earlier merges.
-    std::erase_if(pending, [&](const auto& s) {
-      return sim.NodeOfAttr(s.first) == sim.NodeOfAttr(s.second);
-    });
+    DropSatisfied(sim, &pending);
     if (pending.empty()) break;
 
     // Step 1: a permissible merge/absorb, preferring the highest-placed.
     int best = -1;
     int best_depth = std::numeric_limits<int>::max();
     for (size_t i = 0; i < pending.size(); ++i) {
-      int na = sim.NodeOfAttr(pending[i].first);
-      int nb = sim.NodeOfAttr(pending[i].second);
-      if (Siblings(sim, na, nb) || AncestorRelated(sim, na, nb)) {
-        int d = std::min(Depth(sim, na), Depth(sim, nb));
-        if (d < best_depth) {
-          best_depth = d;
-          best = static_cast<int>(i);
-        }
+      if (!SelectionOp(sim, pending[i]).has_value()) continue;
+      int d = std::min(Depth(sim, sim.NodeOfAttr(pending[i].first)),
+                       Depth(sim, sim.NodeOfAttr(pending[i].second)));
+      if (d < best_depth) {
+        best_depth = d;
+        best = static_cast<int>(i);
       }
     }
     if (best >= 0) {
-      int na = sim.NodeOfAttr(pending[best].first);
-      int nb = sim.NodeOfAttr(pending[best].second);
-      if (Siblings(sim, na, nb)) {
-        plan.push_back(FOp::Merge(na, nb));
-        sim.MergeSiblings(na, nb);
-      } else {
-        if (sim.IsAncestor(nb, na)) std::swap(na, nb);
-        plan.push_back(FOp::Absorb(na, nb));
-        sim.AbsorbDescendant(na, nb);
-      }
+      apply(*SelectionOp(sim, pending[best]));
       pending.erase(pending.begin() + best);
       continue;
     }
@@ -156,10 +187,9 @@ FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
       FTree trial = sim;
       std::vector<int> swaps;
       double cost = 0.0;
-      while (true) {
+      while (!SelectionOp(trial, pending.front()).has_value()) {
         int na = trial.NodeOfAttr(attr_a);
         int nb = trial.NodeOfAttr(attr_b);
-        if (Siblings(trial, na, nb) || AncestorRelated(trial, na, nb)) break;
         int target;
         switch (strategy) {
           case 0:
@@ -184,18 +214,8 @@ FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
         best_swaps = std::move(swaps);
       }
     }
-    for (int b : best_swaps) record_swap(b);
+    for (int b : best_swaps) apply(FOp::Swap(b));
   }
-
-  auto blocked_attrs = [&]() {
-    std::vector<AttrId> blocked = q.group;
-    for (const auto& [a, b] : pending) {
-      blocked.push_back(a);
-      blocked.push_back(b);
-    }
-    for (AttrId o : q.order) blocked.push_back(o);
-    return blocked;
-  };
 
   // Alternate step 2 (maximal partial aggregates) with steps 4–5
   // (restructuring for group-by and order-by) until a fixpoint.
@@ -204,7 +224,7 @@ FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
     changed = false;
 
     if (!q.tasks.empty()) {
-      std::vector<AttrId> blocked = blocked_attrs();
+      std::vector<AttrId> blocked = BlockedAttrs(q, pending);
       bool more = true;
       while (more) {
         more = false;
@@ -212,9 +232,7 @@ FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
           if (!SubtreeAggregatable(sim, u, blocked)) continue;
           int p = sim.parent(u);
           if (p >= 0 && SubtreeAggregatable(sim, p, blocked)) continue;
-          std::vector<AggTask> tasks = PartialTasks(sim, u, q.tasks);
-          plan.push_back(FOp::Aggregate(u, tasks));
-          SimAggregate(&sim, &simreg, u, tasks);
+          apply(FOp::Aggregate(u, PartialTasks(sim, u, q.tasks)));
           more = true;
           changed = true;
           break;  // tree changed; recompute the traversal
@@ -224,28 +242,9 @@ FPlan GreedyPlan(const FTree& tree, const AttributeRegistry& reg,
 
     // Steps 4–5: push order-by nodes into list order, then the remaining
     // grouping nodes above everything else.
-    std::vector<int> o_nodes, g_nodes;
-    for (AttrId a : q.order) {
-      int n = sim.NodeOfAttr(a);
-      if (n < 0) {
-        throw std::invalid_argument("GreedyPlan: unknown order attribute");
-      }
-      if (std::find(o_nodes.begin(), o_nodes.end(), n) == o_nodes.end()) {
-        o_nodes.push_back(n);
-      }
-    }
-    for (AttrId a : q.group) {
-      int n = sim.NodeOfAttr(a);
-      if (n < 0) {
-        throw std::invalid_argument("GreedyPlan: unknown group attribute");
-      }
-      if (std::find(g_nodes.begin(), g_nodes.end(), n) == g_nodes.end()) {
-        g_nodes.push_back(n);
-      }
-    }
-    std::vector<int> swaps = PlanRestructure(sim, o_nodes, g_nodes);
-    for (int b : swaps) {
-      record_swap(b);
+    for (int b : PlanRestructure(sim, NodesOfAttrs(sim, q.order),
+                                 NodesOfAttrs(sim, q.group))) {
+      apply(FOp::Swap(b));
       changed = true;
     }
   }

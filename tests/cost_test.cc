@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "fdb/core/build.h"
-#include "fdb/optimizer/hypergraph.h"
 #include "fdb/workload/generator.h"
 #include "test_util.h"
 

@@ -17,7 +17,7 @@ TEST(ExhaustiveTest, FindsPlanForRevenuePerCustomer) {
   PlannerQuery q;
   q.group = {p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto res = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(res.has_value());
   EXPECT_FALSE(res->plan.empty());
   EXPECT_GT(res->cost, 0.0);
@@ -27,7 +27,7 @@ TEST(ExhaustiveTest, FindsPlanForRevenuePerCustomer) {
 TEST(ExhaustiveTest, GoalAlreadySatisfiedIsEmptyPlan) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;  // no selections, no aggregates, no order
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto res = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(res.has_value());
   EXPECT_TRUE(res->plan.empty());
   EXPECT_EQ(res->cost, 0.0);
@@ -37,7 +37,7 @@ TEST(ExhaustiveTest, OrderByGoalRequiresTheorem2) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.order = {p.attr("customer")};
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto res = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(res.has_value());
   // At least the two swaps pushing customer to the root.
   EXPECT_GE(res->plan.size(), 2u);
@@ -48,7 +48,7 @@ TEST(ExhaustiveTest, SelectionGoal) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.eq_selections = {{p.attr("pizza"), p.attr("customer")}};
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto res = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(res.has_value());
   bool has_selection = false;
   for (const FOp& op : res->plan) {
@@ -67,42 +67,16 @@ TEST(ExhaustiveTest, CostNeverExceedsGreedy) {
   q.group = {p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
 
-  auto exhaustive = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto exhaustive = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(exhaustive.has_value());
 
   // Replay the greedy plan and price it with the same metric.
-  FPlan greedy = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan greedy = GreedyPlan(p.view().tree(), q);
   FTree t = p.view().tree();
-  AttributeRegistry reg = p.db->registry();
+  AttrId next_id = FirstFreshAttr(t, q);
   double greedy_cost = 0.0;
   for (const FOp& op : greedy) {
-    switch (op.kind) {
-      case FOpKind::kSwap:
-        t.SwapUp(op.b);
-        break;
-      case FOpKind::kMerge:
-        t.MergeSiblings(op.a, op.b);
-        break;
-      case FOpKind::kAbsorb:
-        t.AbsorbDescendant(op.a, op.b);
-        break;
-      case FOpKind::kAggregate: {
-        std::vector<AggregateLabel> labels;
-        std::vector<AttrId> over = t.SubtreeOriginalAttrs(op.a);
-        for (const AggTask& task : op.tasks) {
-          AggregateLabel l;
-          l.fn = task.fn;
-          l.source = task.source;
-          l.over = over;
-          l.id = reg.Intern("ge" + std::to_string(reg.size()));
-          labels.push_back(l);
-        }
-        t.ReplaceSubtreeWithAggregates(op.a, labels);
-        break;
-      }
-      default:
-        continue;  // const selections / renames don't change the tree
-    }
+    SimulateOp(&t, op, &next_id);
     greedy_cost += FTreeCost(t);
   }
   EXPECT_LE(exhaustive->cost, greedy_cost + 1e-6);
@@ -113,7 +87,7 @@ TEST(ExhaustiveTest, StateCapReturnsNullopt) {
   PlannerQuery q;
   q.group = {p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q,
+  auto res = ExhaustivePlan(p.view().tree(), q,
                             /*max_states=*/1);
   EXPECT_FALSE(res.has_value());
 }
@@ -123,7 +97,7 @@ TEST(ExhaustiveTest, CanonicalEncodingMergesSymmetricStates) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.order = {p.attr("date"), p.attr("pizza")};
-  auto res = ExhaustivePlan(p.view().tree(), p.db->registry(), q);
+  auto res = ExhaustivePlan(p.view().tree(), q);
   ASSERT_TRUE(res.has_value());
   FTree t = p.view().tree();
   for (const FOp& op : res->plan) {

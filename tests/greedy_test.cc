@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "fdb/core/order.h"
 #include "fdb/optimizer/fplan.h"
 #include "test_util.h"
@@ -12,42 +15,13 @@ namespace {
 using testing::MakePizzeria;
 using testing::Pizzeria;
 
-// Replays a plan on an f-tree copy (no data), mirroring ExecutePlan.
-FTree Replay(const FTree& tree, const AttributeRegistry& reg,
-             const FPlan& plan) {
+// Replays a plan on an f-tree copy (no data), mirroring ExecutePlan;
+// constant selections leave the tree as it is.
+FTree Replay(const FTree& tree, const FPlan& plan) {
   FTree t = tree;
-  AttributeRegistry r = reg;
+  AttrId next_id = FirstFreshAttr(tree, {});
   for (const FOp& op : plan) {
-    switch (op.kind) {
-      case FOpKind::kSwap:
-        t.SwapUp(op.b);
-        break;
-      case FOpKind::kMerge:
-        t.MergeSiblings(op.a, op.b);
-        break;
-      case FOpKind::kAbsorb:
-        t.AbsorbDescendant(op.a, op.b);
-        break;
-      case FOpKind::kSelectConst:
-        break;
-      case FOpKind::kAggregate: {
-        std::vector<AggregateLabel> labels;
-        std::vector<AttrId> over = t.SubtreeOriginalAttrs(op.a);
-        for (const AggTask& task : op.tasks) {
-          AggregateLabel l;
-          l.fn = task.fn;
-          l.source = task.source;
-          l.over = over;
-          std::string base = "re" + std::to_string(r.size());
-          l.id = r.Intern(base);
-          labels.push_back(l);
-        }
-        t.ReplaceSubtreeWithAggregates(op.a, labels);
-        break;
-      }
-      case FOpKind::kRename:
-        break;
-    }
+    if (op.kind != FOpKind::kSelectConst) SimulateOp(&t, op, &next_id);
   }
   return t;
 }
@@ -63,19 +37,89 @@ std::vector<AttrId> AtomicAttrs(const FTree& t) {
   return out;
 }
 
+// The tree with aggregate ids abstracted away: each live node's wiring,
+// class or aggregate (fn, source, over) label, the roots, and each
+// hyperedge's members, an aggregate id standing in as its node.
+std::string Shape(const FTree& t) {
+  std::ostringstream os;
+  for (int n : t.TopologicalOrder()) {
+    const FTreeNode& nd = t.node(n);
+    os << n << " under " << nd.parent << " [";
+    for (int c : nd.children) os << c << ",";
+    os << "] ";
+    if (nd.is_aggregate()) {
+      os << AggFnName(nd.agg->fn) << "_" << nd.agg->source << "(";
+      for (AttrId a : nd.agg->over) os << a << ",";
+      os << ")";
+    }
+    for (AttrId a : nd.attrs) os << a << ",";
+    os << "\n";
+  }
+  for (int r : t.roots()) os << "root " << r << "\n";
+  for (const Hyperedge& e : t.edges()) {
+    std::vector<std::string> members;
+    for (AttrId a : e.attrs) {
+      int n = t.NodeOfAttr(a);
+      bool agg = n >= 0 && t.node(n).is_aggregate();
+      members.push_back((agg ? "node " : "") + std::to_string(agg ? n : a));
+    }
+    std::sort(members.begin(), members.end());
+    os << "edge " << e.weight << ":";
+    for (const std::string& m : members) os << " " << m;
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(GreedyTest, SimulateOpMirrorsExecuteOp) {
+  // The planners' tree-only simulation and the operators on data must
+  // leave the same f-tree behind, up to the names of fresh aggregates.
+  Pizzeria p = MakePizzeria();
+  const FTree& input = p.view().tree();
+  AttrId price = p.attr("price");
+  FPlan ops = {FOp::Swap(p.n_customer),
+               FOp::Aggregate(p.n_price, {{AggFn::kSum, price}}),
+               FOp::Merge(p.n_customer, p.n_item),
+               FOp::Absorb(p.n_pizza, p.n_customer),
+               FOp::Aggregate(p.n_date, {{AggFn::kCount, kInvalidAttr}})};
+  FTree sim = input;
+  AttrId next_id = FirstFreshAttr(input, {});
+  Factorisation f = p.view();
+  AttributeRegistry& reg = p.db->registry();
+  for (const FOp& op : ops) {
+    SimulateOp(&sim, op, &next_id);
+    ExecuteOp(&f, &reg, op);
+    EXPECT_EQ(Shape(sim), Shape(f.tree())) << PlanToString({op}, reg);
+  }
+  std::set<AttrId> input_ids;
+  for (int n = 0; n < input.num_nodes(); ++n) {
+    for (AttrId a : input.node(n).AllAttrIds()) input_ids.insert(a);
+  }
+  for (const Hyperedge& e : input.edges()) {
+    input_ids.insert(e.attrs.begin(), e.attrs.end());
+  }
+  std::set<AttrId> fresh;
+  for (int n : sim.TopologicalOrder()) {
+    if (!sim.node(n).is_aggregate()) continue;
+    fresh.insert(sim.node(n).agg->id);
+    EXPECT_EQ(input_ids.count(sim.node(n).agg->id), 0u);
+  }
+  EXPECT_EQ(fresh.size(), 2u);
+}
+
 TEST(GreedyTest, Q2RevenuePerCustomerPlanShape) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.group = {p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   ASSERT_FALSE(plan.empty());
   // The first operator is the local partial aggregation of the item/price
   // subtree (no restructuring needed for it).
   EXPECT_EQ(plan[0].kind, FOpKind::kAggregate);
   EXPECT_EQ(plan[0].a, p.n_item);
   // The plan then restructures and aggregates until only customer remains.
-  FTree final_tree = Replay(p.view().tree(), p.db->registry(), plan);
+  FTree final_tree = Replay(p.view().tree(), plan);
   EXPECT_EQ(AtomicAttrs(final_tree),
             std::vector<AttrId>{p.attr("customer")});
   EXPECT_TRUE(SupportsGrouping(
@@ -90,11 +134,11 @@ TEST(GreedyTest, Q1NoRestructuringNeeded) {
   PlannerQuery q;
   q.group = {p.attr("pizza"), p.attr("date"), p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   for (const FOp& op : plan) {
     EXPECT_NE(op.kind, FOpKind::kSwap) << "unexpected restructuring";
   }
-  FTree final_tree = Replay(p.view().tree(), p.db->registry(), plan);
+  FTree final_tree = Replay(p.view().tree(), plan);
   EXPECT_EQ(AtomicAttrs(final_tree).size(), 3u);
 }
 
@@ -102,8 +146,8 @@ TEST(GreedyTest, Q5FullAggregationConsumesEverything) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
-  FTree final_tree = Replay(p.view().tree(), p.db->registry(), plan);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
+  FTree final_tree = Replay(p.view().tree(), plan);
   EXPECT_TRUE(AtomicAttrs(final_tree).empty());
 }
 
@@ -143,7 +187,7 @@ TEST(GreedyTest, ConstSelectionsComeFirst) {
   q.const_selections = {{p.attr("price"), CmpOp::kGt, Value(1)}};
   q.group = {p.attr("customer")};
   q.tasks = {{AggFn::kSum, p.attr("price")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   ASSERT_FALSE(plan.empty());
   EXPECT_EQ(plan[0].kind, FOpKind::kSelectConst);
   EXPECT_EQ(plan[0].a, p.n_price);
@@ -160,7 +204,7 @@ TEST(GreedyTest, EqualitySelectionUsesMergeWhenSiblings) {
   t.AddEdge({{b}, 4.0, "rb"});
   PlannerQuery q;
   q.eq_selections = {{a, b}};
-  FPlan plan = GreedyPlan(t, db.registry(), q);
+  FPlan plan = GreedyPlan(t, q);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].kind, FOpKind::kMerge);
 }
@@ -169,7 +213,7 @@ TEST(GreedyTest, EqualitySelectionUsesAbsorbOnPath) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.eq_selections = {{p.attr("pizza"), p.attr("customer")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].kind, FOpKind::kAbsorb);
   EXPECT_EQ(plan[0].a, p.n_pizza);
@@ -182,7 +226,7 @@ TEST(GreedyTest, EqualitySelectionOnSiblingBranches) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.eq_selections = {{p.attr("date"), p.attr("item")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].kind, FOpKind::kMerge);
 }
@@ -193,7 +237,7 @@ TEST(GreedyTest, EqualityAcrossBranchesRestructuresFirst) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.eq_selections = {{p.attr("customer"), p.attr("price")}};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
   bool has_swap = false, has_selection = false;
   for (const FOp& op : plan) {
     if (op.kind == FOpKind::kSwap) has_swap = true;
@@ -203,7 +247,7 @@ TEST(GreedyTest, EqualityAcrossBranchesRestructuresFirst) {
   }
   EXPECT_TRUE(has_swap);
   EXPECT_TRUE(has_selection);
-  FTree final_tree = Replay(p.view().tree(), p.db->registry(), plan);
+  FTree final_tree = Replay(p.view().tree(), plan);
   EXPECT_EQ(final_tree.NodeOfAttr(p.attr("customer")),
             final_tree.NodeOfAttr(p.attr("price")));
   EXPECT_TRUE(final_tree.SatisfiesPathConstraint());
@@ -213,8 +257,8 @@ TEST(GreedyTest, OrderByRestructuresToSupportTheorem2) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
   q.order = {p.attr("customer"), p.attr("pizza")};
-  FPlan plan = GreedyPlan(p.view().tree(), p.db->registry(), q);
-  FTree final_tree = Replay(p.view().tree(), p.db->registry(), plan);
+  FPlan plan = GreedyPlan(p.view().tree(), q);
+  FTree final_tree = Replay(p.view().tree(), plan);
   EXPECT_TRUE(SupportsOrder(final_tree,
                             {final_tree.NodeOfAttr(p.attr("customer")),
                              final_tree.NodeOfAttr(p.attr("pizza"))}));
@@ -223,7 +267,7 @@ TEST(GreedyTest, OrderByRestructuresToSupportTheorem2) {
 TEST(GreedyTest, EmptyQueryYieldsEmptyPlan) {
   Pizzeria p = MakePizzeria();
   PlannerQuery q;
-  EXPECT_TRUE(GreedyPlan(p.view().tree(), p.db->registry(), q).empty());
+  EXPECT_TRUE(GreedyPlan(p.view().tree(), q).empty());
 }
 
 TEST(GreedyTest, UnknownAttributesThrow) {
@@ -231,7 +275,7 @@ TEST(GreedyTest, UnknownAttributesThrow) {
   PlannerQuery q;
   q.group = {static_cast<AttrId>(4321)};
   q.tasks = {{AggFn::kCount, kInvalidAttr}};
-  EXPECT_THROW(GreedyPlan(p.view().tree(), p.db->registry(), q),
+  EXPECT_THROW(GreedyPlan(p.view().tree(), q),
                std::invalid_argument);
 }
 

@@ -141,13 +141,17 @@ TEST(TaskPoolTest, ConcurrentCallersShareOnePool) {
 
 TEST(TaskPoolTest, TasksRunCountsOnlyHelpersThatRanAChunk) {
   // taskpool.tasks_run rises by one per pool worker that ran a body in a
-  // call. A helper that wakes to find every chunk claimed adds nothing:
-  // the second call below queues one while the only worker is busy.
+  // call. A helper that wakes to find every chunk claimed adds nothing
+  // there and one to taskpool.stale_helpers: the second call below queues
+  // one while the only worker is busy.
   bool metrics_were_on = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   obs::Counter& tasks =
       obs::Registry::Instance().GetCounter("taskpool.tasks_run");
+  obs::Counter& stale =
+      obs::Registry::Instance().GetCounter("taskpool.stale_helpers");
   uint64_t before = tasks.Value();
+  uint64_t stale_before = stale.Value();
   TaskPool pool(2);  // one worker
   std::mutex mu;
   uint64_t helpers_ran = 0;  // Σ over calls of distinct non-caller threads
@@ -196,6 +200,7 @@ TEST(TaskPoolTest, TasksRunCountsOnlyHelpersThatRanAChunk) {
   });
   EXPECT_EQ(helpers_ran, 2u);
   EXPECT_EQ(tasks.Value() - before, helpers_ran);
+  EXPECT_EQ(stale.Value() - stale_before, 1u);
   obs::SetMetricsEnabled(metrics_were_on);
 }
 
